@@ -38,7 +38,6 @@ from .graphs import (
     is_strongly_connected,
     load_graph,
     quotient,
-    rees_only_condition,
 )
 from .oracle import (
     enumerate_congruences,
@@ -111,7 +110,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         bar_h = index_one_vertices(q)
         per_h.append((h, bar_h, cycles_in(q, bar_h)))
     zero_simple = is_strongly_connected(g)
-    rees_only = rees_only_condition(g)
+    rees_only = not any(bar_h for _, bar_h, _ in per_h)
     cong_free = is_congruence_free_graph(g) if g.vertices else False
 
     payload = {

@@ -7,6 +7,12 @@ congruence of the graph inverse semigroup; the triple is kept as data and
 membership of a pair (x, y) is decided directly, since the semigroup is
 usually infinite.
 
+:func:`make_triple` is the one validating constructor, and it compiles
+the triple once: the result remembers the graph it was validated over and
+indexes each cycle vertex's (cycle, f-value). Every operation taking
+``(g, t)`` reads that index through :meth:`CongruenceTriple.over`, which
+validates anew only a triple not compiled over g.
+
 The generated congruence is the one spanned by the pairs
 ``(v, 0)`` for v in H, ``(e_w e_w*, w)`` for w in W with e_w the unique
 edge leaving w, and ``(c^f(c), s(c))`` for cycles c inside W with finite
@@ -18,8 +24,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 from .elements import (
@@ -78,14 +83,28 @@ class CongruenceTriple:
     sequence; use :func:`make_triple` to build one from loose data. A
     special congruence (no vertex collapsing to zero) is a triple with
     empty H, and such triples double as congruence pairs (W, f).
+
+    A triple from :func:`make_triple` also carries ``graph``, the graph it
+    was validated over, and ``cycle_at``, mapping each vertex of a cycle
+    in f's domain to that (cycle, value); the decision procedure reads a
+    vertex off those cycles as (None, inf). Neither takes part in equality
+    or hashing, and ``dataclasses.replace`` copies come out without them.
     """
 
     h: frozenset[str]
     w: frozenset[str]
     f: tuple[tuple[Cycle, FValue], ...]
+    graph: Graph | None = field(default=None, init=False, compare=False, repr=False)
+    cycle_at: Mapping[str, tuple[Cycle, FValue]] | None = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
-    def f_map(self) -> dict[Cycle, FValue]:
-        return dict(self.f)
+    def over(self, g: Graph) -> CongruenceTriple:
+        """This triple compiled over g: itself when make_triple built it
+        over g (or an equal graph), else validated anew by make_triple."""
+        if self.graph is g or self.graph == g:
+            return self
+        return make_triple(g, self.h, self.w, self.f)
 
     def f_value(self, c: Cycle) -> FValue:
         for cyc, val in self.f:
@@ -100,20 +119,17 @@ def make_triple(
     w: Iterable[str] = (),
     f: Mapping[Cycle, FValue] | Iterable[tuple[Cycle, FValue]] = (),
 ) -> CongruenceTriple:
-    """Build and validate a triple over g."""
-    fm = dict(f.items() if isinstance(f, Mapping) else f)
+    """Build and validate a triple over g, compiled for use with g."""
+    pairs = f.items() if isinstance(f, Mapping) else f
     t = CongruenceTriple(
-        frozenset(h), frozenset(w), tuple(sorted(fm.items(), key=lambda kv: kv[0].path.edges))
+        frozenset(h), frozenset(w), tuple(sorted(pairs, key=lambda kv: kv[0].path.edges))
     )
     ok, problems = validate_triple(g, t)
     if not ok:
         raise TripleFormatError("; ".join(problems))
+    object.__setattr__(t, "graph", g)
+    object.__setattr__(t, "cycle_at", {v: (c, val) for c, val in t.f for v in c.vertex_set})
     return t
-
-
-def congruence_pair(g: Graph, w: Iterable[str] = (), f=()) -> CongruenceTriple:
-    """A congruence pair (W, f) of g, i.e. a triple with empty H."""
-    return make_triple(g, (), w, f)
 
 
 def identity_triple(g: Graph) -> CongruenceTriple:
@@ -165,45 +181,24 @@ def validate_triple(g: Graph, t: CongruenceTriple) -> tuple[bool, list[str]]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Context:
-    """Preprocessed view of (g, t): the quotient graph plus cycle lookup."""
-
-    quotient: Graph
-    w: frozenset[str]
-    fmap: dict[Cycle, FValue]
-    cycle_at: dict[str, Cycle]
-
-    def identified_power(self, p: Path) -> bool:
-        """Is the closed path p a lap power c^m collapsing to its base,
-        i.e. with c inside W, f(c) finite and f(c) | m?"""
-        cp = as_cycle_power(p)
-        if cp is None:
-            return False
-        c, m = cp
-        val = self.fmap.get(c)
-        return val is not None and val != INF and m % int(val) == 0
-
-
-@lru_cache(maxsize=256)
-def _context(g: Graph, t: CongruenceTriple) -> _Context:
-    ok, problems = validate_triple(g, t)
-    if not ok:
-        raise TripleFormatError("; ".join(problems))
-    q = quotient(g, t.h)
-    fmap = dict(t.f)
-    cycle_at = {v: c for c in fmap for v in c.vertex_set}
-    return _Context(q, t.w, fmap, cycle_at)
+def _identified_power(t: CongruenceTriple, p: Path) -> bool:
+    """Is the closed path p a lap power c^m collapsing to its base,
+    i.e. with c inside W, f(c) finite and f(c) | m? t must be compiled."""
+    cp = as_cycle_power(p)
+    if cp is None:
+        return False
+    c, m = cp
+    at, val = t.cycle_at.get(c.base, (None, INF))
+    return at == c and val != INF and m % int(val) == 0
 
 
 def triple_generators(g: Graph, t: CongruenceTriple) -> list[tuple[Element, Element]]:
     """The generating pairs of the triple's congruence, in a fixed order."""
-    ctx = _context(g, t)
-    pairs: list[tuple[Element, Element]] = []
-    for v in g.sort_vertices(t.h):
-        pairs.append((vertex_element(v), ZERO))
-    for w in ctx.quotient.sort_vertices(t.w):
-        (e,) = ctx.quotient.out_edges(w)
+    t = t.over(g)
+    pairs = [(vertex_element(v), ZERO) for v in g.sort_vertices(t.h)]
+    for w in g.sort_vertices(t.w):
+        # w has index one in the quotient: its one edge not ranging into H
+        (e,) = (e for e in g.out_edges(w) if e.dst not in t.h)
         ew = Path((e.src, e.dst), (e.id,))
         pairs.append((idempotent_element(ew), vertex_element(w)))
     for c, val in t.f:
@@ -235,7 +230,7 @@ def equiv(g: Graph, t: CongruenceTriple, x: Element, y: Element) -> bool:
     or b extends q by a nonempty b1 and the closed path p1 b1 must be a
     lap power collapsing to its base.
     """
-    ctx = _context(g, t)
+    t = t.over(g)
     x = reduce_mod_h(g, t, x)
     y = reduce_mod_h(g, t, y)
     if x.is_zero or y.is_zero:
@@ -253,14 +248,14 @@ def equiv(g: Graph, t: CongruenceTriple, x: Element, y: Element) -> bool:
     p1 = strip_prefix(a, p)
     if is_prefix(b, q):
         q1 = strip_prefix(b, q)
-        return _vertex_class_test(ctx, p1, q1)
+        return _vertex_class_test(t, p1, q1)
     if is_prefix(q, b):
         b1 = strip_prefix(q, b)
-        return ctx.identified_power(concat(p1, b1))
+        return _identified_power(t, concat(p1, b1))
     return False
 
 
-def _vertex_class_test(ctx: _Context, p: Path, q: Path) -> bool:
+def _vertex_class_test(t: CongruenceTriple, p: Path, q: Path) -> bool:
     """Does p q* lie in the class of its common source vertex?
 
     The class members are exactly the idempotents r r* with every edge
@@ -268,7 +263,7 @@ def _vertex_class_test(ctx: _Context, p: Path, q: Path) -> bool:
     to its base.
     """
     if p == q:
-        return p.vertex_set <= ctx.w
+        return p.vertex_set <= t.w
     if is_prefix(q, p):
         shorter, longer = q, p
     elif is_prefix(p, q):
@@ -276,7 +271,7 @@ def _vertex_class_test(ctx: _Context, p: Path, q: Path) -> bool:
     else:
         return False
     tail = strip_prefix(shorter, longer)
-    return shorter.vertex_set <= ctx.w and ctx.identified_power(tail)
+    return shorter.vertex_set <= t.w and _identified_power(t, tail)
 
 
 def normal_form(g: Graph, t: CongruenceTriple, x: Element) -> Element:
@@ -294,26 +289,26 @@ def normal_form(g: Graph, t: CongruenceTriple, x: Element) -> Element:
     starred path never grows and the plain side only grows when the
     starred side shrinks.
     """
-    ctx = _context(g, t)
+    t = t.over(g)
     x = reduce_mod_h(g, t, x)
     if x.is_zero:
         return ZERO
     assert x.alpha is not None and x.beta is not None
     a, b = x.alpha, x.beta
     while True:
-        a, b, stripped = _strip_common_tail(ctx, a, b)
-        a, b, reduced = _reduce_tail_run(ctx, a, b)
+        a, b, stripped = _strip_common_tail(t.w, a, b)
+        a, b, reduced = _reduce_tail_run(t, a, b)
         if not (stripped or reduced):
             return Element(a, b)
 
 
-def _strip_common_tail(ctx: _Context, a: Path, b: Path) -> tuple[Path, Path, bool]:
+def _strip_common_tail(w: frozenset[str], a: Path, b: Path) -> tuple[Path, Path, bool]:
     changed = False
     while (
         a.edges
         and b.edges
         and a.edges[-1] == b.edges[-1]
-        and a.vertices[-2] in ctx.w
+        and a.vertices[-2] in w
     ):
         a = Path(a.vertices[:-1], a.edges[:-1])
         b = Path(b.vertices[:-1], b.edges[:-1])
@@ -348,12 +343,8 @@ def _cycle_walk(c: Cycle, start: str, length: int) -> Path:
     return concat(out, Path(rotation.vertices[: rest + 1], rotation.edges[:rest]))
 
 
-def _reduce_tail_run(ctx: _Context, a: Path, b: Path) -> tuple[Path, Path, bool]:
-    v = a.target
-    c = ctx.cycle_at.get(v)
-    if c is None:
-        return a, b, False
-    val = ctx.fmap[c]
+def _reduce_tail_run(t: CongruenceTriple, a: Path, b: Path) -> tuple[Path, Path, bool]:
+    c, val = t.cycle_at.get(a.target, (None, INF))
     if val == INF:
         return a, b, False
     period = len(c) * int(val)
@@ -374,8 +365,8 @@ def vertex_class_members(
     of the vertex v; v must survive the quotient."""
     if v in t.h:
         raise ValueError(f"vertex {v!r} lies in H, its class is the zero class")
-    ctx = _context(g, t)
-    ctx.quotient._require_vertex(v)
+    t = t.over(g)
+    g._require_vertex(v)
     members: list[Element] = []
     seen: set[Element] = set()
 
@@ -384,18 +375,13 @@ def vertex_class_members(
             seen.add(x)
             members.append(x)
 
-    for gamma in _paths_within(ctx.quotient, v, ctx.w, len_bound):
+    for gamma in _paths_within(quotient(g, t.h), v, t.w, len_bound):
         emit(Element(gamma, gamma))
-        c = ctx.cycle_at.get(gamma.target)
-        if c is None:
-            continue
-        val = ctx.fmap[c]
+        c, val = t.cycle_at.get(gamma.target, (None, INF))
         if val == INF:
             continue
         loop = c.based_at(gamma.target)
         step = len(loop) * int(val)
-        if step == 0:
-            continue
         k = 1
         while len(gamma) + k * step <= len_bound:
             squiggle = concat(gamma, cycle_power(loop, k * int(val)))
@@ -446,8 +432,7 @@ def _element_sort_key(x: Element):
 def triple_leq(g: Graph, t1: CongruenceTriple, t2: CongruenceTriple) -> bool:
     """The refinement order: H1 within H2, W1 carried into W2 outside H2,
     and f2 dividing f1 on shared cycles."""
-    _context(g, t1)
-    _context(g, t2)
+    t1, t2 = t1.over(g), t2.over(g)
     if not (t1.h <= t2.h and t1.w - t2.h <= t2.w):
         return False
     f2 = dict(t2.f)
@@ -518,9 +503,10 @@ def chain_stabilizes(g: Graph, chain: list[CongruenceTriple]) -> int:
 
 
 def triple_to_json(g: Graph, t: CongruenceTriple) -> dict:
+    t = t.over(g)
     return {
         "H": list(g.sort_vertices(t.h)),
-        "W": list(_context(g, t).quotient.sort_vertices(t.w)),
+        "W": list(g.sort_vertices(t.w)),
         "f": [
             {"cycle": list(c.path.edges), "value": "inf" if v == INF else int(v)}
             for c, v in t.f
@@ -536,20 +522,24 @@ def triple_from_json(g: Graph, data: object) -> CongruenceTriple:
             raise TripleFormatError(f"triple JSON missing key {key!r}")
     if not all(isinstance(data[k], list) for k in ("H", "W", "f")):
         raise TripleFormatError("'H', 'W' and 'f' must be arrays")
+    if not all(isinstance(v, str) for k in ("H", "W") for v in data[k]):
+        raise TripleFormatError("'H' and 'W' entries must be vertex-id strings")
     h = frozenset(data["H"])
     w = frozenset(data["W"])
     fmap: dict[Cycle, FValue] = {}
     for item in data["f"]:
         if not isinstance(item, dict) or not {"cycle", "value"} <= item.keys():
             raise TripleFormatError(f"malformed cycle entry {item!r}")
+        cycle = item["cycle"]
+        if not isinstance(cycle, list) or not all(isinstance(e, str) for e in cycle):
+            raise TripleFormatError(f"cycle {cycle!r} must be an array of edge-id strings")
         try:
-            path = make_path(g, item["cycle"])
-            cyc = Cycle.from_path(path)
+            cyc = Cycle.from_path(make_path(g, cycle))
         except (ValueError, KeyError) as exc:
-            raise TripleFormatError(f"bad cycle {item['cycle']!r}: {exc}") from None
-        if tuple(item["cycle"]) != cyc.path.edges:
+            raise TripleFormatError(f"bad cycle {cycle!r}: {exc}") from None
+        if tuple(cycle) != cyc.path.edges:
             raise TripleFormatError(
-                f"cycle {item['cycle']!r} is not in canonical rotation; "
+                f"cycle {cycle!r} is not in canonical rotation; "
                 f"expected {list(cyc.path.edges)}"
             )
         raw = item["value"]
@@ -557,7 +547,7 @@ def triple_from_json(g: Graph, data: object) -> CongruenceTriple:
         if not is_fvalue(value):
             raise TripleFormatError(f"bad cycle value {raw!r}")
         if cyc in fmap:
-            raise TripleFormatError(f"duplicate cycle {item['cycle']!r}")
+            raise TripleFormatError(f"duplicate cycle {cycle!r}")
         fmap[cyc] = value
     try:
         return make_triple(g, h, w, fmap)

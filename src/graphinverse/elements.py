@@ -19,7 +19,6 @@ from .graphs import (
     Graph,
     Path,
     concat,
-    cycle_power,
     is_prefix,
     make_path,
     strip_prefix,
@@ -111,21 +110,6 @@ def inverse(x: Element) -> Element:
 
 def is_idempotent(x: Element) -> bool:
     return x.is_zero or x.alpha == x.beta
-
-
-def is_valid_element(g: Graph, x: Element) -> bool:
-    """Both paths exist in g (ranges already agree by construction)."""
-    if x.is_zero:
-        return True
-
-    def ok(p: Path) -> bool:
-        try:
-            return make_path(g, p.edges, source=p.source) == p
-        except (ValueError, KeyError):
-            return False
-
-    assert x.alpha is not None and x.beta is not None
-    return ok(x.alpha) and ok(x.beta)
 
 
 # ---------------------------------------------------------------------------

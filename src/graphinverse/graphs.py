@@ -485,6 +485,8 @@ def graph_from_json(data: object) -> Graph:
     for item in edges:
         if not isinstance(item, dict) or not {"id", "src", "dst"} <= item.keys():
             raise GraphFormatError(f"malformed edge entry {item!r}")
+        if not all(isinstance(item[k], str) for k in ("id", "src", "dst")):
+            raise GraphFormatError(f"edge entry {item!r}: 'id', 'src' and 'dst' must be strings")
         triples.append((item["id"], item["src"], item["dst"]))
     return Graph.of(vertices, triples)
 

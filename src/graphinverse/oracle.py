@@ -16,18 +16,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .congruences import (
-    INF,
-    CongruenceTriple,
-    _context,
-    make_triple,
-    triple_generators,
-)
+from .congruences import INF, CongruenceTriple, make_triple, triple_generators
 from .elements import (
     ZERO,
     Element,
     idempotent_element,
     multiply,
+    strip_cycle_prefix,
     vertex_element,
 )
 from .graphs import (
@@ -202,13 +197,6 @@ def congruence_closure(
     return ExplicitCongruence.from_class_map([find(i) for i in range(n)])
 
 
-def closure_of_indices(
-    s: FiniteSemigroup, pairs: Iterable[tuple[int, int]]
-) -> ExplicitCongruence:
-    els = s.elements
-    return congruence_closure(s, [(els[i], els[j]) for i, j in pairs])
-
-
 def enumerate_congruences(
     s: FiniteSemigroup, max_elements: int = 20
 ) -> list[ExplicitCongruence]:
@@ -221,19 +209,19 @@ def enumerate_congruences(
         raise ValueError(
             f"semigroup has {n} elements, above the bound {max_elements}"
         )
+    els = s.elements
     identity = ExplicitCongruence(tuple((i,) for i in range(n)))
     found = {identity}
     for i in range(n):
         for j in range(i + 1, n):
-            found.add(closure_of_indices(s, [(i, j)]))
+            found.add(congruence_closure(s, [(els[i], els[j])]))
     frontier = set(found)
     while frontier:
         fresh: set[ExplicitCongruence] = set()
         for rho in frontier:
             for sigma in found:
-                joined = closure_of_indices(
-                    s, rho.generating_pairs() + sigma.generating_pairs()
-                )
+                pairs = rho.generating_pairs() + sigma.generating_pairs()
+                joined = congruence_closure(s, [(els[i], els[j]) for i, j in pairs])
                 if joined not in found and joined not in fresh:
                     fresh.add(joined)
         found |= fresh
@@ -397,13 +385,7 @@ def _solve_right(q: Element, z: Element) -> list[Element]:
             w_beta = Path(beta.vertices[: len(beta) - k + 1], beta.edges[: len(beta) - k])
             if w_alpha.target == w_beta.target:
                 out.append(Element(w_alpha, w_beta))
-    seen = set()
-    uniq = []
-    for w in out:
-        if w not in seen:
-            seen.add(w)
-            uniq.append(w)
-    return uniq
+    return list(dict.fromkeys(out))
 
 
 def _solve_left(p: Element, z: Element) -> list[Element]:
@@ -425,13 +407,7 @@ def _solve_left(p: Element, z: Element) -> list[Element]:
             u_beta = Path(zeta.vertices[: len(zeta) - k + 1], zeta.edges[: len(zeta) - k])
             if u_alpha.target == u_beta.target:
                 out.append(Element(u_alpha, u_beta))
-    seen = set()
-    uniq = []
-    for u in out:
-        if u not in seen:
-            seen.add(u)
-            uniq.append(u)
-    return uniq
+    return list(dict.fromkeys(out))
 
 
 @lru_cache(maxsize=64)
@@ -466,7 +442,7 @@ def vertex_class_form_test(
     Written against the class description itself, independently of the
     decision procedure, as a cross-check at desk scale.
     """
-    ctx = _context(g, t)
+    t = t.over(g)
     if x.is_zero or v in t.h:
         return False
     assert x.alpha is not None and x.beta is not None
@@ -476,29 +452,21 @@ def vertex_class_form_test(
     if any(u in t.h for u in a.vertices + b.vertices):
         return False
     if a == b:
-        return a.vertex_set <= ctx.w
+        return a.vertex_set <= t.w
     if is_prefix(b, a):
         shorter, longer = b, a
     elif is_prefix(a, b):
         shorter, longer = a, b
     else:
         return False
-    if not shorter.vertex_set <= ctx.w:
+    if not shorter.vertex_set <= t.w:
         return False
     tail = strip_prefix(shorter, longer)
     for c, val in t.f:
         if val == INF or tail.source not in c.vertex_set:
             continue
         loop = c.based_at(tail.source)
-        m, rest = _laps(loop, tail)
+        m, rest = strip_cycle_prefix(loop, tail)
         if len(rest) == 0 and m >= 1 and m % int(val) == 0:
             return True
     return False
-
-
-def _laps(loop: Path, p: Path) -> tuple[int, Path]:
-    k = 0
-    while is_prefix(loop, p):
-        p = strip_prefix(loop, p)
-        k += 1
-    return k, p

@@ -4,13 +4,15 @@ import json
 
 import pytest
 
-from graphinverse import graph_to_json, triple_to_json
+from graphinverse import cli, graphs, graph_to_json, triple_to_json
 from graphinverse.cli import main
 from graphinverse.congruences import make_triple
 from graphinverse.corpus import (
+    CORPUS,
     double_loop,
     edge_graph,
     loop_graph,
+    pendant_cycle,
     two_cycle,
 )
 from test_congruences import loop_triple
@@ -80,6 +82,110 @@ class TestReport:
         bad.write_text('{"vertices": ["v"]}')
         code, _, err = run(capsys, ["report", str(bad)])
         assert code == 1 and "error" in err
+
+
+class TestReportScansOnce:
+    """report finds the hereditary sets once and reads the Rees-only
+    predicate off its per-H rows."""
+
+    EXPECTED = {
+        "pendant_cycle": """\
+vertices: u, v, w
+edges: e0:u->v, e1:v->w, e2:w->v
+hereditary subsets (3): {}  {v, w}  {u, v, w}
+index-one vertices: {u, v, w}
+  H={}: index-one {u, v, w}  cycles: e1.e2
+  H={v, w}: index-one {}
+  H={u, v, w}: index-one {}
+0-simple (strongly connected): no  [a proper nonempty hereditary subset exists]
+Rees congruences only: no  [some quotient keeps an index-one vertex]
+congruence-free: no  [needs strong connectivity and no index-one vertex]
+""",
+        "double_loop": """\
+vertices: v
+edges: a:v->v, b:v->v
+hereditary subsets (2): {}  {v}
+index-one vertices: {}
+  H={}: index-one {}
+  H={v}: index-one {}
+0-simple (strongly connected): yes
+Rees congruences only: yes
+congruence-free: yes
+""",
+    }
+
+    @pytest.fixture
+    def scans(self, monkeypatch):
+        calls = []
+        original = graphs.enumerate_hereditary
+
+        def counted(g):
+            calls.append(g)
+            return original(g)
+
+        monkeypatch.setattr(graphs, "enumerate_hereditary", counted)
+        monkeypatch.setattr(cli, "enumerate_hereditary", counted)
+        return calls
+
+    @pytest.mark.parametrize("make", [pendant_cycle, double_loop])
+    def test_text_unchanged_with_one_scan(self, capsys, tmp_path, scans, make):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(graph_to_json(make())))
+        code, out, _ = run(capsys, ["report", str(path)])
+        assert code == 0 and len(scans) == 1
+        assert out == self.EXPECTED[make.__name__]
+
+    @pytest.mark.parametrize("name", sorted(CORPUS))
+    def test_rees_only_matches_predicate(self, capsys, tmp_path, scans, name):
+        g = CORPUS[name]
+        expected = graphs.rees_only_condition(g)
+        scans.clear()
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(graph_to_json(g)))
+        code, out, _ = run(capsys, ["report", str(path), "--format", "json"])
+        assert code == 0 and len(scans) == 1
+        assert json.loads(out)["rees_only"] is expected
+
+
+class TestNonStringJsonFields:
+    """Fields of the wrong JSON type end in one error line, exit code 1."""
+
+    @staticmethod
+    def run_bad(capsys, tmp_path, argv, graph, triple=None):
+        gpath = tmp_path / "g.json"
+        gpath.write_text(json.dumps(graph))
+        files = [str(gpath)]
+        if triple is not None:
+            tpath = tmp_path / "t.json"
+            tpath.write_text(json.dumps(triple))
+            files.append(str(tpath))
+        code, out, err = run(capsys, [argv[0], *files, *argv[1:]])
+        assert code == 1 and out == ""
+        assert "Traceback" not in err
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        return lines[0]
+
+    LOOP = {"vertices": ["v"], "edges": [{"id": "e", "src": "v", "dst": "v"}]}
+
+    def test_list_vertex_id(self, capsys, tmp_path):
+        line = self.run_bad(capsys, tmp_path, ["report"], {"vertices": [["v"]], "edges": []})
+        assert "string" in line
+
+    def test_list_edge_source(self, capsys, tmp_path):
+        graph = {"vertices": ["v"], "edges": [{"id": "e", "src": ["v"], "dst": "v"}]}
+        line = self.run_bad(capsys, tmp_path, ["report"], graph)
+        assert "must be strings" in line
+
+    def test_list_vertex_in_h(self, capsys, tmp_path):
+        triple = {"H": [["v"]], "W": [], "f": []}
+        line = self.run_bad(capsys, tmp_path, ["nf", "@v|@v"], self.LOOP, triple)
+        assert "vertex-id strings" in line
+
+    def test_string_cycle(self, capsys, tmp_path):
+        triple = {"H": [], "W": ["v"], "f": [{"cycle": "e", "value": 2}]}
+        line = self.run_bad(capsys, tmp_path, ["equiv", "e.e|@v", "@v|@v"], self.LOOP, triple)
+        assert "array of edge-id strings" in line
 
 
 class TestEquiv:

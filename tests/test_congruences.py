@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 
@@ -12,7 +13,6 @@ from graphinverse import (
     Cycle,
     TripleFormatError,
     chain_stabilizes,
-    congruence_pair,
     divides,
     enumerate_triples,
     equiv,
@@ -32,6 +32,7 @@ from graphinverse import (
     vertex_class_members,
     vertex_element,
 )
+from graphinverse import corpus
 from graphinverse.corpus import ACYCLIC_CORPUS, CORPUS
 from graphinverse.oracle import bounded_elements, congruence_closure, materialize
 
@@ -408,6 +409,64 @@ class TestTripleJson:
 class TestPairAlias:
     def test_pair_is_triple_with_empty_h(self, loop):
         c = Cycle.from_path(make_path(loop, ["e"]))
-        pair = congruence_pair(loop, w={"v"}, f={c: 3})
+        pair = make_triple(loop, (), {"v"}, {c: 3})
         assert pair.h == frozenset()
         assert pair == make_triple(loop, w={"v"}, f={c: 3})
+
+
+class TestCompiledTriple:
+    """make_triple compiles a triple over its graph; every other triple is
+    validated against the graph it is used with."""
+
+    @staticmethod
+    def pendant_triple(g):
+        c = Cycle.from_path(make_path(g, ["e1", "e2"]))
+        return make_triple(g, (), {"v", "w"}, {c: 2})
+
+    @staticmethod
+    def answers(g, t, xs):
+        return ([equiv(g, t, x, y) for x in xs for y in xs],
+                [normal_form(g, t, x) for x in xs])
+
+    def test_equal_graph_instance_gives_same_answers(self):
+        g1, g2 = corpus.pendant_cycle(), corpus.pendant_cycle()
+        assert g1 == g2 and g1 is not g2
+        t = self.pendant_triple(g1)
+        assert t.over(g2) is t
+        xs = bounded_elements(g1, 2)
+        assert self.answers(g2, t, xs) == self.answers(g1, t, xs)
+
+    def test_raw_triple_gives_same_answers(self, pendant):
+        t = self.pendant_triple(pendant)
+        raw = CongruenceTriple(t.h, t.w, t.f)
+        assert raw == t and hash(raw) == hash(t) and raw.graph is None
+        xs = bounded_elements(pendant, 2)
+        assert self.answers(pendant, raw, xs) == self.answers(pendant, t, xs)
+        assert triple_to_json(pendant, raw) == triple_to_json(pendant, t)
+
+    def test_invalid_raw_triple_raises(self, loop):
+        raw = CongruenceTriple(frozenset(), frozenset({"v"}), ())
+        x = elem(loop, "@v|@v")
+        with pytest.raises(TripleFormatError):
+            equiv(loop, raw, x, x)
+        with pytest.raises(TripleFormatError):
+            normal_form(loop, raw, x)
+        with pytest.raises(TripleFormatError):
+            triple_to_json(loop, raw)
+
+    def test_replaced_copy_is_revalidated(self, loop):
+        t = loop_triple(loop, 3)
+        bad = dataclasses.replace(t, f=t.f[1:])
+        assert bad.graph is None and bad.cycle_at is None
+        x = elem(loop, "@v|@v")
+        with pytest.raises(TripleFormatError):
+            equiv(loop, bad, x, x)
+
+    def test_triple_invalid_over_another_graph_raises(self, pendant):
+        t = self.pendant_triple(pendant)
+        exit_graph = corpus.cycle_with_exit()  # same ids, but w gains an exit
+        x = elem(exit_graph, "@v|@v")
+        with pytest.raises(TripleFormatError, match="index one"):
+            equiv(exit_graph, t, x, x)
+        with pytest.raises(TripleFormatError):
+            normal_form(exit_graph, t, x)
