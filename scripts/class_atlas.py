@@ -16,13 +16,12 @@ from graphinverse import (
     enumerate_triples,
     format_element,
     normal_form,
-    transition_reachable,
     triple_generators,
     triple_to_json,
     vertex_class_members,
 )
 from graphinverse.corpus import CORPUS
-from graphinverse.oracle import bounded_elements
+from graphinverse.oracle import TransitionOracle, bounded_elements
 
 import json
 
@@ -74,7 +73,7 @@ def main() -> None:
     if interesting:
         nf, xs = interesting
         x = next(x for x in xs if x != nf)
-        result = transition_reachable(g, t, x, nf, len_bound=2 * args.len_bound)
+        result = TransitionOracle(g, t, 2 * args.len_bound).search(x, nf)
         print(f"\nrewrite certificate for {format_element(x)} ~ {format_element(nf)}:")
         if result.reached and result.chain:
             print("  " + "  ->  ".join(format_element(z) for z in result.chain))

@@ -1,90 +1,25 @@
 """Graph inverse semigroups: exact element arithmetic and the
 classification of congruences by triples (H, W, f), with brute-force
-oracles for small finite instances."""
+oracles for small finite instances.
 
-from .graphs import (
-    Cycle,
-    Edge,
-    Graph,
-    GraphFormatError,
-    Path,
-    concat,
-    cycle_power,
-    cycles_in,
-    enumerate_hereditary,
-    exits_of,
-    graph_from_json,
-    graph_to_dot,
-    graph_to_json,
-    hereditary_closure,
-    index_one_vertices,
-    is_acyclic,
-    is_congruence_free_graph,
-    is_hereditary,
-    is_no_exit,
-    is_prefix,
-    is_strongly_connected,
-    load_graph,
-    make_path,
-    quotient,
-    rees_only_condition,
-    strip_prefix,
-    vertex_path,
-)
-from .elements import (
-    ZERO,
-    Element,
-    ElementLiteralError,
-    as_cycle_power,
-    conjugate_cycle,
-    decompose_closed_path,
-    factor_along_cycle,
-    format_element,
-    ghost_element,
-    idempotent_element,
-    inverse,
-    is_idempotent,
-    multiply,
-    parse_element,
-    path_element,
-    product,
-    vertex_element,
-)
+The package root exports the names the README and the scripts use; every
+other public name is imported from its module (``graphs``, ``elements``,
+``congruences``, ``oracle``, ``corpus``, ``cli``).
+"""
+
+from .graphs import Cycle, Graph, make_path
+from .elements import format_element, parse_element
 from .congruences import (
     INF,
-    CongruenceTriple,
-    TripleEnumeration,
-    TripleFormatError,
     chain_stabilizes,
-    divides,
     enumerate_triples,
     equiv,
-    identity_triple,
-    load_triple,
     make_triple,
     normal_form,
-    reduce_mod_h,
-    triple_from_json,
     triple_generators,
     triple_leq,
     triple_to_json,
-    universal_triple,
-    validate_triple,
     vertex_class_members,
-)
-from .oracle import (
-    ExplicitCongruence,
-    FiniteSemigroup,
-    TransitionOracle,
-    TransitionResult,
-    bounded_elements,
-    congruence_closure,
-    enumerate_congruences,
-    is_compatible,
-    materialize,
-    transition_reachable,
-    triple_of_congruence,
-    vertex_class_form_test,
 )
 
 __version__ = "0.1.0"

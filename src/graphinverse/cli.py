@@ -40,9 +40,9 @@ from .graphs import (
     quotient,
 )
 from .oracle import (
+    TransitionOracle,
     enumerate_congruences,
     materialize,
-    transition_reachable,
     triple_of_congruence,
 )
 
@@ -175,7 +175,7 @@ def cmd_equiv(args: argparse.Namespace) -> int:
     lines = ["true" if verdict else "false"]
     code = 0
     if args.certify:
-        result = transition_reachable(g, t, x, y, inv.len_bound, inv.step_bound)
+        result = TransitionOracle(g, t, inv.len_bound).search(x, y, inv.step_bound)
         if result.reached and result.chain is not None:
             chain = [format_element(z) for z in result.chain]
             payload["certificate"] = chain
@@ -237,7 +237,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
                 "--brute requires an acyclic graph: a cycle makes the semigroup "
                 "infinite, so congruences cannot be enumerated explicitly"
             )
-        s = materialize(g)
+        s = materialize(g, args.max_elements)
         congruences = enumerate_congruences(s, max_elements=args.max_elements)
         match = len(congruences) == len(enumeration.triples)
         recovered = sorted(
@@ -284,7 +284,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     g = load_graph(args.graph)
     if not is_acyclic(g):
         raise _CliError("the oracle materializes I(G), which needs an acyclic graph")
-    s = materialize(g)
+    s = materialize(g, args.max_elements)
     congruences = enumerate_congruences(s, max_elements=args.max_elements)
     entries = []
     for rho in congruences:

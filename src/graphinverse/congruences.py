@@ -37,6 +37,7 @@ from .elements import (
 )
 from .graphs import (
     Cycle,
+    Edge,
     Graph,
     Path,
     concat,
@@ -197,14 +198,20 @@ def triple_generators(g: Graph, t: CongruenceTriple) -> list[tuple[Element, Elem
     t = t.over(g)
     pairs = [(vertex_element(v), ZERO) for v in g.sort_vertices(t.h)]
     for w in g.sort_vertices(t.w):
-        # w has index one in the quotient: its one edge not ranging into H
-        (e,) = (e for e in g.out_edges(w) if e.dst not in t.h)
+        e = _w_edge(g, t, w)
         ew = Path((e.src, e.dst), (e.id,))
         pairs.append((idempotent_element(ew), vertex_element(w)))
     for c, val in t.f:
         if val != INF:
             pairs.append((path_element(c.power(int(val))), vertex_element(c.base)))
     return pairs
+
+
+def _w_edge(g: Graph, t: CongruenceTriple, w: str) -> Edge:
+    """The edge leaving w in W: w has index one in the quotient, so
+    exactly one of its edges does not range into H."""
+    (e,) = (e for e in g.out_edges(w) if e.dst not in t.h)
+    return e
 
 
 def reduce_mod_h(g: Graph, t: CongruenceTriple, x: Element) -> Element:
@@ -334,13 +341,8 @@ def _trailing_run(c: Cycle, p: Path) -> int:
 
 def _cycle_walk(c: Cycle, start: str, length: int) -> Path:
     """The forced path of the given length along c from a cycle vertex."""
-    out = vertex_path(start)
-    if length == 0:
-        return out
-    rotation = c.based_at(start)
-    laps, rest = divmod(length, len(c))
-    out = concat(out, cycle_power(rotation, laps))
-    return concat(out, Path(rotation.vertices[: rest + 1], rotation.edges[:rest]))
+    laps = cycle_power(c.based_at(start), length // len(c) + 1)
+    return Path(laps.vertices[: length + 1], laps.edges[:length])
 
 
 def _reduce_tail_run(t: CongruenceTriple, a: Path, b: Path) -> tuple[Path, Path, bool]:
@@ -375,39 +377,27 @@ def vertex_class_members(
             seen.add(x)
             members.append(x)
 
-    for gamma in _paths_within(quotient(g, t.h), v, t.w, len_bound):
+    # the paths from v with every edge source in W are the prefixes of
+    # the one walk that follows the W-edge of each vertex it reaches
+    gamma = vertex_path(v)
+    while True:
         emit(Element(gamma, gamma))
         c, val = t.cycle_at.get(gamma.target, (None, INF))
-        if val == INF:
-            continue
-        loop = c.based_at(gamma.target)
-        step = len(loop) * int(val)
-        k = 1
-        while len(gamma) + k * step <= len_bound:
-            squiggle = concat(gamma, cycle_power(loop, k * int(val)))
-            emit(Element(squiggle, gamma))
-            emit(Element(gamma, squiggle))
-            k += 1
+        if val != INF:
+            loop = c.based_at(gamma.target)
+            step = len(loop) * int(val)
+            k = 1
+            while len(gamma) + k * step <= len_bound:
+                squiggle = concat(gamma, cycle_power(loop, k * int(val)))
+                emit(Element(squiggle, gamma))
+                emit(Element(gamma, squiggle))
+                k += 1
+        if len(gamma) >= len_bound or gamma.target not in t.w:
+            break
+        e = _w_edge(g, t, gamma.target)
+        gamma = Path(gamma.vertices + (e.dst,), gamma.edges + (e.id,))
     members.sort(key=_element_sort_key)
     return members
-
-
-def _paths_within(
-    q: Graph, v: str, w: frozenset[str], len_bound: int
-) -> list[Path]:
-    """Paths from v of length <= len_bound whose edge sources all lie in w."""
-    out = [vertex_path(v)]
-    frontier = [vertex_path(v)]
-    for _ in range(len_bound):
-        nxt = []
-        for p in frontier:
-            if p.target not in w:
-                continue
-            for e in q.out_edges(p.target):
-                nxt.append(Path(p.vertices + (e.dst,), p.edges + (e.id,)))
-        out.extend(nxt)
-        frontier = nxt
-    return out
 
 
 def _element_sort_key(x: Element):

@@ -155,17 +155,13 @@ def as_cycle_power(p: Path) -> tuple[Cycle, int] | None:
     return Cycle.from_path(first), len(factors)
 
 
-def factor_along_cycle(c: Cycle, p: Path) -> tuple[int, Path]:
-    """Greedily strip leading laps of c from p.
-
-    Returns (k, tail) with p = c^k tail and tail not starting with a full
-    lap. When every vertex of c has index one, tail is forced to be a
-    proper prefix of c.
-    """
-    return strip_cycle_prefix(c.path, p)
-
-
 def strip_cycle_prefix(loop: Path, p: Path) -> tuple[int, Path]:
+    """Greedily strip leading laps of the closed path loop from p.
+
+    Returns (k, tail) with p = loop^k tail and tail not starting with a
+    full lap. When loop is a cycle whose vertices all have index one,
+    tail is forced to be a proper prefix of loop.
+    """
     if p.source != loop.source:
         raise ValueError(f"path starts at {p.source!r}, cycle at {loop.source!r}")
     k = 0

@@ -196,12 +196,6 @@ def strip_prefix(p: Path, q: Path) -> Path:
     return Path(q.vertices[n:], q.edges[n:])
 
 
-def drop_last(p: Path) -> Path:
-    if not p.edges:
-        raise ValueError("cannot drop an edge from a length-0 path")
-    return Path(p.vertices[:-1], p.edges[:-1])
-
-
 @dataclass(frozen=True)
 class Cycle:
     """A cycle stored in its canonical rotation.
@@ -215,16 +209,11 @@ class Cycle:
     path: Path
 
     def __post_init__(self) -> None:
-        p = self.path
-        if len(p) < 1 or not p.is_closed:
-            raise ValueError(f"not a closed nonempty path: {p!r}")
-        body = p.vertices[:-1]
-        if len(set(body)) != len(body):
-            raise ValueError(f"repeated source vertex in cycle candidate {p!r}")
-        if p.edges != min(_rotate(p, k).edges for k in range(len(p))):
+        canonical = Cycle.from_path(self.path).path
+        if self.path != canonical:
             raise ValueError(
-                f"cycle {p.edges} is not in canonical rotation; "
-                f"expected {Cycle.from_path(p).path.edges}"
+                f"cycle {self.path.edges} is not in canonical rotation; "
+                f"expected {canonical.edges}"
             )
 
     @classmethod
@@ -232,16 +221,12 @@ class Cycle:
         """Canonicalize any rotation of a cycle."""
         if len(p) < 1 or not p.is_closed:
             raise ValueError(f"not a closed nonempty path: {p!r}")
-        best = min(range(len(p)), key=lambda k: _rotate(p, k).edges)
-        return cls.__new_canonical(_rotate(p, best))
-
-    @classmethod
-    def __new_canonical(cls, p: Path) -> Cycle:
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "path", p)
         body = p.vertices[:-1]
         if len(set(body)) != len(body):
             raise ValueError(f"repeated source vertex in cycle candidate {p!r}")
+        best = min(range(len(p)), key=lambda k: _rotate(p, k).edges)
+        obj = object.__new__(cls)  # already canonical: skip __post_init__
+        object.__setattr__(obj, "path", _rotate(p, best))
         return obj
 
     @property
@@ -283,14 +268,12 @@ def _rotate(p: Path, k: int) -> Path:
 
 
 def cycle_power(loop: Path, m: int) -> Path:
+    """The closed path tracing loop m times from its source."""
     if not loop.is_closed:
         raise ValueError(f"not a closed path: {loop!r}")
     if m < 0:
         raise ValueError("negative cycle power")
-    out = vertex_path(loop.source)
-    for _ in range(m):
-        out = concat(out, loop)
-    return out
+    return Path(loop.vertices[:1] + loop.vertices[1:] * m, loop.edges * m)
 
 
 # ---------------------------------------------------------------------------
@@ -427,20 +410,24 @@ def is_strongly_connected(g: Graph) -> bool:
     return len(_reachable(g, start)) == n and len(_reachable(g, start, reverse=True)) == n
 
 
+def topological_order(g: Graph) -> list[str]:
+    """Kahn's algorithm: every vertex neither on a cycle nor reachable
+    from one, sources first."""
+    indegree = {v: 0 for v in g.vertices}
+    for e in g.edges:
+        indegree[e.dst] += 1
+    order = [v for v in g.vertices if indegree[v] == 0]
+    for v in order:
+        for e in g.out_edges(v):
+            indegree[e.dst] -= 1
+            if indegree[e.dst] == 0:
+                order.append(e.dst)
+    return order
+
+
 def is_acyclic(g: Graph) -> bool:
     """No directed cycle (so the path set, and hence I(G), is finite)."""
-    color: dict[str, int] = {}
-
-    def visit(v: str) -> bool:
-        color[v] = 1
-        for e in g.out_edges(v):
-            c = color.get(e.dst, 0)
-            if c == 1 or (c == 0 and not visit(e.dst)):
-                return False
-        color[v] = 2
-        return True
-
-    return all(visit(v) for v in g.vertices if color.get(v, 0) == 0)
+    return len(topological_order(g)) == len(g.vertices)
 
 
 def rees_only_condition(g: Graph) -> bool:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .congruences import INF, CongruenceTriple, make_triple, triple_generators
@@ -34,6 +33,7 @@ from .graphs import (
     is_prefix,
     quotient,
     strip_prefix,
+    topological_order,
     vertex_path,
 )
 
@@ -59,8 +59,9 @@ def all_paths(g: Graph, max_len: int | None = None) -> list[Path]:
     return out
 
 
-def bounded_elements(g: Graph, len_bound: int) -> list[Element]:
-    """Zero plus every element whose two paths have length <= len_bound."""
+def bounded_elements(g: Graph, len_bound: int | None = None) -> list[Element]:
+    """Zero plus every element whose two paths have length <= len_bound;
+    with no bound, all of I(G) for an acyclic graph."""
     paths = all_paths(g, len_bound)
     out = [ZERO]
     for a in paths:
@@ -100,16 +101,25 @@ class FiniteSemigroup:
         return self.table[i][j]
 
 
-def materialize(g: Graph) -> FiniteSemigroup:
-    """Enumerate all of I(G) for an acyclic graph and fill its table."""
-    if not is_acyclic(g):
+def materialize(g: Graph, max_elements: int | None = None) -> FiniteSemigroup:
+    """Enumerate all of I(G) for an acyclic graph and fill its table.
+
+    With ``max_elements``, |I(G)| is counted first and a larger semigroup
+    is refused before any product is taken.
+    """
+    order = topological_order(g)
+    if len(order) != len(g.vertices):
         raise ValueError("only acyclic graphs have finitely many elements")
-    paths = all_paths(g)
-    elements: list[Element] = [ZERO]
-    for a in paths:
-        for b in paths:
-            if a.target == b.target:
-                elements.append(Element(a, b))
+    if max_elements is not None:
+        # |I(G)| = 1 + sum over v of N(v)^2, N(v) = number of paths ending at v
+        ending = {v: 1 for v in order}
+        for v in order:
+            for e in g.out_edges(v):
+                ending[e.dst] += ending[v]
+        size = 1 + sum(n * n for n in ending.values())
+        if size > max_elements:
+            raise ValueError(f"semigroup has {size} elements, above the bound {max_elements}")
+    elements = bounded_elements(g)
     index = {x: i for i, x in enumerate(elements)}
     table = tuple(
         tuple(index[multiply(x, y)] for y in elements) for x in elements
@@ -408,23 +418,6 @@ def _solve_left(p: Element, z: Element) -> list[Element]:
             if u_alpha.target == u_beta.target:
                 out.append(Element(u_alpha, u_beta))
     return list(dict.fromkeys(out))
-
-
-@lru_cache(maxsize=64)
-def _oracle(g: Graph, t: CongruenceTriple, len_bound: int) -> TransitionOracle:
-    return TransitionOracle(g, t, len_bound)
-
-
-def transition_reachable(
-    g: Graph,
-    t: CongruenceTriple,
-    x: Element,
-    y: Element,
-    len_bound: int = 8,
-    step_bound: int = 100_000,
-) -> TransitionResult:
-    """Search for a rewrite chain joining x and y; see TransitionOracle."""
-    return _oracle(g, t, len_bound).search(x, y, step_bound)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,17 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from graphinverse import cli, graphs, graph_to_json, triple_to_json
+from graphinverse import cli, graphs, oracle
+from graphinverse.graphs import Graph, graph_to_json
 from graphinverse.cli import main
-from graphinverse.congruences import make_triple
+from graphinverse.congruences import make_triple, triple_to_json
 from graphinverse.corpus import (
     CORPUS,
     double_loop,
@@ -279,6 +284,16 @@ class TestEnumerate:
         code, _, err = run(capsys, ["enumerate", graph, "--brute"])
         assert code == 1 and "acyclic" in err
 
+    def test_brute_refuses_above_max_elements_before_any_product(
+        self, capsys, edge_files, monkeypatch
+    ):
+        products = []
+        monkeypatch.setattr(oracle, "multiply", lambda x, y: products.append(1))
+        graph, _ = edge_files
+        code, _, err = run(capsys, ["enumerate", graph, "--brute", "--max-elements", "5"])
+        assert code == 1 and not products
+        assert err == "error: semigroup has 6 elements, above the bound 5\n"
+
     def test_single_vertex(self, capsys, tmp_path):
         from graphinverse.corpus import single_vertex
 
@@ -295,7 +310,7 @@ class TestTriples:
         path.write_text(json.dumps(graph_to_json(g)))
         code, out, _ = run(capsys, ["triples", str(path), "--f-cap", "2"])
         assert code == 0
-        from graphinverse import triple_from_json
+        from graphinverse.congruences import triple_from_json
 
         lines = [ln for ln in out.splitlines() if ln.strip()]
         assert len(lines) == 7
@@ -324,6 +339,22 @@ class TestOracleCommand:
         graph, _ = loop_files
         code, _, err = run(capsys, ["oracle", graph])
         assert code == 1 and "acyclic" in err
+
+    def test_long_path_refused_in_one_line(self, tmp_path):
+        vs = [f"v{i}" for i in range(3000)]
+        g = Graph.of(vs, [(f"e{i}", vs[i], vs[i + 1]) for i in range(len(vs) - 1)])
+        path = tmp_path / "p3000.json"
+        path.write_text(json.dumps(graph_to_json(g)))
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        proc = subprocess.run(
+            [sys.executable, "-m", "graphinverse", "oracle", str(path)],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        # |I(G)| = 1 + sum of k^2 for k = 1..3000
+        assert proc.stderr == "error: semigroup has 9004500501 elements, above the bound 64\n"
 
     def test_json_output(self, capsys, edge_files):
         graph, _ = edge_files

@@ -6,22 +6,19 @@ import json
 
 import pytest
 
-from graphinverse import (
-    INF,
-    ZERO,
+from graphinverse.graphs import Cycle, make_path
+from graphinverse.elements import ZERO, multiply, parse_element, vertex_element
+from graphinverse.congruences import (
     CongruenceTriple,
-    Cycle,
+    INF,
     TripleFormatError,
     chain_stabilizes,
     divides,
     enumerate_triples,
     equiv,
     identity_triple,
-    make_path,
     make_triple,
-    multiply,
     normal_form,
-    parse_element,
     reduce_mod_h,
     triple_from_json,
     triple_generators,
@@ -30,7 +27,6 @@ from graphinverse import (
     universal_triple,
     validate_triple,
     vertex_class_members,
-    vertex_element,
 )
 from graphinverse import corpus
 from graphinverse.corpus import ACYCLIC_CORPUS, CORPUS
@@ -341,7 +337,11 @@ class TestEnumeration:
         assert a == b
 
     def test_acyclic_count_formula(self, acyclic_graph):
-        from graphinverse import enumerate_hereditary, index_one_vertices, quotient
+        from graphinverse.graphs import (
+            enumerate_hereditary,
+            index_one_vertices,
+            quotient,
+        )
 
         g = acyclic_graph
         expected = sum(

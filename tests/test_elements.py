@@ -6,28 +6,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphinverse import (
-    ZERO,
-    Cycle,
+from graphinverse.graphs import Cycle, cycle_power, is_prefix, make_path, vertex_path
+from graphinverse.elements import (
     ElementLiteralError,
+    ZERO,
     as_cycle_power,
     conjugate_cycle,
-    cycle_power,
     decompose_closed_path,
-    factor_along_cycle,
     format_element,
     ghost_element,
     idempotent_element,
     inverse,
     is_idempotent,
-    is_prefix,
-    make_path,
     multiply,
     parse_element,
     path_element,
     product,
+    strip_cycle_prefix,
     vertex_element,
-    vertex_path,
 )
 from graphinverse.corpus import CORPUS, double_loop, loop_graph, two_cycle
 from graphinverse.oracle import bounded_elements
@@ -139,7 +135,7 @@ class TestClosedPathDecomposition:
             factors = decompose_closed_path(p)
             rebuilt = vertex_path(p.source)
             for f in factors:
-                from graphinverse import concat
+                from graphinverse.graphs import concat
 
                 rebuilt = concat(rebuilt, f)
                 assert p.source not in f.vertices[1:-1]
@@ -169,30 +165,30 @@ class TestCyclePower:
 class TestFactorAlongCycle:
     def test_loop_cube(self, loop):
         c = Cycle.from_path(make_path(loop, ["e"]))
-        k, tail = factor_along_cycle(c, make_path(loop, ["e", "e", "e"]))
+        k, tail = strip_cycle_prefix(c.path, make_path(loop, ["e", "e", "e"]))
         assert k == 3 and tail == vertex_path("v")
 
     def test_partial_lap(self, two_cycle):
         c = Cycle.from_path(make_path(two_cycle, ["e1", "e2"]))
-        k, tail = factor_along_cycle(c, make_path(two_cycle, ["e1", "e2", "e1"]))
+        k, tail = strip_cycle_prefix(c.path, make_path(two_cycle, ["e1", "e2", "e1"]))
         assert k == 1 and tail.edges == ("e1",)
 
     def test_vertex_path(self, loop):
         c = Cycle.from_path(make_path(loop, ["e"]))
-        k, tail = factor_along_cycle(c, vertex_path("v"))
+        k, tail = strip_cycle_prefix(c.path, vertex_path("v"))
         assert k == 0 and tail == vertex_path("v")
 
     def test_source_mismatch(self, two_cycle):
         c = Cycle.from_path(make_path(two_cycle, ["e1", "e2"]))
         with pytest.raises(ValueError):
-            factor_along_cycle(c, make_path(two_cycle, ["e2"]))
+            strip_cycle_prefix(c.path, make_path(two_cycle, ["e2"]))
 
     def test_maximality(self, two_cycle):
         c = Cycle.from_path(make_path(two_cycle, ["e1", "e2"]))
         for laps in range(4):
             for extra in ([], ["e1"]):
                 p = make_path(two_cycle, ["e1", "e2"] * laps + extra, source="v")
-                k, tail = factor_along_cycle(c, p)
+                k, tail = strip_cycle_prefix(c.path, p)
                 assert k == laps
                 assert not is_prefix(c.path, tail)
 
@@ -217,7 +213,7 @@ class TestConjugateCycle:
     @pytest.mark.parametrize("name", ["loop", "two_cycle", "pendant_cycle"])
     def test_conjugation_identities(self, name):
         g = CORPUS[name]
-        from graphinverse import cycles_in, index_one_vertices
+        from graphinverse.graphs import cycles_in, index_one_vertices
 
         for c in cycles_in(g, index_one_vertices(g)):
             base = c.base
@@ -228,7 +224,7 @@ class TestConjugateCycle:
             for lap in range(3):
                 for head in prefixes:
                     a = cycle_power(c.path, lap)
-                    from graphinverse import concat
+                    from graphinverse.graphs import concat
 
                     a = concat(a, head)
                     c1 = conjugate_cycle(g, c, a)
@@ -286,6 +282,6 @@ class TestConstructors:
 
     def test_mismatched_ranges_rejected(self, edge):
         with pytest.raises(ValueError):
-            from graphinverse import Element
+            from graphinverse.elements import Element
 
             Element(make_path(edge, ["e"]), vertex_path("v"))

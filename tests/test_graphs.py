@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphinverse import (
+from graphinverse.graphs import (
     Cycle,
     Graph,
     GraphFormatError,
     concat,
+    cycle_power,
     cycles_in,
     enumerate_hereditary,
     exits_of,
@@ -27,17 +28,27 @@ from graphinverse import (
     make_path,
     quotient,
     rees_only_condition,
+    topological_order,
     vertex_path,
 )
 from graphinverse.corpus import (
+    cycle_with_exit,
     double_loop,
     edge_graph,
+    fork,
     loop_graph,
+    pendant_cycle,
     parallel_pair,
     parallel_two_cycle,
     single_vertex,
     two_cycle,
 )
+from graphinverse.oracle import all_paths
+
+
+def path_graph(n: int) -> Graph:
+    vs = [f"v{i}" for i in range(n)]
+    return Graph.of(vs, [(f"e{i}", vs[i], vs[i + 1]) for i in range(n - 1)])
 
 
 @st.composite
@@ -198,6 +209,12 @@ class TestCycles:
         with pytest.raises(ValueError, match="canonical"):
             Cycle(p)
 
+    def test_repeated_source_vertex_rejected(self, double_loop):
+        p = make_path(double_loop, ["a", "b"])
+        for build in (Cycle.from_path, Cycle):
+            with pytest.raises(ValueError, match="repeated source vertex"):
+                build(p)
+
     def test_based_at(self, two_cycle):
         c = Cycle.from_path(make_path(two_cycle, ["e1", "e2"]))
         assert c.based_at("w").edges == ("e2", "e1")
@@ -244,6 +261,46 @@ class TestPredicates:
         assert is_acyclic(edge)
         assert not is_acyclic(loop)
         assert not is_acyclic(two_cycle)
+
+    def test_acyclic_long_path(self):
+        g = path_graph(5000)
+        assert is_acyclic(g)
+        back = Graph.of(g.vertices, [*g.edges, ("back", "v4999", "v0")])
+        assert not is_acyclic(back)
+
+    def test_topological_order(self):
+        assert topological_order(path_graph(4)) == ["v0", "v1", "v2", "v3"]
+        assert topological_order(fork()) == ["u", "v", "w"]
+        # v and w lie on a cycle, which u feeds
+        assert topological_order(pendant_cycle()) == ["u"]
+        # the exit leads from the cycle to u
+        assert topological_order(cycle_with_exit()) == []
+
+
+class TestCyclePower:
+    def test_matches_repeated_concat(self, corpus_graph):
+        g = corpus_graph
+        rotations = [
+            p for p in all_paths(g, len(g.vertices))
+            if p.edges and p.is_closed and len(p.vertex_set) == len(p)
+        ]
+        assert rotations or is_acyclic(g)
+        for r in rotations:
+            expected = vertex_path(r.source)
+            for m in range(7):
+                assert cycle_power(r, m) == expected
+                expected = concat(expected, r)
+
+    def test_many_laps(self, two_cycle):
+        c = make_path(two_cycle, ["e1", "e2"])
+        p = cycle_power(c, 16_000)
+        assert len(p) == 16_000 * len(c) and p.target == "v"
+
+    def test_rejects_bad_input(self, two_cycle):
+        with pytest.raises(ValueError, match="negative"):
+            cycle_power(make_path(two_cycle, ["e1", "e2"]), -1)
+        with pytest.raises(ValueError, match="not a closed path"):
+            cycle_power(make_path(two_cycle, ["e1"]), 2)
 
 
 class TestPaths:

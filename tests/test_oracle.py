@@ -1,23 +1,24 @@
 from __future__ import annotations
 
+import importlib
 import itertools
+import pkgutil
 
 import pytest
 
-from graphinverse import (
-    ZERO,
+import graphinverse
+from graphinverse import oracle
+from graphinverse.elements import ZERO, parse_element, vertex_element
+from graphinverse.congruences import (
     enumerate_triples,
     equiv,
     identity_triple,
     make_triple,
-    parse_element,
-    transition_reachable,
     triple_generators,
     triple_leq,
     universal_triple,
-    vertex_element,
 )
-from graphinverse.corpus import CORPUS, two_edge_path
+from graphinverse.corpus import CORPUS, all_acyclic_graphs, two_edge_path
 from graphinverse.oracle import (
     TransitionOracle,
     bounded_elements,
@@ -53,7 +54,7 @@ class TestMaterialize:
             materialize(loop)
 
     def test_table_matches_multiply(self, acyclic_graph):
-        from graphinverse import multiply
+        from graphinverse.elements import multiply
 
         s = materialize(acyclic_graph)
         for i, x in enumerate(s.elements):
@@ -75,6 +76,18 @@ class TestMaterialize:
     def test_unique_representation(self, acyclic_graph):
         s = materialize(acyclic_graph)
         assert len(set(s.elements)) == len(s)
+
+    def test_element_bound_checked_before_any_product(self, monkeypatch):
+        products = []
+        real = oracle.multiply
+        monkeypatch.setattr(oracle, "multiply", lambda x, y: products.append(1) or real(x, y))
+        for g in all_acyclic_graphs(3, 3):
+            n = len(materialize(g))
+            assert len(materialize(g, n)) == n
+            products.clear()
+            with pytest.raises(ValueError, match=f"semigroup has {n} elements, above the bound {n - 1}$"):
+                materialize(g, n - 1)
+            assert not products
 
 
 class TestClosure:
@@ -201,19 +214,19 @@ class TestBijection:
 class TestTransitionOracle:
     def test_loop_square_reached(self, loop):
         t = loop_triple(loop, 2)
-        r = transition_reachable(loop, t, elem(loop, "e.e|@v"), vertex_element("v"), 6)
+        r = TransitionOracle(loop, t, 6).search(elem(loop, "e.e|@v"), vertex_element("v"))
         assert r.reached and r.chain is not None
         assert r.chain[0] == elem(loop, "e.e|@v") and r.chain[-1] == vertex_element("v")
 
     def test_reflexive_in_zero_steps(self, loop):
         t = loop_triple(loop, 2)
-        r = transition_reachable(loop, t, elem(loop, "e|@v"), elem(loop, "e|@v"), 6)
+        r = TransitionOracle(loop, t, 6).search(elem(loop, "e|@v"), elem(loop, "e|@v"))
         assert r.reached and r.expansions == 0
 
     def test_single_lap_not_reached(self, loop):
         t = loop_triple(loop, 2)
-        r = transition_reachable(
-            loop, t, elem(loop, "e|@v"), vertex_element("v"), 10, 10_000
+        r = TransitionOracle(loop, t, 10).search(
+            elem(loop, "e|@v"), vertex_element("v"), 10_000
         )
         assert not r.reached
 
@@ -234,7 +247,7 @@ class TestTransitionOracle:
     def test_out_of_bounds_inputs_are_inconclusive(self, loop):
         t = loop_triple(loop, 2)
         big = elem(loop, ".".join(["e"] * 9) + "|@v")
-        r = transition_reachable(loop, t, big, vertex_element("v"), 6)
+        r = TransitionOracle(loop, t, 6).search(big, vertex_element("v"))
         assert not r.reached
 
     def test_reached_implies_equiv(self, corpus_graph):
@@ -262,3 +275,14 @@ class TestVertexClassFormTest:
                     for x in pool:
                         expected = x != ZERO and equiv(g, t, x, target)
                         assert vertex_class_form_test(g, t, v, x) == expected, (t, v, x)
+
+
+def test_no_module_level_cache():
+    modules = [graphinverse] + [
+        importlib.import_module(f"graphinverse.{m.name}")
+        for m in pkgutil.iter_modules(graphinverse.__path__)
+        if m.name != "__main__"
+    ]
+    for mod in modules:
+        cached = [name for name, value in vars(mod).items() if hasattr(value, "cache_info")]
+        assert not cached, (mod.__name__, cached)
