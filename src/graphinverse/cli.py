@@ -215,6 +215,13 @@ def _triple_lines(g: Graph, enumeration) -> list[str]:
 def cmd_enumerate(args: argparse.Namespace) -> int:
     inv = _invocation(args)
     g = load_graph(args.graph)
+    if args.brute:
+        if not is_acyclic(g):
+            raise _CliError(
+                "--brute requires an acyclic graph: a cycle makes the semigroup "
+                "infinite, so congruences cannot be enumerated explicitly"
+            )
+        s = materialize(g, args.max_elements)
     enumeration = enumerate_triples(g, inv.f_cap)
     payload: dict = {
         "f_cap": inv.f_cap,
@@ -232,12 +239,6 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         )
     )
     if args.brute:
-        if not is_acyclic(g):
-            raise _CliError(
-                "--brute requires an acyclic graph: a cycle makes the semigroup "
-                "infinite, so congruences cannot be enumerated explicitly"
-            )
-        s = materialize(g, args.max_elements)
         congruences = enumerate_congruences(s, max_elements=args.max_elements)
         match = len(congruences) == len(enumeration.triples)
         recovered = sorted(

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .congruences import INF, CongruenceTriple, make_triple, triple_generators
 from .elements import (
@@ -289,9 +289,17 @@ class TransitionOracle:
     """Breadth-first search over one-step rewrites u a w -> u b w.
 
     (a, b) runs over the triple's generating pairs in both orientations;
-    intermediate elements, and the left/right contexts u and w scanned
-    for factorizations, are capped at ``len_bound`` per path. A found
-    chain certifies relatedness; exhausting the bounds proves nothing.
+    intermediate elements, and the contexts u and w, are capped at
+    ``len_bound`` per path. A found chain certifies relatedness;
+    exhausting the bounds proves nothing.
+
+    One expansion of a nonzero z = (alpha, beta) touches only contexts
+    that can factor it: u a w = z needs the first path of u a to be a
+    prefix of alpha, or the second path of a w to be a prefix of beta, so
+    the contexts are keyed by those paths and z looks up the prefixes of
+    its own two paths. The expansion of zero runs once per oracle and
+    takes at most two products per directed pair and context u; the rest
+    is prefix lookups and sets of universe positions.
     """
 
     def __init__(self, g: Graph, t: CongruenceTriple, len_bound: int):
@@ -301,21 +309,17 @@ class TransitionOracle:
         self.universe = bounded_elements(g, len_bound)
         gens = triple_generators(g, t)
         self.directed = [(a, b) for a, b in gens] + [(b, a) for a, b in gens]
-        # per directed generator: contexts u with u*a nonzero, plus caches
-        self._left: list[list[tuple[Element, Element, Element]]] = []
-        self._right: list[list[tuple[Element, Element, Element]]] = []
+        # (u a, u b) keyed by the first path of u a; (a w, b w) by the second path of a w
+        self._left: dict[tuple, list[tuple[Element, Element]]] = {}
+        self._right: dict[tuple, list[tuple[Element, Element]]] = {}
         for a, b in self.directed:
-            left = []
-            right = []
             for u in self.universe:
                 ua = multiply(u, a)
                 if not ua.is_zero:
-                    left.append((u, ua, multiply(u, b)))
-                au = multiply(a, u)
-                if not au.is_zero:
-                    right.append((u, au, multiply(b, u)))
-            self._left.append(left)
-            self._right.append(right)
+                    self._left.setdefault(_key(ua.alpha), []).append((ua, multiply(u, b)))
+                aw = multiply(a, u)
+                if not aw.is_zero:
+                    self._right.setdefault(_key(aw.beta), []).append((aw, multiply(b, u)))
         self._adjacency: dict[Element, frozenset[Element]] = {}
 
     def _within(self, x: Element) -> bool:
@@ -325,29 +329,79 @@ class TransitionOracle:
         return len(x.alpha) <= self.len_bound and len(x.beta) <= self.len_bound
 
     def neighbors(self, z: Element) -> frozenset[Element]:
+        """Every u b w within the bounds with u a w = z, u and w in the universe."""
         cached = self._adjacency.get(z)
         if cached is None:
-            cached = frozenset(x for x in self._neighbors(z) if self._within(x))
+            if z.is_zero:
+                cached = frozenset(self._zero_neighbors())
+            else:
+                cached = frozenset(x for x in self._neighbors(z) if self._within(x))
             self._adjacency[z] = cached
         return cached
 
-    def _neighbors(self, z: Element):
-        if z.is_zero:
-            for gi, (a, b) in enumerate(self.directed):
-                for u in self.universe:
-                    ua = multiply(u, a)
-                    ub = multiply(u, b)
-                    for w in self.universe:
-                        if multiply(ua, w).is_zero:
-                            yield multiply(ub, w)
-            return
-        for gi in range(len(self.directed)):
-            for u, ua, ub in self._left[gi]:
-                for w in _solve_right(ua, z):
-                    yield multiply(ub, w)
-            for w, aw, bw in self._right[gi]:
-                for u in _solve_left(aw, z):
-                    yield multiply(u, bw)
+    def _neighbors(self, z: Element) -> set[Element]:
+        assert z.alpha is not None and z.beta is not None
+        out = set()
+        for key in _prefix_keys(z.alpha):
+            for ua, ub in self._left.get(key, ()):
+                out.update(multiply(ub, w) for w in _solve_right(ua, z))
+        for key in _prefix_keys(z.beta):
+            for aw, bw in self._right.get(key, ()):
+                out.update(multiply(u, bw) for u in _solve_left(aw, z))
+        return out
+
+    def _zero_neighbors(self) -> list[Element]:
+        """The u b w in the universe with u a w = 0.
+
+        u = 0 puts zero itself in. A nonzero x = q w, q = u b, needs the
+        first path of q to be a prefix of x's, and w is then one of
+        _solve_right(q, x). That w witnesses x when it lies in the
+        universe and u a w = 0, that is when its first path is comparable
+        with q's second path (always, as q w is nonzero) but not with the
+        second path of u a. Sets of universe positions are int bitmasks.
+        """
+        if not self.directed:
+            return []
+        universe = self.universe
+        position = {x: i for i, x in enumerate(universe)}
+        extending: dict[tuple, int] = {}  # positions whose first path extends the key
+        equal: dict[tuple, int] = {}  # positions whose first path is the key
+        for i in range(1, len(universe)):
+            keys = _prefix_keys(universe[i].alpha)
+            equal[keys[-1]] = equal.get(keys[-1], 0) | 1 << i
+            for key in keys:
+                extending[key] = extending.get(key, 0) | 1 << i
+
+        def comparable_to(p: Path) -> int:
+            """Positions whose first path is a prefix or an extension of p."""
+            keys = _prefix_keys(p)
+            mask = extending.get(keys.pop(), 0)
+            for key in keys:
+                mask |= equal.get(key, 0)
+            return mask
+
+        found = 1  # universe[0] is zero, reached from u = 0
+        for a, b in self.directed:
+            for u in universe:
+                q = multiply(u, b)
+                if q.is_zero:
+                    continue
+                candidates = extending.get(_key(q.alpha), 0) & ~found
+                if not candidates:
+                    continue
+                ua = multiply(u, a)
+                witnesses = comparable_to(q.beta)
+                if not ua.is_zero:
+                    witnesses &= ~comparable_to(ua.beta)
+                if not witnesses:
+                    continue
+                for i in _positions(candidates):
+                    for w in _solve_right(q, universe[i]):
+                        j = position.get(w)
+                        if j is not None and witnesses >> j & 1:
+                            found |= 1 << i
+                            break
+        return [universe[i] for i in _positions(found)]
 
     def search(
         self, x: Element, y: Element, step_bound: int = 100_000
@@ -418,6 +472,24 @@ def _solve_left(p: Element, z: Element) -> list[Element]:
             if u_alpha.target == u_beta.target:
                 out.append(Element(u_alpha, u_beta))
     return list(dict.fromkeys(out))
+
+
+def _key(p: Path) -> tuple:
+    """A path as (source vertex, edge ids), cheaper to hash than the Path."""
+    return (p.source, p.edges)
+
+
+def _prefix_keys(p: Path) -> list[tuple]:
+    """Keys of the prefixes of p, shortest first, p's own last."""
+    return [(p.source, p.edges[:k]) for k in range(len(p.edges) + 1)]
+
+
+def _positions(mask: int) -> Iterator[int]:
+    """The set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 # ---------------------------------------------------------------------------

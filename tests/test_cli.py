@@ -289,9 +289,11 @@ class TestEnumerate:
     ):
         products = []
         monkeypatch.setattr(oracle, "multiply", lambda x, y: products.append(1))
+        listings = []
+        monkeypatch.setattr(cli, "enumerate_triples", lambda *a: listings.append(a))
         graph, _ = edge_files
         code, _, err = run(capsys, ["enumerate", graph, "--brute", "--max-elements", "5"])
-        assert code == 1 and not products
+        assert code == 1 and not products and not listings
         assert err == "error: semigroup has 6 elements, above the bound 5\n"
 
     def test_single_vertex(self, capsys, tmp_path):

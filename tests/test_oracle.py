@@ -8,7 +8,7 @@ import pytest
 
 import graphinverse
 from graphinverse import oracle
-from graphinverse.elements import ZERO, parse_element, vertex_element
+from graphinverse.elements import ZERO, multiply, parse_element, vertex_element
 from graphinverse.congruences import (
     enumerate_triples,
     equiv,
@@ -34,6 +34,53 @@ from test_congruences import loop_triple
 
 def elem(g, literal):
     return parse_element(g, literal)
+
+
+class BruteNeighbors:
+    """Reference neighbour sets of a TransitionOracle by exhaustive scan:
+    every context u with u a nonzero against _solve_right, every w with
+    a w nonzero against _solve_left, and for zero every pair (u, w) of
+    the universe with u a w = 0."""
+
+    def __init__(self, o):
+        self.oracle = o
+        self.left = []
+        self.right = []
+        for a, b in o.directed:
+            left = []
+            right = []
+            for u in o.universe:
+                ua = multiply(u, a)
+                if not ua.is_zero:
+                    left.append((u, ua, multiply(u, b)))
+                au = multiply(a, u)
+                if not au.is_zero:
+                    right.append((u, au, multiply(b, u)))
+            self.left.append(left)
+            self.right.append(right)
+
+    def neighbors(self, z):
+        o = self.oracle
+        return frozenset(x for x in self._neighbors(z) if o._within(x))
+
+    def _neighbors(self, z):
+        o = self.oracle
+        if z.is_zero:
+            for a, b in o.directed:
+                for u in o.universe:
+                    ua = multiply(u, a)
+                    ub = multiply(u, b)
+                    for w in o.universe:
+                        if multiply(ua, w).is_zero:
+                            yield multiply(ub, w)
+            return
+        for gi in range(len(o.directed)):
+            for u, ua, ub in self.left[gi]:
+                for w in oracle._solve_right(ua, z):
+                    yield multiply(ub, w)
+            for w, aw, bw in self.right[gi]:
+                for u in oracle._solve_left(aw, z):
+                    yield multiply(u, bw)
 
 
 class TestMaterialize:
@@ -261,6 +308,27 @@ class TestTransitionOracle:
                     r = oracle.search(x, y, 20_000)
                     if r.reached:
                         assert equiv(g, t, x, y)
+
+    @pytest.mark.parametrize("len_bound", [1, 2])
+    def test_neighbors_match_brute_force(self, corpus_graph, len_bound):
+        g = corpus_graph
+        triples = enumerate_triples(g, f_cap=2).triples
+        for t in triples[:: max(1, len(triples) // 4)]:
+            o = TransitionOracle(g, t, len_bound)
+            brute = BruteNeighbors(o)
+            for z in o.universe:
+                assert o.neighbors(z) == brute.neighbors(z), (t, z)
+
+    def test_zero_expansion_is_linear_in_contexts(self, monkeypatch):
+        g = CORPUS["parallel_two_cycle"]
+        o = TransitionOracle(g, make_triple(g, h={"v", "w"}), 4)
+        products = []
+        real = oracle.multiply
+        monkeypatch.setattr(oracle, "multiply", lambda x, y: products.append(1) or real(x, y))
+        zero_class = o.neighbors(ZERO)
+        assert len(products) <= 2 * len(o.directed) * len(o.universe)
+        assert zero_class == frozenset(o.universe)
+        assert o.search(ZERO, elem(g, "a1|a1"), 5).reached
 
 
 class TestVertexClassFormTest:
