@@ -80,6 +80,8 @@ def _invocation(args: argparse.Namespace) -> Invocation:
         raise _CliError("--f-cap must be a positive integer")
     if inv.len_bound < 0 or inv.step_bound < 0:
         raise _CliError("bounds must be nonnegative")
+    if getattr(args, "max_elements", 0) < 0:
+        raise _CliError("--max-elements must be nonnegative")
     return inv
 
 
@@ -384,7 +386,7 @@ def main(argv: list[str] | None = None) -> int:
     except (GraphFormatError, TripleFormatError, ElementLiteralError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ValueError, KeyError) as exc:

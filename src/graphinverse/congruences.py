@@ -24,13 +24,13 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 from .elements import (
     ZERO,
     Element,
-    as_cycle_power,
     idempotent_element,
     path_element,
     vertex_element,
@@ -184,13 +184,17 @@ def validate_triple(g: Graph, t: CongruenceTriple) -> tuple[bool, list[str]]:
 
 def _identified_power(t: CongruenceTriple, p: Path) -> bool:
     """Is the closed path p a lap power c^m collapsing to its base,
-    i.e. with c inside W, f(c) finite and f(c) | m? t must be compiled."""
-    cp = as_cycle_power(p)
-    if cp is None:
+    i.e. with c inside W, f(c) finite and f(c) | m? t must be compiled.
+
+    A closed path of g at a vertex of c is always a lap power of c, since
+    it avoids H; the length and edge checks keep the test exact for any
+    other closed path.
+    """
+    c, val = t.cycle_at.get(p.source, (None, INF))
+    if val == INF or len(p) % len(c):
         return False
-    c, m = cp
-    at, val = t.cycle_at.get(c.base, (None, INF))
-    return at == c and val != INF and m % int(val) == 0
+    m = len(p) // len(c)
+    return m % int(val) == 0 and p.edges == c.based_at(p.source).edges * m
 
 
 def triple_generators(g: Graph, t: CongruenceTriple) -> list[tuple[Element, Element]]:
@@ -310,33 +314,28 @@ def normal_form(g: Graph, t: CongruenceTriple, x: Element) -> Element:
 
 
 def _strip_common_tail(w: frozenset[str], a: Path, b: Path) -> tuple[Path, Path, bool]:
-    changed = False
-    while (
-        a.edges
-        and b.edges
-        and a.edges[-1] == b.edges[-1]
-        and a.vertices[-2] in w
-    ):
-        a = Path(a.vertices[:-1], a.edges[:-1])
-        b = Path(b.vertices[:-1], b.edges[:-1])
-        changed = True
-    return a, b, changed
+    k, n = 0, min(len(a.edges), len(b.edges))
+    while k < n and a.edges[-1 - k] == b.edges[-1 - k] and a.vertices[-2 - k] in w:
+        k += 1
+    if not k:
+        return a, b, False
+    return _drop_last(a, k), _drop_last(b, k), True
 
 
-def _trailing_run(c: Cycle, p: Path) -> int:
-    """Edges of the maximal suffix of p running along c into p's target."""
-    body = c.path.vertices[:-1]
-    pos = body.index(p.target) if p.target in body else None
-    if pos is None:
-        return 0
-    n = len(c)
-    run = 0
-    while run < len(p):
-        i = (pos - 1 - run) % n
-        if p.edges[len(p.edges) - 1 - run] != c.path.edges[i]:
-            break
-        run += 1
-    return run
+def _drop_last(p: Path, k: int) -> Path:
+    return Path(p.vertices[: len(p.vertices) - k], p.edges[: len(p.edges) - k])
+
+
+def _trailing_run(t: CongruenceTriple, p: Path) -> int:
+    """Edges of the maximal suffix of p running along the cycle of t at
+    p's target; p must survive H and end on that cycle.
+
+    Each cycle vertex lies in W, so of its edges only the cycle edge does
+    not range into H: p stays on the first cycle of t it reaches. Being on
+    a cycle of t is thus monotone along p, and the run starts where it
+    turns true.
+    """
+    return len(p.edges) - bisect_left(p.vertices, True, key=t.cycle_at.__contains__)
 
 
 def _cycle_walk(c: Cycle, start: str, length: int) -> Path:
@@ -350,13 +349,12 @@ def _reduce_tail_run(t: CongruenceTriple, a: Path, b: Path) -> tuple[Path, Path,
     if val == INF:
         return a, b, False
     period = len(c) * int(val)
-    la = _trailing_run(c, a)
-    lb = _trailing_run(c, b)
+    la = _trailing_run(t, a)
+    lb = _trailing_run(t, b)
     d = (la - lb) % period
     if lb == 0 and la == d:
         return a, b, False
-    core_a = Path(a.vertices[: len(a.vertices) - la], a.edges[: len(a.edges) - la])
-    core_b = Path(b.vertices[: len(b.vertices) - lb], b.edges[: len(b.edges) - lb])
+    core_a, core_b = _drop_last(a, la), _drop_last(b, lb)
     return concat(core_a, _cycle_walk(c, core_a.target, d)), core_b, True
 
 
@@ -533,9 +531,11 @@ def triple_from_json(g: Graph, data: object) -> CongruenceTriple:
                 f"expected {list(cyc.path.edges)}"
             )
         raw = item["value"]
+        if raw != "inf" and not (is_fvalue(raw) and isinstance(raw, int)):
+            raise TripleFormatError(
+                f"bad cycle value {raw!r}: expected an integer >= 1 or \"inf\""
+            )
         value: FValue = INF if raw == "inf" else raw
-        if not is_fvalue(value):
-            raise TripleFormatError(f"bad cycle value {raw!r}")
         if cyc in fmap:
             raise TripleFormatError(f"duplicate cycle {cycle!r}")
         fmap[cyc] = value

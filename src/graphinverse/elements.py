@@ -6,8 +6,7 @@ is unique, so structural equality is semantic equality. The zero element
 absorbs every product.
 
 Also here: the path combinatorics that the congruence machinery leans on,
-namely factoring closed paths into closed simple pieces, recognizing pure
-cycle powers, and peeling cycle copies off a path.
+namely peeling cycle copies off a path and conjugating a cycle.
 """
 
 from __future__ import annotations
@@ -115,44 +114,6 @@ def is_idempotent(x: Element) -> bool:
 # ---------------------------------------------------------------------------
 # Closed-path combinatorics
 # ---------------------------------------------------------------------------
-
-
-def decompose_closed_path(p: Path) -> list[Path]:
-    """Cut a closed path after each return to its base.
-
-    The factors are the unique closed simple paths (based at the source)
-    whose concatenation is p; a length-0 path yields the empty list.
-    """
-    if not p.is_closed:
-        raise ValueError(f"path {p!r} is not closed")
-    base = p.source
-    factors = []
-    start = 0
-    for i in range(1, len(p.vertices)):
-        if p.vertices[i] == base:
-            factors.append(Path(p.vertices[start : i + 1], p.edges[start:i]))
-            start = i
-    return factors
-
-
-def as_cycle_power(p: Path) -> tuple[Cycle, int] | None:
-    """Recognize p as m identical laps of a single cycle.
-
-    Returns the canonical cycle and the exponent m >= 1, or None when p is
-    not closed or its closed simple factors are not all one cycle.
-    """
-    if len(p) < 1:
-        raise ValueError("cycle-power recognition needs a nonempty path")
-    if not p.is_closed:
-        return None
-    factors = decompose_closed_path(p)
-    first = factors[0]
-    if any(f != first for f in factors[1:]):
-        return None
-    body = first.vertices[:-1]
-    if len(set(body)) != len(body):
-        return None
-    return Cycle.from_path(first), len(factors)
 
 
 def strip_cycle_prefix(loop: Path, p: Path) -> tuple[int, Path]:

@@ -204,6 +204,8 @@ class Cycle:
     lexicographically least, so two cycles are cyclic permutations of each
     other exactly when they are equal. Data attached to a cycle (such as
     cycle-function values) is therefore rotation-invariant by construction.
+    A cycle's body vertices are distinct, hence so are its edges, and the
+    least rotation is the one starting at the least edge id.
     """
 
     path: Path
@@ -224,7 +226,7 @@ class Cycle:
         body = p.vertices[:-1]
         if len(set(body)) != len(body):
             raise ValueError(f"repeated source vertex in cycle candidate {p!r}")
-        best = min(range(len(p)), key=lambda k: _rotate(p, k).edges)
+        best = p.edges.index(min(p.edges))
         obj = object.__new__(cls)  # already canonical: skip __post_init__
         object.__setattr__(obj, "path", _rotate(p, best))
         return obj
@@ -263,7 +265,6 @@ class Cycle:
 def _rotate(p: Path, k: int) -> Path:
     if k == 0:
         return p
-    n = len(p)
     return Path(p.vertices[k:] + p.vertices[1 : k + 1], p.edges[k:] + p.edges[:k])
 
 
@@ -331,34 +332,38 @@ def index_one_vertices(g: Graph) -> frozenset[str]:
 
 
 def cycles_in(g: Graph, w: Iterable[str]) -> list[Cycle]:
-    """Canonical representatives of all cycles whose vertices lie in w.
+    """Canonical representatives of all cycles whose vertices lie in w,
+    ordered by each cycle's earliest vertex in graph order.
 
     Requires every vertex of w to have index one; the cycles found are
-    then pairwise disjoint and automatically no-exit.
+    then pairwise disjoint and automatically no-exit. Each vertex of w
+    has one successor, so one walk from each vertex no earlier walk
+    reached visits every vertex of w once.
     """
     ws = set(w)
     for v in ws:
         g._require_vertex(v)
         if g.index(v) != 1:
             raise ValueError(f"vertex {v!r} has index {g.index(v)}, expected 1")
-    found: list[Cycle] = []
-    seen: set[Cycle] = set()
+    pos = g._vpos  # type: ignore[attr-defined]
+    walk_of: dict[str, str] = {}
+    found: list[tuple[int, Cycle]] = []
     for start in g.sort_vertices(ws):
-        edges = []
-        visited = set()
+        verts: list[str] = []
+        edges: list[str] = []
         u = start
-        while u in ws and u not in visited:
-            visited.add(u)
+        while u in ws and u not in walk_of:
+            walk_of[u] = start
+            verts.append(u)
             (e,) = g.out_edges(u)
             edges.append(e.id)
             u = e.dst
-            if u == start:
-                c = Cycle.from_path(make_path(g, edges))
-                if c not in seen:
-                    seen.add(c)
-                    found.append(c)
-                break
-    return found
+        if walk_of.get(u) == start:  # this walk closed a new cycle at u
+            k = verts.index(u)
+            c = Cycle.from_path(Path(tuple(verts[k:]) + (u,), tuple(edges[k:])))
+            found.append((min(pos[v] for v in verts[k:]), c))
+    found.sort(key=lambda rc: rc[0])
+    return [c for _, c in found]
 
 
 def exits_of(g: Graph, p: Path) -> list[str]:

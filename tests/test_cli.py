@@ -89,6 +89,28 @@ class TestReport:
         assert code == 1 and "error" in err
 
 
+class TestUnreadableFile:
+    """A path that cannot be read as a file ends in one error line."""
+
+    @staticmethod
+    def one_error_line(capsys, argv):
+        code, out, err = run(capsys, argv)
+        assert code == 1 and out == ""
+        assert "Traceback" not in err
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        return lines[0]
+
+    def test_directory_as_graph(self, capsys, tmp_path):
+        line = self.one_error_line(capsys, ["report", str(tmp_path)])
+        assert "directory" in line
+
+    def test_directory_as_triple(self, capsys, tmp_path, loop_files):
+        graph, _ = loop_files
+        line = self.one_error_line(capsys, ["nf", graph, str(tmp_path), "@v|@v"])
+        assert "directory" in line
+
+
 class TestReportScansOnce:
     """report finds the hereditary sets once and reads the Rees-only
     predicate off its per-H rows."""
@@ -191,6 +213,17 @@ class TestNonStringJsonFields:
         triple = {"H": [], "W": ["v"], "f": [{"cycle": "e", "value": 2}]}
         line = self.run_bad(capsys, tmp_path, ["equiv", "e.e|@v", "@v|@v"], self.LOOP, triple)
         assert "array of edge-id strings" in line
+
+    def test_huge_value_is_not_infinity(self, capsys, tmp_path):
+        # json reads 1e400 as float('inf'); only the string "inf" means infinity
+        gpath, tpath = tmp_path / "g.json", tmp_path / "t.json"
+        gpath.write_text(json.dumps(self.LOOP))
+        tpath.write_text('{"H": [], "W": ["v"], "f": [{"cycle": ["e"], "value": 1e400}]}')
+        code, out, err = run(capsys, ["nf", str(gpath), str(tpath), "e.e|@v"])
+        assert code == 1 and out == ""
+        assert err.splitlines() == [
+            'error: bad cycle value inf: expected an integer >= 1 or "inf"'
+        ]
 
 
 class TestEquiv:
@@ -376,3 +409,11 @@ class TestFlags:
         graph, _ = loop_files
         code, _, err = run(capsys, ["enumerate", graph, "--f-cap", "0"])
         assert code == 1 and "f-cap" in err
+
+    @pytest.mark.parametrize("command", [["oracle"], ["enumerate", "--brute"]])
+    def test_negative_max_elements(self, capsys, edge_files, command):
+        graph, _ = edge_files
+        argv = [command[0], graph, *command[1:], "--max-elements", "-5"]
+        code, out, err = run(capsys, argv)
+        assert code == 1 and out == ""
+        assert err == "error: --max-elements must be nonnegative\n"

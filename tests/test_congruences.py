@@ -6,12 +6,21 @@ import json
 
 import pytest
 
-from graphinverse.graphs import Cycle, make_path
-from graphinverse.elements import ZERO, multiply, parse_element, vertex_element
+from graphinverse.graphs import Cycle, Graph, Path, make_path
+from graphinverse.elements import (
+    ZERO,
+    Element,
+    multiply,
+    parse_element,
+    path_element,
+    vertex_element,
+)
 from graphinverse.congruences import (
     CongruenceTriple,
     INF,
     TripleFormatError,
+    _identified_power,
+    _trailing_run,
     chain_stabilizes,
     divides,
     enumerate_triples,
@@ -29,8 +38,9 @@ from graphinverse.congruences import (
     vertex_class_members,
 )
 from graphinverse import corpus
-from graphinverse.corpus import ACYCLIC_CORPUS, CORPUS
-from graphinverse.oracle import bounded_elements, congruence_closure, materialize
+from graphinverse.corpus import ACYCLIC_CORPUS, CORPUS, CYCLIC_CORPUS
+from graphinverse.oracle import all_paths, bounded_elements, congruence_closure, materialize
+from test_elements import as_cycle_power
 
 
 def elem(g, literal):
@@ -405,6 +415,24 @@ class TestTripleJson:
         with pytest.raises(TripleFormatError):
             triple_from_json(loop, data)
 
+    @pytest.mark.parametrize("value", [0, -1, True, 2.0, "Infinity", None, [2]])
+    def test_value_not_a_positive_integer_rejected(self, loop, value):
+        data = {"H": [], "W": ["v"], "f": [{"cycle": ["e"], "value": value}]}
+        with pytest.raises(TripleFormatError, match="bad cycle value"):
+            triple_from_json(loop, data)
+
+    @pytest.mark.parametrize("text", ["1e400", "-1e400", "Infinity", "NaN"])
+    def test_non_integer_json_number_rejected(self, loop, text):
+        value = json.loads(text)  # a float: json has no other reading of these
+        data = {"H": [], "W": ["v"], "f": [{"cycle": ["e"], "value": value}]}
+        with pytest.raises(TripleFormatError, match="expected an integer >= 1"):
+            triple_from_json(loop, data)
+
+    def test_integer_and_inf_accepted(self, loop):
+        for value, expected in ((1, 1), (7, 7), (10**30, 10**30), ("inf", INF)):
+            data = {"H": [], "W": ["v"], "f": [{"cycle": ["e"], "value": value}]}
+            assert triple_from_json(loop, data).f[0][1] == expected
+
 
 class TestPairAlias:
     def test_pair_is_triple_with_empty_h(self, loop):
@@ -470,3 +498,74 @@ class TestCompiledTriple:
             equiv(exit_graph, t, x, x)
         with pytest.raises(TripleFormatError):
             normal_form(exit_graph, t, x)
+
+
+class TestCycleLayerAgainstReference:
+    """Lap powers and trailing runs read off the compiled triple agree with
+    the factorize-and-canonicalize and edge-by-edge references."""
+
+    @staticmethod
+    def reference_identified_power(t, p):
+        cp = as_cycle_power(p)
+        if cp is None:
+            return False
+        c, m = cp
+        at, val = t.cycle_at.get(c.base, (None, INF))
+        return at == c and val != INF and m % int(val) == 0
+
+    @staticmethod
+    def reference_trailing_run(c, p):
+        body = c.path.vertices[:-1]
+        pos, n, run = body.index(p.target), len(c), 0
+        while run < len(p) and p.edges[-1 - run] == c.path.edges[(pos - 1 - run) % n]:
+            run += 1
+        return run
+
+    @pytest.mark.parametrize("name", sorted(CYCLIC_CORPUS))
+    def test_lap_power_on_closed_paths_up_to_six(self, name):
+        g = CORPUS[name]
+        closed = [p for p in all_paths(g, 6) if p.edges and p.is_closed]
+        for t in enumerate_triples(g, 3).triples:
+            for p in closed:
+                expected = self.reference_identified_power(t, p)
+                assert _identified_power(t, p) == expected, (t, p)
+                # p survives H iff its base does, and then c^m ~ s(c) is the lap-power test
+                related = equiv(g, t, path_element(p), vertex_element(p.source))
+                assert related == (p.source in t.h or expected), (t, p)
+
+    def test_lap_power_needs_the_cycle_edges(self, two_cycle):
+        # closed paths at v that are not laps of e1.e2, as from another graph
+        c = Cycle.from_path(make_path(two_cycle, ["e1", "e2"]))
+        t = make_triple(two_cycle, (), {"v", "w"}, {c: 1})
+        assert _identified_power(t, make_path(two_cycle, ["e1", "e2"]))
+        assert not _identified_power(t, Path(("v", "w", "v"), ("e1", "x")))
+        assert not _identified_power(t, Path(("v", "v"), ("x",)))
+
+    @pytest.mark.parametrize("name", sorted(CYCLIC_CORPUS))
+    def test_trailing_run_on_paths_up_to_six(self, name):
+        g = CORPUS[name]
+        paths = all_paths(g, 6)
+        for t in enumerate_triples(g, 3).triples:
+            for p in paths:
+                if p.target in t.cycle_at:  # so p avoids H
+                    c, _ = t.cycle_at[p.target]
+                    assert _trailing_run(t, p) == self.reference_trailing_run(c, p), (t, p)
+
+    def test_make_triple_canonicalizes_a_long_ring_once(self, monkeypatch):
+        n = 3000
+        vs = [f"v{i}" for i in range(n)]
+        g = Graph.of(vs, [(f"e{i}", vs[i], vs[(i + 1) % n]) for i in range(n)])
+        c = Cycle.from_path(make_path(g, [f"e{i}" for i in range(n)]))
+        calls = []
+        original = Cycle.from_path.__func__
+        monkeypatch.setattr(
+            Cycle, "from_path", classmethod(lambda cls, p: calls.append(len(p)) or original(cls, p))
+        )
+        t = make_triple(g, (), vs, {c: 3})
+        assert calls == [n]
+        v0 = vertex_element("v0")
+        assert equiv(g, t, path_element(c.power(3)), v0)
+        assert not equiv(g, t, path_element(c.power(2)), v0)
+        assert normal_form(g, t, path_element(c.power(4))) == path_element(c.path)
+        assert normal_form(g, t, Element(c.power(5), c.power(2))) == v0
+        assert calls == [n]

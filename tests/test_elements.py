@@ -6,13 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphinverse.graphs import Cycle, cycle_power, is_prefix, make_path, vertex_path
+from graphinverse.graphs import Cycle, Path, cycle_power, is_prefix, make_path, vertex_path
 from graphinverse.elements import (
     ElementLiteralError,
     ZERO,
-    as_cycle_power,
     conjugate_cycle,
-    decompose_closed_path,
     format_element,
     ghost_element,
     idempotent_element,
@@ -31,6 +29,49 @@ from graphinverse.oracle import bounded_elements
 
 def elem(g, literal):
     return parse_element(g, literal)
+
+
+# Reference helpers: the closed-path factorization and lap-power
+# recognition the decision procedure used before it read lap powers off
+# the compiled triple. tests/test_congruences.py checks against them.
+
+
+def decompose_closed_path(p: Path) -> list[Path]:
+    """Cut a closed path after each return to its base.
+
+    The factors are the unique closed simple paths (based at the source)
+    whose concatenation is p; a length-0 path yields the empty list.
+    """
+    if not p.is_closed:
+        raise ValueError(f"path {p!r} is not closed")
+    base = p.source
+    factors = []
+    start = 0
+    for i in range(1, len(p.vertices)):
+        if p.vertices[i] == base:
+            factors.append(Path(p.vertices[start : i + 1], p.edges[start:i]))
+            start = i
+    return factors
+
+
+def as_cycle_power(p: Path) -> tuple[Cycle, int] | None:
+    """Recognize p as m identical laps of a single cycle.
+
+    Returns the canonical cycle and the exponent m >= 1, or None when p is
+    not closed or its closed simple factors are not all one cycle.
+    """
+    if len(p) < 1:
+        raise ValueError("cycle-power recognition needs a nonempty path")
+    if not p.is_closed:
+        return None
+    factors = decompose_closed_path(p)
+    first = factors[0]
+    if any(f != first for f in factors[1:]):
+        return None
+    body = first.vertices[:-1]
+    if len(set(body)) != len(body):
+        return None
+    return Cycle.from_path(first), len(factors)
 
 
 class TestMultiply:

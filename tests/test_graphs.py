@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from graphinverse.graphs import (
     Cycle,
     Graph,
     GraphFormatError,
+    Path,
     concat,
     cycle_power,
     cycles_in,
@@ -32,6 +34,7 @@ from graphinverse.graphs import (
     vertex_path,
 )
 from graphinverse.corpus import (
+    CORPUS,
     cycle_with_exit,
     double_loop,
     edge_graph,
@@ -221,6 +224,98 @@ class TestCycles:
         assert c.based_at("v") == c.path
         with pytest.raises(ValueError):
             c.based_at("zzz")
+
+
+# Reference cycle layer: the algorithms cycles_in and Cycle.from_path used
+# before they became linear, kept to pin values and order.
+
+
+def reference_least_rotation(p: Path) -> Path:
+    """The rotation of the closed path p with the least edge sequence,
+    by comparing all of them."""
+    rotations = [
+        Path(p.vertices[k:] + p.vertices[1 : k + 1], p.edges[k:] + p.edges[:k])
+        for k in range(len(p))
+    ]
+    return min(rotations, key=lambda r: r.edges)
+
+
+def reference_cycles_in(g: Graph, w) -> list[Path]:
+    """One walk from every vertex of w in graph order, keeping each cycle
+    the first time a walk returns to its start."""
+    ws = set(w)
+    found: list[Path] = []
+    for start in g.sort_vertices(ws):
+        edges, visited, u = [], set(), start
+        while u in ws and u not in visited:
+            visited.add(u)
+            (e,) = g.out_edges(u)
+            edges.append(e.id)
+            u = e.dst
+            if u == start:
+                c = reference_least_rotation(make_path(g, edges))
+                if c not in found:
+                    found.append(c)
+                break
+    return found
+
+
+def subsets(vs):
+    vs = sorted(vs)
+    return [frozenset(vs[i] for i in range(len(vs)) if mask >> i & 1)
+            for mask in range(1 << len(vs))]
+
+
+def shuffled_functional_graph(rng: random.Random, n: int) -> Graph:
+    """n vertices in shuffled graph order, each with one edge to a random
+    vertex, edges named in shuffled order; a few vertices get a second edge."""
+    names = [f"v{i}" for i in rng.sample(range(n), n)]
+    edge_names = iter(f"e{i}" for i in rng.sample(range(2 * n), 2 * n))
+    edges = [(next(edge_names), v, rng.choice(names)) for v in names]
+    edges += [(next(edge_names), v, rng.choice(names)) for v in names if rng.random() < 0.2]
+    return Graph.of(names, edges)
+
+
+def ring(rng: random.Random, n: int) -> Graph:
+    vs = [f"r{i}" for i in range(n)]
+    ids = [f"x{k}" for k in rng.sample(range(10 * n), n)]
+    return Graph.of(vs, [(ids[i], vs[i], vs[(i + 1) % n]) for i in range(n)])
+
+
+class TestCycleLayerAgainstReference:
+    def test_cycles_in_every_h_and_w(self, corpus_graph):
+        g = corpus_graph
+        for h in enumerate_hereditary(g):
+            q = quotient(g, h)
+            for w in subsets(index_one_vertices(q)):
+                assert [c.path for c in cycles_in(q, w)] == reference_cycles_in(q, w)
+
+    def test_cycles_in_seeded_functional_graphs(self):
+        rng = random.Random(20180)
+        for _ in range(200):
+            g = shuffled_functional_graph(rng, rng.randint(1, 12))
+            bar = sorted(index_one_vertices(g))
+            for _ in range(4):
+                w = {v for v in bar if rng.random() < 0.8}
+                assert [c.path for c in cycles_in(g, w)] == reference_cycles_in(g, w)
+
+    def test_from_path_every_corpus_rotation(self):
+        for g in CORPUS.values():
+            for p in all_paths(g, len(g.vertices)):
+                if p.edges and p.is_closed and len(p.vertex_set) == len(p):
+                    assert Cycle.from_path(p).path == reference_least_rotation(p)
+
+    def test_from_path_seeded_rings(self):
+        rng = random.Random(1980)
+        for n in range(1, 51):
+            g = ring(rng, n)
+            c = make_path(g, [e.id for e in g.edges])
+            expected = reference_least_rotation(c)
+            for k in range(n):
+                rotation = Path(c.vertices[k:] + c.vertices[1 : k + 1],
+                                c.edges[k:] + c.edges[:k])
+                assert Cycle.from_path(rotation).path == expected
+            assert Cycle(expected).path == expected
 
 
 class TestExits:
