@@ -6,7 +6,8 @@ Subcommands: ``report`` (graph-side facts and predicates), ``equiv``
 listings, optionally checked against brute force), and ``oracle``
 (materialize an acyclic instance and enumerate its congruences).
 
-Exit codes: 0 success, 1 invalid input, 2 inconclusive within bounds.
+Exit codes: 0 success, 1 invalid input (usage errors included), 2 a
+pair decided equivalent but no certificate found within bounds.
 """
 
 from __future__ import annotations
@@ -14,24 +15,23 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from typing import NoReturn
 
 from .congruences import (
     INF,
-    TripleFormatError,
     enumerate_triples,
     equiv,
     load_triple,
     normal_form,
     triple_to_json,
 )
-from .elements import ElementLiteralError, format_element, parse_element
+from .elements import format_element, parse_element
 from .graphs import (
     Graph,
-    GraphFormatError,
     cycles_in,
     enumerate_hereditary,
     graph_to_dot,
+    graph_to_json,
     index_one_vertices,
     is_acyclic,
     is_congruence_free_graph,
@@ -53,40 +53,18 @@ DEFAULT_LEN_BOUND = 8
 DEFAULT_STEP_BOUND = 100_000
 
 
-@dataclass
-class Invocation:
-    """Validated flags shared by the subcommands."""
-
-    format: str
-    f_cap: int = DEFAULT_F_CAP
-    len_bound: int = DEFAULT_LEN_BOUND
-    step_bound: int = DEFAULT_STEP_BOUND
-
-
-class _CliError(Exception):
-    def __init__(self, message: str, code: int = 1):
-        super().__init__(message)
-        self.code = code
-
-
-def _invocation(args: argparse.Namespace) -> Invocation:
-    inv = Invocation(
-        format=args.format,
-        f_cap=getattr(args, "f_cap", DEFAULT_F_CAP),
-        len_bound=getattr(args, "len_bound", DEFAULT_LEN_BOUND),
-        step_bound=getattr(args, "steps", DEFAULT_STEP_BOUND),
-    )
-    if inv.f_cap < 1:
-        raise _CliError("--f-cap must be a positive integer")
-    if inv.len_bound < 0 or inv.step_bound < 0:
-        raise _CliError("bounds must be nonnegative")
+def _check_bounds(args: argparse.Namespace) -> None:
+    """Reject out-of-range bound flags before any file is read."""
+    if getattr(args, "f_cap", 1) < 1:
+        raise ValueError("--f-cap must be a positive integer")
+    if getattr(args, "len_bound", 0) < 0 or getattr(args, "steps", 0) < 0:
+        raise ValueError("bounds must be nonnegative")
     if getattr(args, "max_elements", 0) < 0:
-        raise _CliError("--max-elements must be nonnegative")
-    return inv
+        raise ValueError("--max-elements must be nonnegative")
 
 
-def _emit(inv: Invocation, payload: dict, text_lines: list[str]) -> None:
-    if inv.format == "json":
+def _emit(args: argparse.Namespace, payload: dict, text_lines: list[str]) -> None:
+    if args.format == "json":
         print(json.dumps(payload, indent=2))
     else:
         for line in text_lines:
@@ -99,7 +77,6 @@ def _vset(g: Graph, vs) -> str:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    inv = _invocation(args)
     g = load_graph(args.graph)
     if args.dot:
         print(graph_to_dot(g))
@@ -116,14 +93,13 @@ def cmd_report(args: argparse.Namespace) -> int:
     cong_free = is_congruence_free_graph(g) if g.vertices else False
 
     payload = {
-        "vertices": list(g.vertices),
-        "edges": [{"id": e.id, "src": e.src, "dst": e.dst} for e in g.edges],
+        **graph_to_json(g),
         "hereditary_subsets": [list(g.sort_vertices(h)) for h in hereditary],
         "index_one_vertices": list(g.sort_vertices(bar_v)),
         "per_hereditary": [
             {
                 "H": list(g.sort_vertices(h)),
-                "index_one": list(q_bar and g.sort_vertices(q_bar) or ()),
+                "index_one": list(g.sort_vertices(q_bar)),
                 "cycles": [list(c.path.edges) for c in cycles],
             }
             for h, q_bar, cycles in per_h
@@ -162,12 +138,11 @@ def cmd_report(args: argparse.Namespace) -> int:
             else "  [needs strong connectivity and no index-one vertex]"
         ),
     ]
-    _emit(inv, payload, lines)
+    _emit(args, payload, lines)
     return 0
 
 
 def cmd_equiv(args: argparse.Namespace) -> int:
-    inv = _invocation(args)
     g = load_graph(args.graph)
     t = load_triple(g, args.triple)
     x = parse_element(g, args.x)
@@ -177,7 +152,7 @@ def cmd_equiv(args: argparse.Namespace) -> int:
     lines = ["true" if verdict else "false"]
     code = 0
     if args.certify:
-        result = TransitionOracle(g, t, inv.len_bound).search(x, y, inv.step_bound)
+        result = TransitionOracle(g, t, args.len_bound).search(x, y, args.steps)
         if result.reached and result.chain is not None:
             chain = [format_element(z) for z in result.chain]
             payload["certificate"] = chain
@@ -186,21 +161,20 @@ def cmd_equiv(args: argparse.Namespace) -> int:
             payload["certificate"] = None
             lines.append(
                 f"no certificate within bounds "
-                f"(len {inv.len_bound}, steps {inv.step_bound})"
+                f"(len {args.len_bound}, steps {args.steps})"
             )
             if verdict:
                 code = 2
-    _emit(inv, payload, lines)
+    _emit(args, payload, lines)
     return code
 
 
 def cmd_nf(args: argparse.Namespace) -> int:
-    inv = _invocation(args)
     g = load_graph(args.graph)
     t = load_triple(g, args.triple)
     x = parse_element(g, args.element)
     rep = normal_form(g, t, x)
-    _emit(inv, {"normal_form": format_element(rep)}, [format_element(rep)])
+    _emit(args, {"normal_form": format_element(rep)}, [format_element(rep)])
     return 0
 
 
@@ -215,18 +189,17 @@ def _triple_lines(g: Graph, enumeration) -> list[str]:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    inv = _invocation(args)
     g = load_graph(args.graph)
     if args.brute:
         if not is_acyclic(g):
-            raise _CliError(
+            raise ValueError(
                 "--brute requires an acyclic graph: a cycle makes the semigroup "
                 "infinite, so congruences cannot be enumerated explicitly"
             )
         s = materialize(g, args.max_elements)
-    enumeration = enumerate_triples(g, inv.f_cap)
+    enumeration = enumerate_triples(g, args.f_cap)
     payload: dict = {
-        "f_cap": inv.f_cap,
+        "f_cap": args.f_cap,
         "count": len(enumeration.triples),
         "infinite_family": enumeration.unbounded,
         "triples": [triple_to_json(g, t) for t in enumeration.triples],
@@ -235,7 +208,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     lines.append(
         f"{len(enumeration.triples)} triples"
         + (
-            f" (finite f-values capped at {inv.f_cap}; the full family is infinite)"
+            f" (finite f-values capped at {args.f_cap}; the full family is infinite)"
             if enumeration.unbounded
             else ""
         )
@@ -259,22 +232,21 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
             f"bijection {'verified' if bijection else 'FAILED'}"
         )
         if not bijection:
-            _emit(inv, payload, lines)
+            _emit(args, payload, lines)
             return 1
-    _emit(inv, payload, lines)
+    _emit(args, payload, lines)
     return 0
 
 
 def cmd_triples(args: argparse.Namespace) -> int:
-    inv = _invocation(args)
     g = load_graph(args.graph)
-    enumeration = enumerate_triples(g, inv.f_cap)
+    enumeration = enumerate_triples(g, args.f_cap)
     payload = {
-        "f_cap": inv.f_cap,
+        "f_cap": args.f_cap,
         "infinite_family": enumeration.unbounded,
         "triples": [triple_to_json(g, t) for t in enumeration.triples],
     }
-    if inv.format == "json":
+    if args.format == "json":
         print(json.dumps(payload, indent=2))
     else:
         for t in enumeration.triples:
@@ -283,10 +255,9 @@ def cmd_triples(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    inv = _invocation(args)
     g = load_graph(args.graph)
     if not is_acyclic(g):
-        raise _CliError("the oracle materializes I(G), which needs an acyclic graph")
+        raise ValueError("the oracle materializes I(G), which needs an acyclic graph")
     s = materialize(g, args.max_elements)
     congruences = enumerate_congruences(s, max_elements=args.max_elements)
     entries = []
@@ -311,12 +282,19 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     for entry in entries:
         classes = " ".join("{" + ", ".join(cls) + "}" for cls in entry["classes"])
         lines.append(f"  {json.dumps(entry['triple'])}  {classes}")
-    _emit(inv, payload, lines)
+    _emit(args, payload, lines)
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are invalid input: one error line and exit code 1."""
+
+    def error(self, message: str) -> NoReturn:
+        self.exit(1, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="graphinverse",
         description="Graph inverse semigroups and their congruence triples.",
     )
@@ -376,20 +354,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
+        _check_bounds(args)
         return args.func(args)
-    except _CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except (GraphFormatError, TripleFormatError, ElementLiteralError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -107,12 +107,6 @@ class CongruenceTriple:
             return self
         return make_triple(g, self.h, self.w, self.f)
 
-    def f_value(self, c: Cycle) -> FValue:
-        for cyc, val in self.f:
-            if cyc == c:
-                return val
-        raise KeyError(f"cycle {c!r} is not in the triple's domain")
-
 
 def make_triple(
     g: Graph,
@@ -131,14 +125,6 @@ def make_triple(
     object.__setattr__(t, "graph", g)
     object.__setattr__(t, "cycle_at", {v: (c, val) for c, val in t.f for v in c.vertex_set})
     return t
-
-
-def identity_triple(g: Graph) -> CongruenceTriple:
-    return make_triple(g)
-
-
-def universal_triple(g: Graph) -> CongruenceTriple:
-    return make_triple(g, h=g.vertices)
 
 
 def validate_triple(g: Graph, t: CongruenceTriple) -> tuple[bool, list[str]]:
@@ -438,7 +424,6 @@ class TripleEnumeration:
 
     triples: tuple[CongruenceTriple, ...]
     unbounded: bool
-    f_cap: int
 
 
 def enumerate_triples(g: Graph, f_cap: int = 4) -> TripleEnumeration:
@@ -463,7 +448,7 @@ def enumerate_triples(g: Graph, f_cap: int = 4) -> TripleEnumeration:
                 unbounded = True
             for combo in itertools.product(values, repeat=len(cycles)):
                 triples.append(make_triple(g, h, w, zip(cycles, combo)))
-    return TripleEnumeration(tuple(triples), unbounded, f_cap)
+    return TripleEnumeration(tuple(triples), unbounded)
 
 
 def chain_stabilizes(g: Graph, chain: list[CongruenceTriple]) -> int:
@@ -551,6 +536,6 @@ def load_triple(g: Graph, path: str) -> CongruenceTriple:
     with open(path, encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise TripleFormatError(f"invalid JSON in {path}: {exc}") from None
     return triple_from_json(g, data)

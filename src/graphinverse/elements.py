@@ -4,9 +4,6 @@ A nonzero element is a pair of paths (alpha, beta) with a common range,
 read as alpha followed by the formal reversal of beta; this representation
 is unique, so structural equality is semantic equality. The zero element
 absorbs every product.
-
-Also here: the path combinatorics that the congruence machinery leans on,
-namely peeling cycle copies off a path and conjugating a cycle.
 """
 
 from __future__ import annotations
@@ -14,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graphs import (
-    Cycle,
     Graph,
     Path,
     concat,
@@ -68,11 +64,6 @@ def path_element(p: Path) -> Element:
     return Element(p, vertex_path(p.target))
 
 
-def ghost_element(p: Path) -> Element:
-    """The formal reversal of p viewed as an element."""
-    return Element(vertex_path(p.target), p)
-
-
 def idempotent_element(p: Path) -> Element:
     return Element(p, p)
 
@@ -93,60 +84,11 @@ def multiply(x: Element, y: Element) -> Element:
     return ZERO
 
 
-def product(*xs: Element) -> Element:
-    out = xs[0]
-    for x in xs[1:]:
-        out = multiply(out, x)
-    return out
-
-
 def inverse(x: Element) -> Element:
     """Swap the two paths; zero is self-inverse."""
     if x.is_zero:
         return ZERO
     return Element(x.beta, x.alpha)
-
-
-def is_idempotent(x: Element) -> bool:
-    return x.is_zero or x.alpha == x.beta
-
-
-# ---------------------------------------------------------------------------
-# Closed-path combinatorics
-# ---------------------------------------------------------------------------
-
-
-def strip_cycle_prefix(loop: Path, p: Path) -> tuple[int, Path]:
-    """Greedily strip leading laps of the closed path loop from p.
-
-    Returns (k, tail) with p = loop^k tail and tail not starting with a
-    full lap. When loop is a cycle whose vertices all have index one,
-    tail is forced to be a proper prefix of loop.
-    """
-    if p.source != loop.source:
-        raise ValueError(f"path starts at {p.source!r}, cycle at {loop.source!r}")
-    k = 0
-    while is_prefix(loop, p):
-        p = strip_prefix(loop, p)
-        k += 1
-    return k, p
-
-
-def conjugate_cycle(g: Graph, c: Cycle, a: Path) -> Path:
-    """The rotation of c based at the vertex a reaches.
-
-    Requires the cycle to be no-exit (every vertex of index one) and a to
-    start at the cycle's base, so a necessarily runs along the cycle. The
-    returned closed path c1 satisfies, for every k >= 1, the conjugation
-    identities  a* c^k a = c1^k  and  c^k a a* = a c1^k a*.
-    """
-    for v in c.vertex_set:
-        if g.index(v) != 1:
-            raise ValueError(f"cycle vertex {v!r} has index {g.index(v)}, expected 1")
-    _, tail = strip_cycle_prefix(c.path, a)
-    if not is_prefix(tail, c.path):
-        raise ValueError(f"path {a!r} leaves the cycle {c!r}")
-    return c.based_at(a.target)
 
 
 # ---------------------------------------------------------------------------

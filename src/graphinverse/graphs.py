@@ -1,6 +1,6 @@
 """Directed multigraphs and the graph-side constructions used by the
 congruence classification: hereditary vertex sets, quotient graphs,
-index-one vertices, cycles inside a vertex set, and exits of paths.
+index-one vertices and cycles inside a vertex set.
 
 Graphs are immutable after construction and iterate in insertion order,
 so every enumeration in this package is reproducible.
@@ -242,9 +242,6 @@ class Cycle:
     def __len__(self) -> int:
         return len(self.path)
 
-    def rotations(self) -> list[Path]:
-        return [_rotate(self.path, k) for k in range(len(self))]
-
     def based_at(self, v: str) -> Path:
         """The rotation of this cycle starting (and ending) at v."""
         body = self.path.vertices[:-1]
@@ -289,20 +286,6 @@ def is_hereditary(g: Graph, h: Iterable[str]) -> bool:
         g._require_vertex(v)
     return all(e.dst in hs for v in hs for e in g.out_edges(v))
 
-
-def hereditary_closure(g: Graph, seed: Iterable[str]) -> frozenset[str]:
-    """Smallest hereditary superset of seed (forward reachability)."""
-    todo = list(seed)
-    for v in todo:
-        g._require_vertex(v)
-    closed: set[str] = set()
-    while todo:
-        v = todo.pop()
-        if v in closed:
-            continue
-        closed.add(v)
-        todo.extend(e.dst for e in g.out_edges(v))
-    return frozenset(closed)
 
 def enumerate_hereditary(g: Graph) -> list[frozenset[str]]:
     """All hereditary subsets, in subset-bitmask order over the vertex tuple."""
@@ -366,23 +349,6 @@ def cycles_in(g: Graph, w: Iterable[str]) -> list[Cycle]:
     return [c for _, c in found]
 
 
-def exits_of(g: Graph, p: Path) -> list[str]:
-    """Edges sharing a source with some edge of p but distinct from it."""
-    on_path = set(p.edges)
-    out: list[str] = []
-    seen: set[str] = set()
-    for v in p.vertices[:-1]:
-        for e in g.out_edges(v):
-            if e.id not in on_path and e.id not in seen:
-                seen.add(e.id)
-                out.append(e.id)
-    return out
-
-
-def is_no_exit(g: Graph, p: Path) -> bool:
-    return not exits_of(g, p)
-
-
 # ---------------------------------------------------------------------------
 # Global predicates
 # ---------------------------------------------------------------------------
@@ -435,15 +401,6 @@ def is_acyclic(g: Graph) -> bool:
     return len(topological_order(g)) == len(g.vertices)
 
 
-def rees_only_condition(g: Graph) -> bool:
-    """True iff every quotient by a hereditary set has no index-one vertex.
-
-    Equivalently, every congruence of the associated semigroup is a Rees
-    congruence (induced by an ideal).
-    """
-    return all(not index_one_vertices(quotient(g, h)) for h in enumerate_hereditary(g))
-
-
 def is_congruence_free_graph(g: Graph) -> bool:
     """Strongly connected with no index-one vertex (nonempty graph)."""
     if not g.vertices:
@@ -487,7 +444,7 @@ def load_graph(path: str) -> Graph:
     with open(path, encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise GraphFormatError(f"invalid JSON in {path}: {exc}") from None
     return graph_from_json(data)
 

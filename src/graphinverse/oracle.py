@@ -15,13 +15,13 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .congruences import INF, CongruenceTriple, make_triple, triple_generators
+from .congruences import CongruenceTriple, make_triple, triple_generators
 from .elements import (
     ZERO,
     Element,
     idempotent_element,
+    inverse,
     multiply,
-    strip_cycle_prefix,
     vertex_element,
 )
 from .graphs import (
@@ -154,30 +154,8 @@ class ExplicitCongruence:
     def together(self, i: int, j: int) -> bool:
         return self._class_of[i] == self._class_of[j]  # type: ignore[attr-defined]
 
-    def class_of(self, i: int) -> tuple[int, ...]:
-        return self.classes[self._class_of[i]]  # type: ignore[attr-defined]
-
-    def refines(self, other: ExplicitCongruence) -> bool:
-        return all(
-            other.together(cls[0], i) for cls in self.classes for i in cls[1:]
-        )
-
     def generating_pairs(self) -> list[tuple[int, int]]:
         return [(cls[0], i) for cls in self.classes for i in cls[1:]]
-
-
-def is_compatible(s: FiniteSemigroup, part: ExplicitCongruence) -> bool:
-    """Re-verify the congruence property from scratch."""
-    n = len(s)
-    for cls in part.classes:
-        x = cls[0]
-        for y in cls[1:]:
-            for z in range(n):
-                if not part.together(s.mul(z, x), s.mul(z, y)):
-                    return False
-                if not part.together(s.mul(x, z), s.mul(y, z)):
-                    return False
-    return True
 
 
 def congruence_closure(
@@ -278,6 +256,10 @@ def triple_of_congruence(
 # ---------------------------------------------------------------------------
 
 
+# (u a, u b) for the contexts u, keyed by the first path of u a
+_Contexts = dict[tuple, list[tuple[Element, Element]]]
+
+
 @dataclass(frozen=True)
 class TransitionResult:
     reached: bool
@@ -295,11 +277,12 @@ class TransitionOracle:
 
     One expansion of a nonzero z = (alpha, beta) touches only contexts
     that can factor it: u a w = z needs the first path of u a to be a
-    prefix of alpha, or the second path of a w to be a prefix of beta, so
-    the contexts are keyed by those paths and z looks up the prefixes of
-    its own two paths. The expansion of zero runs once per oracle and
-    takes at most two products per directed pair and context u; the rest
-    is prefix lookups and sets of universe positions.
+    prefix of alpha, so the contexts (u a, u b) are keyed by that path and
+    z looks up the prefixes of alpha. The right-hand contexts are the same
+    index over the inverted pairs (a*, b*), looked up by z*, since
+    u a w = z exactly when w* a* u* = z*. The expansion of zero runs once
+    per oracle and takes at most two products per directed pair and
+    context u; the rest is prefix lookups and sets of universe positions.
     """
 
     def __init__(self, g: Graph, t: CongruenceTriple, len_bound: int):
@@ -309,17 +292,13 @@ class TransitionOracle:
         self.universe = bounded_elements(g, len_bound)
         gens = triple_generators(g, t)
         self.directed = [(a, b) for a, b in gens] + [(b, a) for a, b in gens]
-        # (u a, u b) keyed by the first path of u a; (a w, b w) by the second path of a w
-        self._left: dict[tuple, list[tuple[Element, Element]]] = {}
-        self._right: dict[tuple, list[tuple[Element, Element]]] = {}
-        for a, b in self.directed:
-            for u in self.universe:
-                ua = multiply(u, a)
-                if not ua.is_zero:
-                    self._left.setdefault(_key(ua.alpha), []).append((ua, multiply(u, b)))
-                aw = multiply(a, u)
-                if not aw.is_zero:
-                    self._right.setdefault(_key(aw.beta), []).append((aw, multiply(b, u)))
+        self._left = _contexts(self.directed, self.universe)
+        # w* in the universe order of w, so that neighbours are found, and
+        # ties in a search broken, as by a scan of the right-hand contexts a w
+        self._inverted = _contexts(
+            [(inverse(a), inverse(b)) for a, b in self.directed],
+            [inverse(w) for w in self.universe],
+        )
         self._adjacency: dict[Element, frozenset[Element]] = {}
 
     def _within(self, x: Element) -> bool:
@@ -340,14 +319,11 @@ class TransitionOracle:
         return cached
 
     def _neighbors(self, z: Element) -> set[Element]:
-        assert z.alpha is not None and z.beta is not None
-        out = set()
-        for key in _prefix_keys(z.alpha):
-            for ua, ub in self._left.get(key, ()):
-                out.update(multiply(ub, w) for w in _solve_right(ua, z))
-        for key in _prefix_keys(z.beta):
-            for aw, bw in self._right.get(key, ()):
-                out.update(multiply(u, bw) for u in _solve_left(aw, z))
+        """The left pass on z, united with the left pass on z* over the
+        inverted pairs, inverted back; exact because the universe is
+        closed under inversion."""
+        out = set(_left_pass(self._left, z))
+        out.update(inverse(x) for x in _left_pass(self._inverted, inverse(z)))
         return out
 
     def _zero_neighbors(self) -> list[Element]:
@@ -430,6 +406,26 @@ class TransitionOracle:
         return TransitionResult(False, None, expansions)
 
 
+def _contexts(pairs: list[tuple[Element, Element]], contexts: list[Element]) -> _Contexts:
+    """The nonzero (u a, u b), u in contexts, keyed by the first path of u a."""
+    index: _Contexts = {}
+    for a, b in pairs:
+        for u in contexts:
+            ua = multiply(u, a)
+            if not ua.is_zero:
+                index.setdefault(_key(ua.alpha), []).append((ua, multiply(u, b)))
+    return index
+
+
+def _left_pass(index: _Contexts, z: Element) -> Iterator[Element]:
+    """Each u b w with (u a, u b) in the index and u a w = z, for nonzero z."""
+    assert z.alpha is not None
+    for key in _prefix_keys(z.alpha):
+        for ua, ub in index.get(key, ()):
+            for w in _solve_right(ua, z):
+                yield multiply(ub, w)
+
+
 def _solve_right(q: Element, z: Element) -> list[Element]:
     """All w with q w = z, for nonzero q and z."""
     assert q.alpha is not None and q.beta is not None
@@ -452,28 +448,6 @@ def _solve_right(q: Element, z: Element) -> list[Element]:
     return list(dict.fromkeys(out))
 
 
-def _solve_left(p: Element, z: Element) -> list[Element]:
-    """All u with u p = z, for nonzero p and z."""
-    assert p.alpha is not None and p.beta is not None
-    assert z.alpha is not None and z.beta is not None
-    zeta, eta = p.alpha, p.beta
-    alpha, beta = z.alpha, z.beta
-    out = []
-    if is_prefix(eta, beta):
-        xi = strip_prefix(eta, beta)
-        out.append(Element(alpha, concat(zeta, xi)))
-    if eta == beta:
-        for k in range(len(zeta) + 1):
-            xi_edges = zeta.edges[len(zeta) - k :]
-            if k > len(alpha) or alpha.edges[len(alpha) - k :] != xi_edges:
-                continue
-            u_alpha = Path(alpha.vertices[: len(alpha) - k + 1], alpha.edges[: len(alpha) - k])
-            u_beta = Path(zeta.vertices[: len(zeta) - k + 1], zeta.edges[: len(zeta) - k])
-            if u_alpha.target == u_beta.target:
-                out.append(Element(u_alpha, u_beta))
-    return list(dict.fromkeys(out))
-
-
 def _key(p: Path) -> tuple:
     """A path as (source vertex, edge ids), cheaper to hash than the Path."""
     return (p.source, p.edges)
@@ -490,48 +464,3 @@ def _positions(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-# ---------------------------------------------------------------------------
-# Structural membership test for vertex classes
-# ---------------------------------------------------------------------------
-
-
-def vertex_class_form_test(
-    g: Graph, t: CongruenceTriple, v: str, x: Element
-) -> bool:
-    """Check directly whether x has one of the two shapes an element of
-    the class of v can take: g g* with edge sources in W, or g times a
-    collapsing lap power (on either side) with edge sources of g in W.
-
-    Written against the class description itself, independently of the
-    decision procedure, as a cross-check at desk scale.
-    """
-    t = t.over(g)
-    if x.is_zero or v in t.h:
-        return False
-    assert x.alpha is not None and x.beta is not None
-    a, b = x.alpha, x.beta
-    if a.source != v or b.source != v:
-        return False
-    if any(u in t.h for u in a.vertices + b.vertices):
-        return False
-    if a == b:
-        return a.vertex_set <= t.w
-    if is_prefix(b, a):
-        shorter, longer = b, a
-    elif is_prefix(a, b):
-        shorter, longer = a, b
-    else:
-        return False
-    if not shorter.vertex_set <= t.w:
-        return False
-    tail = strip_prefix(shorter, longer)
-    for c, val in t.f:
-        if val == INF or tail.source not in c.vertex_set:
-            continue
-        loop = c.based_at(tail.source)
-        m, rest = strip_cycle_prefix(loop, tail)
-        if len(rest) == 0 and m >= 1 and m % int(val) == 0:
-            return True
-    return False

@@ -1,0 +1,166 @@
+"""Reference predicates the tests check the package against.
+
+Each is written from a definition in the paper, independently of the
+code it checks, and runs only at desk scale.
+"""
+
+from __future__ import annotations
+
+from typing import Iterable
+
+from graphinverse.congruences import INF, CongruenceTriple
+from graphinverse.elements import Element
+from graphinverse.graphs import (
+    Cycle,
+    Graph,
+    Path,
+    enumerate_hereditary,
+    index_one_vertices,
+    is_prefix,
+    quotient,
+    strip_prefix,
+)
+from graphinverse.oracle import ExplicitCongruence, FiniteSemigroup
+
+
+# ---------------------------------------------------------------------------
+# Graphs
+# ---------------------------------------------------------------------------
+
+
+def exits_of(g: Graph, p: Path) -> list[str]:
+    """Edges sharing a source with some edge of p but distinct from it."""
+    on_path = set(p.edges)
+    out: list[str] = []
+    seen: set[str] = set()
+    for v in p.vertices[:-1]:
+        for e in g.out_edges(v):
+            if e.id not in on_path and e.id not in seen:
+                seen.add(e.id)
+                out.append(e.id)
+    return out
+
+
+def is_no_exit(g: Graph, p: Path) -> bool:
+    return not exits_of(g, p)
+
+
+def hereditary_closure(g: Graph, seed: Iterable[str]) -> frozenset[str]:
+    """Smallest hereditary superset of seed (forward reachability)."""
+    todo = list(seed)
+    for v in todo:
+        g._require_vertex(v)
+    closed: set[str] = set()
+    while todo:
+        v = todo.pop()
+        if v in closed:
+            continue
+        closed.add(v)
+        todo.extend(e.dst for e in g.out_edges(v))
+    return frozenset(closed)
+
+
+def rees_only_condition(g: Graph) -> bool:
+    """True iff every quotient by a hereditary set has no index-one vertex.
+
+    Equivalently, every congruence of the associated semigroup is a Rees
+    congruence (induced by an ideal).
+    """
+    return all(not index_one_vertices(quotient(g, h)) for h in enumerate_hereditary(g))
+
+
+# ---------------------------------------------------------------------------
+# Closed paths along a cycle
+# ---------------------------------------------------------------------------
+
+
+def strip_cycle_prefix(loop: Path, p: Path) -> tuple[int, Path]:
+    """Greedily strip leading laps of the closed path loop from p.
+
+    Returns (k, tail) with p = loop^k tail and tail not starting with a
+    full lap. When loop is a cycle whose vertices all have index one,
+    tail is forced to be a proper prefix of loop.
+    """
+    if p.source != loop.source:
+        raise ValueError(f"path starts at {p.source!r}, cycle at {loop.source!r}")
+    k = 0
+    while is_prefix(loop, p):
+        p = strip_prefix(loop, p)
+        k += 1
+    return k, p
+
+
+def conjugate_cycle(g: Graph, c: Cycle, a: Path) -> Path:
+    """The rotation of c based at the vertex a reaches.
+
+    Requires the cycle to be no-exit (every vertex of index one) and a to
+    start at the cycle's base, so a necessarily runs along the cycle. The
+    returned closed path c1 satisfies, for every k >= 1, the conjugation
+    identities  a* c^k a = c1^k  and  c^k a a* = a c1^k a*.
+    """
+    for v in c.vertex_set:
+        if g.index(v) != 1:
+            raise ValueError(f"cycle vertex {v!r} has index {g.index(v)}, expected 1")
+    _, tail = strip_cycle_prefix(c.path, a)
+    if not is_prefix(tail, c.path):
+        raise ValueError(f"path {a!r} leaves the cycle {c!r}")
+    return c.based_at(a.target)
+
+
+# ---------------------------------------------------------------------------
+# Congruences
+# ---------------------------------------------------------------------------
+
+
+def is_compatible(s: FiniteSemigroup, part: ExplicitCongruence) -> bool:
+    """Re-verify the congruence property from scratch."""
+    n = len(s)
+    for cls in part.classes:
+        x = cls[0]
+        for y in cls[1:]:
+            for z in range(n):
+                if not part.together(s.mul(z, x), s.mul(z, y)):
+                    return False
+                if not part.together(s.mul(x, z), s.mul(y, z)):
+                    return False
+    return True
+
+
+def vertex_class_form_test(
+    g: Graph, t: CongruenceTriple, v: str, x: Element
+) -> bool:
+    """Check directly whether x has one of the two shapes an element of
+    the class of v can take: g g* with edge sources in W, or g times a
+    collapsing lap power (on either side) with edge sources of g in W.
+
+    Written against the class description itself, independently of the
+    decision procedure, as a cross-check at desk scale.
+    """
+    t = t.over(g)
+    if x.is_zero or v in t.h:
+        return False
+    assert x.alpha is not None and x.beta is not None
+    a, b = x.alpha, x.beta
+    if a.source != v or b.source != v:
+        return False
+    if any(u in t.h for u in a.vertices + b.vertices):
+        return False
+    if a == b:
+        return a.vertex_set <= t.w
+    if is_prefix(b, a):
+        shorter, longer = b, a
+    elif is_prefix(a, b):
+        shorter, longer = a, b
+    else:
+        return False
+    if not shorter.vertex_set <= t.w:
+        return False
+    tail = strip_prefix(shorter, longer)
+    for c, val in t.f:
+        if val == INF or tail.source not in c.vertex_set:
+            continue
+        loop = c.based_at(tail.source)
+        m, rest = strip_cycle_prefix(loop, tail)
+        if len(rest) == 0 and m >= 1 and m % int(val) == 0:
+            return True
+    return False

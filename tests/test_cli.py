@@ -20,6 +20,7 @@ from graphinverse.corpus import (
     pendant_cycle,
     two_cycle,
 )
+from reference import rees_only_condition
 from test_congruences import loop_triple
 
 
@@ -111,6 +112,25 @@ class TestUnreadableFile:
         assert "directory" in line
 
 
+class TestDeeplyNestedJson:
+    """JSON nested past the recursion limit is invalid JSON, not a traceback."""
+
+    @pytest.fixture
+    def deep(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        return str(path)
+
+    def test_as_graph(self, capsys, deep):
+        line = TestUnreadableFile.one_error_line(capsys, ["report", deep])
+        assert line.startswith(f"error: invalid JSON in {deep}: ")
+
+    def test_as_triple(self, capsys, deep, loop_files):
+        graph, _ = loop_files
+        line = TestUnreadableFile.one_error_line(capsys, ["nf", graph, deep, "e|@v"])
+        assert line.startswith(f"error: invalid JSON in {deep}: ")
+
+
 class TestReportScansOnce:
     """report finds the hereditary sets once and reads the Rees-only
     predicate off its per-H rows."""
@@ -165,7 +185,7 @@ congruence-free: yes
     @pytest.mark.parametrize("name", sorted(CORPUS))
     def test_rees_only_matches_predicate(self, capsys, tmp_path, scans, name):
         g = CORPUS[name]
-        expected = graphs.rees_only_condition(g)
+        expected = rees_only_condition(g)
         scans.clear()
         path = tmp_path / "g.json"
         path.write_text(json.dumps(graph_to_json(g)))
@@ -400,10 +420,40 @@ class TestOracleCommand:
 
 
 class TestFlags:
-    def test_unknown_flag_rejected(self, loop_files):
+    @staticmethod
+    def usage_error(capsys, argv):
+        """Usage errors are invalid input: one error line, exit code 1."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == 1 and captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        return lines[0]
+
+    def test_unknown_flag_rejected(self, capsys, loop_files):
         graph, _ = loop_files
-        with pytest.raises(SystemExit):
-            main(["report", graph, "--what"])
+        line = self.usage_error(capsys, ["report", graph, "--what"])
+        assert line == "error: unrecognized arguments: --what"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["report", "G", "--format", "xml"],
+            ["equiv", "G", "T", "e|@v", "e|@v", "--len-bound", "abc"],
+            ["nf", "G", "T"],
+            ["bogus", "G"],
+        ],
+        ids=["bad_choice", "bad_integer", "missing_argument", "unknown_subcommand"],
+    )
+    def test_usage_errors_exit_one(self, capsys, loop_files, argv):
+        files = dict(zip("GT", loop_files))
+        self.usage_error(capsys, [files.get(a, a) for a in argv])
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0 and capsys.readouterr().out.startswith("usage: ")
 
     def test_bad_f_cap(self, capsys, loop_files):
         graph, _ = loop_files

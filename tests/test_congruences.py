@@ -25,7 +25,6 @@ from graphinverse.congruences import (
     divides,
     enumerate_triples,
     equiv,
-    identity_triple,
     make_triple,
     normal_form,
     reduce_mod_h,
@@ -33,7 +32,6 @@ from graphinverse.congruences import (
     triple_generators,
     triple_leq,
     triple_to_json,
-    universal_triple,
     validate_triple,
     vertex_class_members,
 )
@@ -60,8 +58,8 @@ def sample_triples(g, f_cap=2, limit=8):
         return list(all_triples)
     step = max(1, len(all_triples) // limit)
     picked = list(all_triples[::step])
-    if universal_triple(g) not in picked:
-        picked.append(universal_triple(g))
+    if make_triple(g, h=g.vertices) not in picked:
+        picked.append(make_triple(g, h=g.vertices))
     return picked
 
 
@@ -117,7 +115,7 @@ class TestReduceModH:
         assert reduce_mod_h(edge, t, elem(edge, "@w|@w")) == ZERO
 
     def test_empty_h_is_identity(self, edge):
-        t = identity_triple(edge)
+        t = make_triple(edge)
         for x in bounded_elements(edge, 2):
             assert reduce_mod_h(edge, t, x) == x
 
@@ -156,7 +154,7 @@ class TestEquivLoop:
 
 class TestEquivGeneral:
     def test_identity_triple_is_equality(self, corpus_graph):
-        t = identity_triple(corpus_graph)
+        t = make_triple(corpus_graph)
         pool = bounded_elements(corpus_graph, 2)
         for x in pool:
             for y in pool:
@@ -229,7 +227,7 @@ class TestNormalForm:
         assert normal_form(loop, t, elem(loop, "e|e")) == vertex_element("v")
 
     def test_identity_triple_fixes_everything(self, corpus_graph):
-        t = identity_triple(corpus_graph)
+        t = make_triple(corpus_graph)
         for x in bounded_elements(corpus_graph, 3):
             assert normal_form(corpus_graph, t, x) == x
 
@@ -265,7 +263,7 @@ class TestVertexClassMembers:
         assert set(got) == expected
 
     def test_identity_triple(self, corpus_graph):
-        t = identity_triple(corpus_graph)
+        t = make_triple(corpus_graph)
         for v in corpus_graph.vertices:
             assert vertex_class_members(corpus_graph, t, v, 3) == [vertex_element(v)]
 
@@ -297,8 +295,8 @@ class TestTripleOrder:
         g = corpus_graph
         for t in sample_triples(g):
             assert triple_leq(g, t, t)
-            assert triple_leq(g, identity_triple(g), t)
-            assert triple_leq(g, t, universal_triple(g))
+            assert triple_leq(g, make_triple(g), t)
+            assert triple_leq(g, t, make_triple(g, h=g.vertices))
 
     def test_loop_divisibility(self, loop):
         t4 = loop_triple(loop, 4)
@@ -372,9 +370,9 @@ class TestChains:
 
     def test_hereditary_chain(self, edge):
         chain = [
-            identity_triple(edge),
+            make_triple(edge),
             make_triple(edge, h={"w"}),
-            universal_triple(edge),
+            make_triple(edge, h=edge.vertices),
         ]
         assert chain_stabilizes(edge, chain) == 3
 

@@ -16,20 +16,16 @@ from graphinverse.graphs import (
     cycle_power,
     cycles_in,
     enumerate_hereditary,
-    exits_of,
     graph_from_json,
     graph_to_dot,
     graph_to_json,
-    hereditary_closure,
     index_one_vertices,
     is_acyclic,
     is_congruence_free_graph,
     is_hereditary,
-    is_no_exit,
     is_strongly_connected,
     make_path,
     quotient,
-    rees_only_condition,
     topological_order,
     vertex_path,
 )
@@ -47,6 +43,7 @@ from graphinverse.corpus import (
     two_cycle,
 )
 from graphinverse.oracle import all_paths
+from reference import exits_of, hereditary_closure, is_no_exit, rees_only_condition
 
 
 def path_graph(n: int) -> Graph:
@@ -136,6 +133,15 @@ class TestHereditary:
             for b in family:
                 assert a | b in family
                 assert a & b in family
+
+    def test_enumeration_is_every_closure(self, corpus_graph):
+        g = corpus_graph
+        seeds = [
+            {v for i, v in enumerate(g.vertices) if mask >> i & 1}
+            for mask in range(1 << len(g.vertices))
+        ]
+        closures = {hereditary_closure(g, seed) for seed in seeds}
+        assert set(enumerate_hereditary(g)) == closures
 
 
 class TestQuotient:

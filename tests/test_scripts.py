@@ -1,8 +1,12 @@
-"""Each script in scripts/ runs to completion on a small input."""
+"""Each script in scripts/ runs to completion on a small input, and every
+public name in the package has a caller outside the tests."""
 
 from __future__ import annotations
 
+import ast
+import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -37,3 +41,74 @@ def test_script_runs(script, args, expected):
     )
     assert proc.returncode == 0, proc.stderr
     assert any(expected in line for line in proc.stdout.splitlines()), proc.stdout
+
+
+def _used_names(tree: ast.AST, strings: bool = False) -> set[str]:
+    """Names and attribute names used in tree; with strings, also the
+    parts of dotted-name string constants, since perfbench names its
+    trace targets in strings."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if re.fullmatch(r"[\w.]+", node.value):
+                out.update(node.value.split("."))
+    return out
+
+
+def _definitions(module: ast.Module, module_name: str) -> list[tuple[str, set[str]]]:
+    """(name, names its body uses) for each module-level function and
+    class and each method. A class's body includes its dunder methods and
+    its overrides of base-class methods, which run without being named
+    in the package."""
+    defs = []
+    for node in module.body:
+        if isinstance(node, ast.ClassDef):
+            bases = getattr(importlib.import_module(module_name), node.name).__mro__[1:]
+            uses: set[str] = set()
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (
+                    item.name.startswith("__") or any(hasattr(b, item.name) for b in bases)
+                ):
+                    defs.append((item.name, _used_names(item)))
+                else:
+                    uses |= _used_names(item)
+            for extra in node.bases + node.decorator_list:
+                uses |= _used_names(extra)
+            defs.append((node.name, uses))
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            defs.append((node.name, _used_names(node)))
+    return defs
+
+
+def test_src_holds_no_test_only_code():
+    """A public function, class or method of the package is used from
+    module-level code in src/, from a function or method so used, from
+    scripts/ or perfbench/, or from a code span of the README."""
+    used: set[str] = set()
+    defs: list[tuple[str, set[str]]] = []
+    for path in sorted((ROOT / "src" / "graphinverse").glob("*.py")):
+        module = ast.parse(path.read_text(encoding="utf-8"))
+        defs += _definitions(module, f"graphinverse.{path.stem}".removesuffix(".__init__"))
+        for node in module.body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef,
+                                     ast.Import, ast.ImportFrom)):
+                used |= _used_names(node)
+    for folder in ("scripts", "perfbench"):
+        for path in sorted((ROOT / folder).glob("*.py")):
+            used |= _used_names(ast.parse(path.read_text(encoding="utf-8")), strings=True)
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    for span in re.findall(r"```.*?```|`[^`\n]+`", readme, re.S):
+        used.update(re.findall(r"\w+", span))
+    grew = True
+    while grew:
+        before = len(used)
+        for name, uses in defs:
+            if name in used:
+                used |= uses
+        grew = len(used) > before
+    unused = sorted({name for name, _ in defs if not name.startswith("_")} - used)
+    assert not unused, f"public names with no caller outside tests: {unused}"
