@@ -9,9 +9,11 @@ usually infinite.
 
 :func:`make_triple` is the one validating constructor, and it compiles
 the triple once: the result remembers the graph it was validated over and
-indexes each cycle vertex's (cycle, f-value). Every operation taking
-``(g, t)`` reads that index through :meth:`CongruenceTriple.over`, which
-validates anew only a triple not compiled over g.
+indexes each cycle vertex's (cycle, f-value). :func:`enumerate_triples`
+compiles the triples it lists the same way, without validating what it
+built valid. Every operation taking ``(g, t)`` reads that index through
+:meth:`CongruenceTriple.over`, which validates anew only a triple not
+compiled over g.
 
 The generated congruence is the one spanned by the pairs
 ``(v, 0)`` for v in H, ``(e_w e_w*, w)`` for w in W with e_w the unique
@@ -85,11 +87,12 @@ class CongruenceTriple:
     special congruence (no vertex collapsing to zero) is a triple with
     empty H, and such triples double as congruence pairs (W, f).
 
-    A triple from :func:`make_triple` also carries ``graph``, the graph it
-    was validated over, and ``cycle_at``, mapping each vertex of a cycle
-    in f's domain to that (cycle, value); the decision procedure reads a
-    vertex off those cycles as (None, inf). Neither takes part in equality
-    or hashing, and ``dataclasses.replace`` copies come out without them.
+    A triple from :func:`make_triple` or :func:`enumerate_triples` also
+    carries ``graph``, the graph it was built over, and ``cycle_at``,
+    mapping each vertex of a cycle in f's domain to that (cycle, value);
+    the decision procedure reads a vertex off those cycles as (None, inf).
+    Neither takes part in equality or hashing, and ``dataclasses.replace``
+    copies come out without them.
     """
 
     h: frozenset[str]
@@ -122,6 +125,11 @@ def make_triple(
     ok, problems = validate_triple(g, t)
     if not ok:
         raise TripleFormatError("; ".join(problems))
+    return _compile(g, t)
+
+
+def _compile(g: Graph, t: CongruenceTriple) -> CongruenceTriple:
+    """Stamp a triple known to be valid over g with g and its cycle index."""
     object.__setattr__(t, "graph", g)
     object.__setattr__(t, "cycle_at", {v: (c, val) for c, val in t.f for v in c.vertex_set})
     return t
@@ -437,17 +445,22 @@ def enumerate_triples(g: Graph, f_cap: int = 4) -> TripleEnumeration:
         raise ValueError("f_cap must be a positive integer")
     triples: list[CongruenceTriple] = []
     unbounded = False
-    values: tuple[FValue, ...] = tuple(range(1, f_cap + 1)) + (INF,)
     for h in enumerate_hereditary(g):
         q = quotient(g, h)
         bar = q.sort_vertices(index_one_vertices(q))
+        # the cycles inside W are the cycles inside bar that lie in W
+        bar_cycles = [(c, c.vertex_set) for c in cycles_in(q, bar)]
         for mask in range(1 << len(bar)):
             w = frozenset(v for i, v in enumerate(bar) if mask >> i & 1)
-            cycles = cycles_in(q, w)
+            cycles = [c for c, vs in bar_cycles if vs <= w]
             if cycles:
                 unbounded = True
+            # build the value range only for a W with a cycle to take it
+            values = (*range(1, f_cap + 1), INF) if cycles else ()
+            ranked = sorted(enumerate(cycles), key=lambda ic: ic[1].path.edges)
             for combo in itertools.product(values, repeat=len(cycles)):
-                triples.append(make_triple(g, h, w, zip(cycles, combo)))
+                f = tuple((c, combo[i]) for i, c in ranked)
+                triples.append(_compile(g, CongruenceTriple(h, w, f)))
     return TripleEnumeration(tuple(triples), unbounded)
 
 

@@ -44,6 +44,13 @@ class Element:
         if a is not None and b is not None and a.target != b.target:
             raise ValueError(f"paths {a!r} and {b!r} have different ranges")
 
+    def __hash__(self) -> int:
+        # hash(None) is address-based, so zero gets a constant: set orders
+        # of elements then repeat across runs under a fixed PYTHONHASHSEED
+        if self.alpha is None:
+            return 0
+        return hash((self.alpha, self.beta))
+
     @property
     def is_zero(self) -> bool:
         return self.alpha is None

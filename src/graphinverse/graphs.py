@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from itertools import compress, count
+from typing import Iterable, Iterator, NamedTuple
 
 RESERVED_ID_CHARS = set(".|@*")
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
 
 
 class GraphFormatError(ValueError):
@@ -288,13 +290,30 @@ def is_hereditary(g: Graph, h: Iterable[str]) -> bool:
 
 
 def enumerate_hereditary(g: Graph) -> list[frozenset[str]]:
-    """All hereditary subsets, in subset-bitmask order over the vertex tuple."""
-    n = len(g.vertices)
+    """All hereditary subsets, in subset-bitmask order over the vertex tuple.
+
+    The sets are the forward-closed sets of the condensation, listed
+    without a scan over all vertex subsets. Vertices are decided from the
+    highest index down, "exclude" before "include": including v adds
+    every vertex v reaches, and excluding v rules out every vertex that
+    reaches v. A vertex already ruled in or out is skipped, so every
+    branch ends in a set and the work is O(n) per set after one SCC pass.
+    """
+    reach, coreach = _reach_masks(g)
+    everything = (1 << len(g.vertices)) - 1
     out = []
-    for mask in range(1 << n):
-        h = frozenset(v for i, v in enumerate(g.vertices) if mask >> i & 1)
-        if is_hereditary(g, h):
-            out.append(h)
+    todo = [(0, 0)]  # (ruled in, ruled out)
+    while todo:
+        ruled_in, ruled_out = todo.pop()
+        free = everything & ~(ruled_in | ruled_out)
+        if not free:
+            # byte i is 1 exactly when vertex i is ruled in
+            bits = bin(ruled_in)[:1:-1].encode().translate(_BIT_BYTES)
+            out.append(frozenset(compress(g.vertices, bits)))
+            continue
+        v = free.bit_length() - 1
+        todo.append((ruled_in | reach[v], ruled_out))
+        todo.append((ruled_in, ruled_out | coreach[v]))  # pushed last, explored first
     return out
 
 
@@ -354,31 +373,84 @@ def cycles_in(g: Graph, w: Iterable[str]) -> list[Cycle]:
 # ---------------------------------------------------------------------------
 
 
-def _reachable(g: Graph, start: str, reverse: bool = False) -> set[str]:
-    adj: dict[str, list[str]] = {v: [] for v in g.vertices}
-    for e in g.edges:
-        if reverse:
-            adj[e.dst].append(e.src)
-        else:
-            adj[e.src].append(e.dst)
-    seen = {start}
-    todo = [start]
-    while todo:
-        v = todo.pop()
-        for u in adj[v]:
-            if u not in seen:
-                seen.add(u)
-                todo.append(u)
-    return seen
+def _strong_components(g: Graph) -> tuple[list[list[int]], list[list[int]]]:
+    """Tarjan's strongly connected components (Tarjan 1972), without
+    recursion, over vertex indices.
+
+    Returns the successor lists and the components in the order the pass
+    completes them, a reverse topological order of the condensation:
+    each component comes after every component it has an edge into.
+    """
+    pos = g._vpos  # type: ignore[attr-defined]
+    succ = [[pos[e.dst] for e in g.out_edges(v)] for v in g.vertices]
+    order = [-1] * len(succ)
+    low = [0] * len(succ)
+    at = [-1] * len(succ)  # position on the stack, -1 when off it
+    stack: list[int] = []
+    work: list[tuple[int, Iterator[int]]] = []
+    components: list[list[int]] = []
+    clock = count()
+
+    def enter(v: int) -> None:
+        order[v] = low[v] = next(clock)
+        at[v] = len(stack)
+        stack.append(v)
+        work.append((v, iter(succ[v])))
+
+    for root in range(len(succ)):
+        if order[root] >= 0:
+            continue
+        enter(root)
+        while work:
+            v, successors = work[-1]
+            for u in successors:
+                if order[u] < 0:
+                    enter(u)
+                    break
+                if at[u] >= 0:
+                    low[v] = min(low[v], order[u])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[v])
+                if low[v] == order[v]:
+                    component = stack[at[v]:]
+                    del stack[at[v]:]
+                    for u in component:
+                        at[u] = -1
+                    components.append(component)
+    return succ, components
+
+
+def _reach_masks(g: Graph) -> tuple[list[int], list[int]]:
+    """For each vertex index, the bitmasks of the vertex indices it
+    reaches and of those reaching it, itself included in both."""
+    succ, components = _strong_components(g)
+    pred: list[list[int]] = [[] for _ in succ]
+    for v, us in enumerate(succ):
+        for u in us:
+            pred[u].append(v)
+    return _closure_masks(succ, components), _closure_masks(pred, components[::-1])
+
+
+def _closure_masks(adj: list[list[int]], components: list[list[int]]) -> list[int]:
+    """Each vertex's component bits ORed with the masks of its neighbours'
+    components; every component must come after those it has an edge into."""
+    masks = [0] * len(adj)
+    for component in components:
+        mask = sum(1 << v for v in component)
+        for v in component:
+            for u in adj[v]:
+                mask |= masks[u]  # still 0 inside this component
+        for v in component:
+            masks[v] = mask
+    return masks
 
 
 def is_strongly_connected(g: Graph) -> bool:
     """Every ordered vertex pair joined by a path (empty graph: true)."""
-    if not g.vertices:
-        return True
-    start = g.vertices[0]
-    n = len(g.vertices)
-    return len(_reachable(g, start)) == n and len(_reachable(g, start, reverse=True)) == n
+    return len(_strong_components(g)[1]) <= 1
 
 
 def topological_order(g: Graph) -> list[str]:

@@ -6,16 +6,24 @@ code it checks, and runs only at desk scale.
 
 from __future__ import annotations
 
+import itertools
 from typing import Iterable
 
-from graphinverse.congruences import INF, CongruenceTriple
+from graphinverse.congruences import (
+    INF,
+    CongruenceTriple,
+    TripleEnumeration,
+    make_triple,
+)
 from graphinverse.elements import Element
 from graphinverse.graphs import (
     Cycle,
     Graph,
     Path,
+    cycles_in,
     enumerate_hereditary,
     index_one_vertices,
+    is_hereditary,
     is_prefix,
     quotient,
     strip_prefix,
@@ -58,6 +66,46 @@ def hereditary_closure(g: Graph, seed: Iterable[str]) -> frozenset[str]:
         closed.add(v)
         todo.extend(e.dst for e in g.out_edges(v))
     return frozenset(closed)
+
+
+def subset_scan_hereditary(g: Graph) -> list[frozenset[str]]:
+    """All hereditary subsets, found by testing every vertex subset, in
+    subset-bitmask order over the vertex tuple."""
+    n = len(g.vertices)
+    out = []
+    for mask in range(1 << n):
+        h = frozenset(v for i, v in enumerate(g.vertices) if mask >> i & 1)
+        if is_hereditary(g, h):
+            out.append(h)
+    return out
+
+
+def reachable(g: Graph, start: str, reverse: bool = False) -> set[str]:
+    """The vertices reached from start (reaching it, with reverse)."""
+    adj: dict[str, list[str]] = {v: [] for v in g.vertices}
+    for e in g.edges:
+        if reverse:
+            adj[e.dst].append(e.src)
+        else:
+            adj[e.src].append(e.dst)
+    seen = {start}
+    todo = [start]
+    while todo:
+        v = todo.pop()
+        for u in adj[v]:
+            if u not in seen:
+                seen.add(u)
+                todo.append(u)
+    return seen
+
+
+def strongly_connected_by_search(g: Graph) -> bool:
+    """Every vertex reached from, and reaching, the first (empty graph: true)."""
+    if not g.vertices:
+        return True
+    start = g.vertices[0]
+    n = len(g.vertices)
+    return len(reachable(g, start)) == n and len(reachable(g, start, reverse=True)) == n
 
 
 def rees_only_condition(g: Graph) -> bool:
@@ -110,6 +158,27 @@ def conjugate_cycle(g: Graph, c: Cycle, a: Path) -> Path:
 # ---------------------------------------------------------------------------
 # Congruences
 # ---------------------------------------------------------------------------
+
+
+def per_triple_enumeration(g: Graph, f_cap: int) -> TripleEnumeration:
+    """All triples with finite cycle values <= f_cap, in the documented
+    order of enumerate_triples: hereditary sets by subset scan, then W in
+    bitmask order over the quotient's index-one vertices, then the cycle
+    values per cycle of cycles_in(q, W); each triple validated by
+    make_triple."""
+    values = tuple(range(1, f_cap + 1)) + (INF,)
+    triples = []
+    unbounded = False
+    for h in subset_scan_hereditary(g):
+        q = quotient(g, h)
+        bar = q.sort_vertices(index_one_vertices(q))
+        for mask in range(1 << len(bar)):
+            w = frozenset(v for i, v in enumerate(bar) if mask >> i & 1)
+            cycles = cycles_in(q, w)
+            unbounded = unbounded or bool(cycles)
+            for combo in itertools.product(values, repeat=len(cycles)):
+                triples.append(make_triple(g, h, w, zip(cycles, combo)))
+    return TripleEnumeration(tuple(triples), unbounded)
 
 
 def is_compatible(s: FiniteSemigroup, part: ExplicitCongruence) -> bool:

@@ -89,6 +89,22 @@ class TestReport:
         code, _, err = run(capsys, ["report", str(bad)])
         assert code == 1 and "error" in err
 
+    def test_long_ring_reports_two_hereditary_sets(self, tmp_path):
+        vs = [f"v{i}" for i in range(3000)]
+        g = Graph.of(vs, [(f"e{i}", vs[i], vs[(i + 1) % 3000]) for i in range(3000)])
+        path = tmp_path / "r3000.json"
+        path.write_text(json.dumps(graph_to_json(g)))
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        proc = subprocess.run(
+            [sys.executable, "-m", "graphinverse", "report", str(path), "--format", "json"],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout)
+        assert report["hereditary_subsets"] == [[], vs]
+        assert report["zero_simple"] is True
+
 
 class TestUnreadableFile:
     """A path that cannot be read as a file ends in one error line."""
@@ -467,3 +483,10 @@ class TestFlags:
         code, out, err = run(capsys, argv)
         assert code == 1 and out == ""
         assert err == "error: --max-elements must be nonnegative\n"
+
+    def test_huge_f_cap_on_acyclic_graph(self, capsys, edge_files):
+        # no cycle takes a value, so the range 1..cap is never built
+        graph, _ = edge_files
+        code, huge, _ = run(capsys, ["triples", graph, "--f-cap", "1000000000000"])
+        assert code == 0
+        assert huge == run(capsys, ["triples", graph, "--f-cap", "1"])[1]

@@ -38,7 +38,9 @@ from graphinverse.congruences import (
 from graphinverse import corpus
 from graphinverse.corpus import ACYCLIC_CORPUS, CORPUS, CYCLIC_CORPUS
 from graphinverse.oracle import all_paths, bounded_elements, congruence_closure, materialize
+from reference import per_triple_enumeration
 from test_elements import as_cycle_power
+from test_graphs import seeded_multigraphs
 
 
 def elem(g, literal):
@@ -357,6 +359,36 @@ class TestEnumeration:
             for h in enumerate_hereditary(g)
         )
         assert len(enumerate_triples(g).triples) == expected
+
+
+class TestEnumerationAgainstReference:
+    """enumerate_triples against the loop it replaced, which built every
+    triple through make_triple: same triples in the same order, the same
+    cycle index, each accepted by validate_triple."""
+
+    @staticmethod
+    def check(g, f_cap=2):
+        enumeration = enumerate_triples(g, f_cap)
+        reference = per_triple_enumeration(g, f_cap)
+        assert enumeration == reference
+        for t, r in zip(enumeration.triples, reference.triples):
+            assert t.graph is g and t.cycle_at == r.cycle_at
+            assert validate_triple(g, t) == (True, [])
+
+    def test_corpus(self, corpus_graph):
+        self.check(corpus_graph)
+
+    def test_all_small_acyclic_graphs(self):
+        for g in corpus.all_acyclic_graphs(3, 3):
+            self.check(g)
+
+    def test_seeded_multigraphs(self):
+        for g in seeded_multigraphs(2018, 150):
+            self.check(g)
+
+    def test_huge_f_cap_builds_no_value_range(self, acyclic_graph):
+        # an acyclic graph has no cycle to take a value, so the cap is unused
+        assert enumerate_triples(acyclic_graph, 10**12) == enumerate_triples(acyclic_graph, 1)
 
 
 class TestChains:

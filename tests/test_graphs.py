@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphinverse.graphs import (
+    _reach_masks,
     Cycle,
     Graph,
     GraphFormatError,
@@ -31,6 +32,7 @@ from graphinverse.graphs import (
 )
 from graphinverse.corpus import (
     CORPUS,
+    all_acyclic_graphs,
     cycle_with_exit,
     double_loop,
     edge_graph,
@@ -43,12 +45,33 @@ from graphinverse.corpus import (
     two_cycle,
 )
 from graphinverse.oracle import all_paths
-from reference import exits_of, hereditary_closure, is_no_exit, rees_only_condition
+from reference import (
+    exits_of,
+    hereditary_closure,
+    is_no_exit,
+    reachable,
+    rees_only_condition,
+    strongly_connected_by_search,
+    subset_scan_hereditary,
+)
 
 
 def path_graph(n: int) -> Graph:
     vs = [f"v{i}" for i in range(n)]
     return Graph.of(vs, [(f"e{i}", vs[i], vs[i + 1]) for i in range(n - 1)])
+
+
+def seeded_multigraphs(seed: int, count: int, max_vertices: int = 8) -> list[Graph]:
+    """Random multigraphs with 1..max_vertices vertices in shuffled graph
+    order and up to twice as many edges, loops and parallel edges allowed."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        n = rng.randint(1, max_vertices)
+        vs = [f"v{i}" for i in rng.sample(range(n), n)]
+        m = rng.randint(0, 2 * n)
+        out.append(Graph.of(vs, [(f"e{k}", rng.choice(vs), rng.choice(vs)) for k in range(m)]))
+    return out
 
 
 @st.composite
@@ -280,6 +303,59 @@ def shuffled_functional_graph(rng: random.Random, n: int) -> Graph:
     edges = [(next(edge_names), v, rng.choice(names)) for v in names]
     edges += [(next(edge_names), v, rng.choice(names)) for v in names if rng.random() < 0.2]
     return Graph.of(names, edges)
+
+
+class TestEnumerationAgainstReference:
+    """enumerate_hereditary and is_strongly_connected against the subset
+    scan and the reachability searches they replaced, order included."""
+
+    @staticmethod
+    def check(g: Graph) -> None:
+        assert enumerate_hereditary(g) == subset_scan_hereditary(g)
+        assert is_strongly_connected(g) == strongly_connected_by_search(g)
+        reach, coreach = _reach_masks(g)
+        for i, v in enumerate(g.vertices):
+            assert {u for k, u in enumerate(g.vertices) if reach[i] >> k & 1} == reachable(g, v)
+            assert {u for k, u in enumerate(g.vertices) if coreach[i] >> k & 1} == reachable(
+                g, v, reverse=True
+            )
+
+    def test_corpus(self, corpus_graph):
+        self.check(corpus_graph)
+
+    def test_all_small_acyclic_graphs(self):
+        for g in all_acyclic_graphs(3, 3):
+            self.check(g)
+
+    def test_seeded_multigraphs(self):
+        for g in seeded_multigraphs(1972, 300):
+            self.check(g)
+
+    def test_empty_graph(self):
+        self.check(Graph.of([], []))
+        assert enumerate_hereditary(Graph.of([], [])) == [frozenset()]
+
+
+class TestEnumerationScale:
+    """Output-sensitive: the 2^n subset scan would never finish here, and
+    a recursive walk would overflow the recursion limit."""
+
+    def test_long_path(self):
+        g = path_graph(3000)
+        family = enumerate_hereditary(g)
+        # one hereditary set of each size, the suffix of the path, smallest first
+        assert [len(h) for h in family] == list(range(3001))
+        for k in (1, 2, 1500, 3000):
+            assert family[k] == frozenset(g.vertices[3000 - k:])
+        assert not is_strongly_connected(g)
+
+    def test_long_ring(self):
+        g = ring(random.Random(3000), 3000)
+        assert enumerate_hereditary(g) == [frozenset(), frozenset(g.vertices)]
+        assert is_strongly_connected(g)
+
+    def test_sixty_vertex_path(self):
+        assert len(enumerate_hereditary(path_graph(60))) == 61
 
 
 def ring(rng: random.Random, n: int) -> Graph:

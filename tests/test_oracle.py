@@ -2,7 +2,11 @@ from __future__ import annotations
 
 import importlib
 import itertools
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path as FilePath
 
 import pytest
 
@@ -346,6 +350,43 @@ class TestTransitionOracle:
         assert len(products) <= 2 * len(o.directed) * len(o.universe)
         assert zero_class == frozenset(o.universe)
         assert o.search(ZERO, elem(g, "a1|a1"), 5).reached
+
+
+class TestOrderAcrossProcesses:
+    """Under a fixed PYTHONHASHSEED, hashes and hence the iteration order
+    of neighbour sets, which the breadth-first search follows, repeat from
+    one process to the next; zero holds no address-based hash."""
+
+    SCRIPT = """
+from graphinverse.congruences import make_triple
+from graphinverse.corpus import two_edge_path
+from graphinverse.elements import ZERO, format_element
+from graphinverse.oracle import TransitionOracle
+g = two_edge_path()
+oracle = TransitionOracle(g, make_triple(g, h={"w"}), 2)
+print(hash(ZERO))
+print([format_element(x) for x in oracle.neighbors(ZERO)])
+"""
+
+    def run(self) -> str:
+        src = str(FilePath(__file__).resolve().parent.parent / "src")
+        proc = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT], capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": "0"},
+        )
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    def test_zero_hash_and_neighbour_order_repeat(self):
+        first = self.run()
+        assert "'0'" in first  # zero is among the neighbours listed
+        assert self.run() == first
+
+    def test_nonzero_hash_is_the_field_hash(self, two_cycle):
+        for x in bounded_elements(two_cycle, 2):
+            if not x.is_zero:
+                assert hash(x) == hash((x.alpha, x.beta))
+        assert hash(ZERO) == hash(Element(None, None))
 
 
 class TestVertexClassFormTest:
