@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import NoReturn
+from typing import Iterable, NoReturn
 
 from .congruences import (
     INF,
@@ -32,12 +32,11 @@ from .graphs import (
     enumerate_hereditary,
     graph_to_dot,
     graph_to_json,
-    index_one_vertices,
+    index_one_edges,
     is_acyclic,
     is_congruence_free_graph,
     is_strongly_connected,
     load_graph,
-    quotient,
 )
 from .oracle import (
     TransitionOracle,
@@ -63,7 +62,7 @@ def _check_bounds(args: argparse.Namespace) -> None:
         raise ValueError("--max-elements must be nonnegative")
 
 
-def _emit(args: argparse.Namespace, payload: dict, text_lines: list[str]) -> None:
+def _emit(args: argparse.Namespace, payload: dict, text_lines: Iterable[str]) -> None:
     if args.format == "json":
         print(json.dumps(payload, indent=2))
     else:
@@ -82,12 +81,11 @@ def cmd_report(args: argparse.Namespace) -> int:
         print(graph_to_dot(g))
         return 0
     hereditary = enumerate_hereditary(g)
-    bar_v = index_one_vertices(g)
+    bar_v = index_one_edges(g)
     per_h = []
     for h in hereditary:
-        q = quotient(g, h)
-        bar_h = index_one_vertices(q)
-        per_h.append((h, bar_h, cycles_in(q, bar_h)))
+        bar_h = index_one_edges(g, h)
+        per_h.append((h, bar_h, cycles_in(g, bar_h)))
     zero_simple = is_strongly_connected(g)
     rees_only = not any(bar_h for _, bar_h, _ in per_h)
     cong_free = is_congruence_free_graph(g) if g.vertices else False
@@ -95,11 +93,11 @@ def cmd_report(args: argparse.Namespace) -> int:
     payload = {
         **graph_to_json(g),
         "hereditary_subsets": [list(g.sort_vertices(h)) for h in hereditary],
-        "index_one_vertices": list(g.sort_vertices(bar_v)),
+        "index_one_vertices": list(bar_v),
         "per_hereditary": [
             {
                 "H": list(g.sort_vertices(h)),
-                "index_one": list(g.sort_vertices(q_bar)),
+                "index_one": list(q_bar),
                 "cycles": [list(c.path.edges) for c in cycles],
             }
             for h, q_bar, cycles in per_h
@@ -246,11 +244,8 @@ def cmd_triples(args: argparse.Namespace) -> int:
         "infinite_family": enumeration.unbounded,
         "triples": [triple_to_json(g, t) for t in enumeration.triples],
     }
-    if args.format == "json":
-        print(json.dumps(payload, indent=2))
-    else:
-        for t in enumeration.triples:
-            print(json.dumps(triple_to_json(g, t)))
+    # a generator: JSON mode never formats the text lines
+    _emit(args, payload, (json.dumps(d) for d in payload["triples"]))
     return 0
 
 
@@ -358,7 +353,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _check_bounds(args)
         return args.func(args)
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, KeyError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

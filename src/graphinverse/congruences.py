@@ -1,11 +1,10 @@
 """Congruence triples (H, W, f) and the decision procedure they induce.
 
 A triple consists of a hereditary vertex set H, a set W of index-one
-vertices of the quotient graph, and a cycle function f assigning each
-cycle inside W a positive integer or infinity. Each triple determines a
-congruence of the graph inverse semigroup; the triple is kept as data and
-membership of a pair (x, y) is decided directly, since the semigroup is
-usually infinite.
+vertices of G∖H, and a cycle function f assigning each cycle inside W a
+positive integer or infinity. Each triple determines a congruence of the
+graph inverse semigroup; the triple is kept as data and membership of a
+pair (x, y) is decided directly, since the semigroup is usually infinite.
 
 :func:`make_triple` is the one validating constructor, and it compiles
 the triple once: the result remembers the graph it was validated over and
@@ -39,18 +38,16 @@ from .elements import (
 )
 from .graphs import (
     Cycle,
-    Edge,
     Graph,
     Path,
     concat,
     cycle_power,
     cycles_in,
     enumerate_hereditary,
-    index_one_vertices,
+    index_one_edges,
     is_hereditary,
     is_prefix,
     make_path,
-    quotient,
     strip_prefix,
     vertex_path,
 )
@@ -145,19 +142,18 @@ def validate_triple(g: Graph, t: CongruenceTriple) -> tuple[bool, list[str]]:
     if not is_hereditary(g, t.h):
         problems.append(f"H = {sorted(t.h)} is not hereditary")
         return False, problems
-    q = quotient(g, t.h)
-    bar_v = index_one_vertices(q)
-    stray = t.w - frozenset(q.vertices)
+    w_edges = index_one_edges(g, t.h)
+    stray = {v for v in t.w if v in t.h or not g.has_vertex(v)}
     if stray:
         problems.append(f"W contains vertices outside the quotient: {sorted(stray)}")
-    bad_index = t.w & frozenset(q.vertices) - bar_v
+    bad_index = t.w - stray - w_edges.keys()
     if bad_index:
         problems.append(
             f"W vertices without index one in the quotient: {sorted(bad_index)}"
         )
     if problems:
         return False, problems
-    expected = cycles_in(q, t.w)
+    expected = cycles_in(g, {v: e for v, e in w_edges.items() if v in t.w})
     domain = [c for c, _ in t.f]
     if sorted(c.path.edges for c in domain) != sorted(c.path.edges for c in expected):
         problems.append(
@@ -195,21 +191,14 @@ def triple_generators(g: Graph, t: CongruenceTriple) -> list[tuple[Element, Elem
     """The generating pairs of the triple's congruence, in a fixed order."""
     t = t.over(g)
     pairs = [(vertex_element(v), ZERO) for v in g.sort_vertices(t.h)]
-    for w in g.sort_vertices(t.w):
-        e = _w_edge(g, t, w)
-        ew = Path((e.src, e.dst), (e.id,))
-        pairs.append((idempotent_element(ew), vertex_element(w)))
+    for w, e in index_one_edges(g, t.h).items():
+        if w in t.w:
+            ew = Path((e.src, e.dst), (e.id,))
+            pairs.append((idempotent_element(ew), vertex_element(w)))
     for c, val in t.f:
         if val != INF:
             pairs.append((path_element(c.power(int(val))), vertex_element(c.base)))
     return pairs
-
-
-def _w_edge(g: Graph, t: CongruenceTriple, w: str) -> Edge:
-    """The edge leaving w in W: w has index one in the quotient, so
-    exactly one of its edges does not range into H."""
-    (e,) = (e for e in g.out_edges(w) if e.dst not in t.h)
-    return e
 
 
 def reduce_mod_h(g: Graph, t: CongruenceTriple, x: Element) -> Element:
@@ -217,7 +206,7 @@ def reduce_mod_h(g: Graph, t: CongruenceTriple, x: Element) -> Element:
 
     A path meeting H ends in H (H is hereditary), so testing the common
     range of the two paths suffices; the surviving element reads verbatim
-    over the quotient graph.
+    over G∖H.
     """
     if x.is_zero:
         return ZERO
@@ -356,7 +345,7 @@ def vertex_class_members(
     g: Graph, t: CongruenceTriple, v: str, len_bound: int
 ) -> list[Element]:
     """All elements with both paths of length <= len_bound in the class
-    of the vertex v; v must survive the quotient."""
+    of the vertex v; v must lie outside H."""
     if v in t.h:
         raise ValueError(f"vertex {v!r} lies in H, its class is the zero class")
     t = t.over(g)
@@ -371,6 +360,7 @@ def vertex_class_members(
 
     # the paths from v with every edge source in W are the prefixes of
     # the one walk that follows the W-edge of each vertex it reaches
+    w_edges = index_one_edges(g, t.h)
     gamma = vertex_path(v)
     while True:
         emit(Element(gamma, gamma))
@@ -386,7 +376,7 @@ def vertex_class_members(
                 k += 1
         if len(gamma) >= len_bound or gamma.target not in t.w:
             break
-        e = _w_edge(g, t, gamma.target)
+        e = w_edges[gamma.target]
         gamma = Path(gamma.vertices + (e.dst,), gamma.edges + (e.id,))
     members.sort(key=_element_sort_key)
     return members
@@ -438,7 +428,7 @@ def enumerate_triples(g: Graph, f_cap: int = 4) -> TripleEnumeration:
     """All triples of g whose finite cycle values are <= f_cap.
 
     Ordered lexicographically: hereditary sets in subset-bitmask order,
-    then W in bitmask order over the quotient's index-one vertices, then
+    then W in bitmask order over the index-one vertices of G∖H, then
     cycle values (1, .., f_cap, inf) per cycle.
     """
     if f_cap < 1:
@@ -446,10 +436,10 @@ def enumerate_triples(g: Graph, f_cap: int = 4) -> TripleEnumeration:
     triples: list[CongruenceTriple] = []
     unbounded = False
     for h in enumerate_hereditary(g):
-        q = quotient(g, h)
-        bar = q.sort_vertices(index_one_vertices(q))
+        bar_edges = index_one_edges(g, h)
+        bar = tuple(bar_edges)
         # the cycles inside W are the cycles inside bar that lie in W
-        bar_cycles = [(c, c.vertex_set) for c in cycles_in(q, bar)]
+        bar_cycles = [(c, c.vertex_set) for c in cycles_in(g, bar_edges)]
         for mask in range(1 << len(bar)):
             w = frozenset(v for i, v in enumerate(bar) if mask >> i & 1)
             cycles = [c for c, vs in bar_cycles if vs <= w]

@@ -1,6 +1,9 @@
 """Directed multigraphs and the graph-side constructions used by the
-congruence classification: hereditary vertex sets, quotient graphs,
-index-one vertices and cycles inside a vertex set.
+congruence classification: hereditary vertex sets H, the index-one
+vertices of G∖H with their one edge, and the cycles those edges close.
+
+G∖H (delete H and every edge ranging into it) is never built as a
+graph: :func:`index_one_edges` and :func:`cycles_in` read it off G.
 
 Graphs are immutable after construction and iterate in insertion order,
 so every enumeration in this package is reproducible.
@@ -11,7 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import compress, count
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 RESERVED_ID_CHARS = set(".|@*")
 _BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
@@ -86,10 +89,6 @@ class Graph:
     def out_edges(self, v: str) -> tuple[Edge, ...]:
         self._require_vertex(v)
         return self._out[v]  # type: ignore[attr-defined]
-
-    def index(self, v: str) -> int:
-        """Number of edges with source v."""
-        return len(self.out_edges(v))
 
     def sort_vertices(self, vs: Iterable[str]) -> tuple[str, ...]:
         """Order a vertex collection by this graph's insertion order."""
@@ -277,7 +276,7 @@ def cycle_power(loop: Path, m: int) -> Path:
 
 
 # ---------------------------------------------------------------------------
-# Hereditary subsets and quotients
+# Hereditary subsets and the index-one edges of G∖H
 # ---------------------------------------------------------------------------
 
 
@@ -317,47 +316,41 @@ def enumerate_hereditary(g: Graph) -> list[frozenset[str]]:
     return out
 
 
-def quotient(g: Graph, h: Iterable[str]) -> Graph:
-    """The graph obtained by deleting a hereditary set h and every edge
-    ranging into it."""
+def index_one_edges(g: Graph, h: Iterable[str] = ()) -> dict[str, Edge]:
+    """The index-one vertices of G∖H with their one edge: each vertex
+    outside the hereditary set h with exactly one edge not ranging into
+    h, mapped to that edge, in graph order."""
     hs = frozenset(h)
-    if not is_hereditary(g, hs):
-        raise ValueError(f"vertex set {sorted(hs)} is not hereditary")
-    verts = tuple(v for v in g.vertices if v not in hs)
-    edges = tuple(e for e in g.edges if e.dst not in hs)
-    return Graph(verts, edges)
+    w_edges: dict[str, Edge] = {}
+    for v in g.vertices:
+        if v not in hs:
+            kept = [e for e in g.out_edges(v) if e.dst not in hs]
+            if len(kept) == 1:
+                w_edges[v] = kept[0]
+    return w_edges
 
 
-def index_one_vertices(g: Graph) -> frozenset[str]:
-    """Vertices with exactly one outgoing edge."""
-    return frozenset(v for v in g.vertices if g.index(v) == 1)
+def cycles_in(g: Graph, w_edges: Mapping[str, Edge]) -> list[Cycle]:
+    """Canonical representatives of the cycles that the edges of w_edges
+    close, ordered by each cycle's earliest vertex in graph order.
 
-
-def cycles_in(g: Graph, w: Iterable[str]) -> list[Cycle]:
-    """Canonical representatives of all cycles whose vertices lie in w,
-    ordered by each cycle's earliest vertex in graph order.
-
-    Requires every vertex of w to have index one; the cycles found are
-    then pairwise disjoint and automatically no-exit. Each vertex of w
-    has one successor, so one walk from each vertex no earlier walk
-    reached visits every vertex of w once.
+    w_edges maps each vertex of a set W to its one edge in G∖H, as
+    :func:`index_one_edges` gives it restricted to W; the cycles found
+    are then pairwise disjoint and no-exit in G∖H. Each vertex of W has
+    one successor, so one walk from each vertex no earlier walk reached
+    visits every vertex of W once.
     """
-    ws = set(w)
-    for v in ws:
-        g._require_vertex(v)
-        if g.index(v) != 1:
-            raise ValueError(f"vertex {v!r} has index {g.index(v)}, expected 1")
     pos = g._vpos  # type: ignore[attr-defined]
     walk_of: dict[str, str] = {}
     found: list[tuple[int, Cycle]] = []
-    for start in g.sort_vertices(ws):
+    for start in w_edges:
         verts: list[str] = []
         edges: list[str] = []
         u = start
-        while u in ws and u not in walk_of:
+        while u in w_edges and u not in walk_of:
             walk_of[u] = start
             verts.append(u)
-            (e,) = g.out_edges(u)
+            e = w_edges[u]
             edges.append(e.id)
             u = e.dst
         if walk_of.get(u) == start:  # this walk closed a new cycle at u
@@ -477,7 +470,7 @@ def is_congruence_free_graph(g: Graph) -> bool:
     """Strongly connected with no index-one vertex (nonempty graph)."""
     if not g.vertices:
         raise ValueError("predicate needs at least one vertex")
-    return is_strongly_connected(g) and not index_one_vertices(g)
+    return is_strongly_connected(g) and not index_one_edges(g)
 
 
 # ---------------------------------------------------------------------------
@@ -521,11 +514,16 @@ def load_graph(path: str) -> Graph:
     return graph_from_json(data)
 
 
+def _dot_id(ident: str) -> str:
+    """A DOT double-quoted string: ids may hold quotes and backslashes."""
+    return '"' + ident.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def graph_to_dot(g: Graph) -> str:
     lines = ["digraph G {"]
     for v in g.vertices:
-        lines.append(f'  "{v}";')
+        lines.append(f"  {_dot_id(v)};")
     for e in g.edges:
-        lines.append(f'  "{e.src}" -> "{e.dst}" [label="{e.id}"];')
+        lines.append(f"  {_dot_id(e.src)} -> {_dot_id(e.dst)} [label={_dot_id(e.id)}];")
     lines.append("}")
     return "\n".join(lines)

@@ -29,9 +29,9 @@ from .graphs import (
     Path,
     concat,
     cycles_in,
+    index_one_edges,
     is_acyclic,
     is_prefix,
-    quotient,
     strip_prefix,
     topological_order,
     vertex_path,
@@ -223,7 +223,7 @@ def triple_of_congruence(
     """Read (H, W, f) off an explicit congruence.
 
     H collects the vertices in the zero class, W the edge sources kept by
-    the quotient whose edge idempotent falls to the vertex, and f the
+    G∖H whose edge idempotent falls to the vertex, and f the
     minimal lap exponent identified with each cycle base (vacuous here:
     acyclic graphs have no cycles).
     """
@@ -238,9 +238,8 @@ def triple_of_congruence(
         ee = idempotent_element(Path((e.src, e.dst), (e.id,)))
         if rho.together(s.index_of(ee), s.index_of(vertex_element(e.src))):
             w.add(e.src)
-    q = quotient(g, h)
     fmap = {}
-    for c in cycles_in(q, w):
+    for c in cycles_in(g, {v: e for v, e in index_one_edges(g, h).items() if v in w}):
         for m in range(1, len(s) + 2):
             power_elem = Element(c.power(m), vertex_path(c.base))
             if rho.together(s.index_of(power_elem), s.index_of(vertex_element(c.base))):

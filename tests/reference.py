@@ -22,10 +22,8 @@ from graphinverse.graphs import (
     Path,
     cycles_in,
     enumerate_hereditary,
-    index_one_vertices,
     is_hereditary,
     is_prefix,
-    quotient,
     strip_prefix,
 )
 from graphinverse.oracle import ExplicitCongruence, FiniteSemigroup
@@ -108,6 +106,22 @@ def strongly_connected_by_search(g: Graph) -> bool:
     return len(reachable(g, start)) == n and len(reachable(g, start, reverse=True)) == n
 
 
+def quotient(g: Graph, h: Iterable[str]) -> Graph:
+    """The graph obtained by deleting a hereditary set h and every edge
+    ranging into it."""
+    hs = frozenset(h)
+    if not is_hereditary(g, hs):
+        raise ValueError(f"vertex set {sorted(hs)} is not hereditary")
+    verts = tuple(v for v in g.vertices if v not in hs)
+    edges = tuple(e for e in g.edges if e.dst not in hs)
+    return Graph(verts, edges)
+
+
+def index_one_vertices(g: Graph) -> frozenset[str]:
+    """Vertices with exactly one outgoing edge."""
+    return frozenset(v for v in g.vertices if len(g.out_edges(v)) == 1)
+
+
 def rees_only_condition(g: Graph) -> bool:
     """True iff every quotient by a hereditary set has no index-one vertex.
 
@@ -147,8 +161,8 @@ def conjugate_cycle(g: Graph, c: Cycle, a: Path) -> Path:
     identities  a* c^k a = c1^k  and  c^k a a* = a c1^k a*.
     """
     for v in c.vertex_set:
-        if g.index(v) != 1:
-            raise ValueError(f"cycle vertex {v!r} has index {g.index(v)}, expected 1")
+        if len(g.out_edges(v)) != 1:
+            raise ValueError(f"cycle vertex {v!r} has index {len(g.out_edges(v))}, expected 1")
     _, tail = strip_cycle_prefix(c.path, a)
     if not is_prefix(tail, c.path):
         raise ValueError(f"path {a!r} leaves the cycle {c!r}")
@@ -163,9 +177,9 @@ def conjugate_cycle(g: Graph, c: Cycle, a: Path) -> Path:
 def per_triple_enumeration(g: Graph, f_cap: int) -> TripleEnumeration:
     """All triples with finite cycle values <= f_cap, in the documented
     order of enumerate_triples: hereditary sets by subset scan, then W in
-    bitmask order over the quotient's index-one vertices, then the cycle
-    values per cycle of cycles_in(q, W); each triple validated by
-    make_triple."""
+    bitmask order over the index-one vertices of the quotient q = G∖H,
+    then the cycle values per cycle of q inside W; each triple validated
+    by make_triple."""
     values = tuple(range(1, f_cap + 1)) + (INF,)
     triples = []
     unbounded = False
@@ -174,7 +188,7 @@ def per_triple_enumeration(g: Graph, f_cap: int) -> TripleEnumeration:
         bar = q.sort_vertices(index_one_vertices(q))
         for mask in range(1 << len(bar)):
             w = frozenset(v for i, v in enumerate(bar) if mask >> i & 1)
-            cycles = cycles_in(q, w)
+            cycles = cycles_in(q, {v: q.out_edges(v)[0] for v in w})
             unbounded = unbounded or bool(cycles)
             for combo in itertools.product(values, repeat=len(cycles)):
                 triples.append(make_triple(g, h, w, zip(cycles, combo)))

@@ -2,8 +2,11 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import subprocess
 import sys
+import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -11,7 +14,7 @@ import pytest
 from graphinverse import cli, graphs, oracle
 from graphinverse.graphs import Graph, graph_to_json
 from graphinverse.cli import main
-from graphinverse.congruences import make_triple, triple_to_json
+from graphinverse.congruences import enumerate_triples, make_triple, triple_to_json
 from graphinverse.corpus import (
     CORPUS,
     double_loop,
@@ -20,6 +23,8 @@ from graphinverse.corpus import (
     pendant_cycle,
     two_cycle,
 )
+from graphinverse.elements import format_element
+from graphinverse.oracle import bounded_elements
 from reference import rees_only_condition
 from test_congruences import loop_triple
 
@@ -435,6 +440,21 @@ class TestOracleCommand:
         assert len(data["congruences"]) == 4
 
 
+class TestHugeCycleValue:
+    """A finite f-value past the index range ends in one error line:
+    the normal form of @v|e is e^(f-1)|@v, and --certify builds the
+    generator (e^f, v)."""
+
+    @pytest.mark.parametrize("command", [["nf", "@v|e"], ["equiv", "@v|e", "e|@v", "--certify"]])
+    def test_one_error_line(self, capsys, tmp_path, command):
+        gpath, tpath = tmp_path / "g.json", tmp_path / "t.json"
+        gpath.write_text(json.dumps(graph_to_json(loop_graph())))
+        tpath.write_text(json.dumps({"H": [], "W": ["v"], "f": [{"cycle": ["e"], "value": 10**30}]}))
+        code, out, err = run(capsys, [command[0], str(gpath), str(tpath), *command[1:]])
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
 class TestFlags:
     @staticmethod
     def usage_error(capsys, argv):
@@ -490,3 +510,149 @@ class TestFlags:
         code, huge, _ = run(capsys, ["triples", graph, "--f-cap", "1000000000000"])
         assert code == 0
         assert huge == run(capsys, ["triples", graph, "--f-cap", "1"])[1]
+
+
+class TestNoGraphPerHereditarySet:
+    """G∖H is read off G: enumeration, make_triple and report build no
+    Graph beyond the one loaded."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        calls = []
+        original = Graph.__post_init__
+
+        def counted(self):
+            calls.append(self)
+            original(self)
+
+        monkeypatch.setattr(Graph, "__post_init__", counted)
+        return calls
+
+    @pytest.mark.parametrize("name", sorted(CORPUS))
+    def test_library_calls(self, built, name):
+        g = CORPUS[name]
+        enumeration = enumerate_triples(g, 2)
+        for t in enumeration.triples:
+            make_triple(g, t.h, t.w, t.f)
+        assert enumeration.triples and built == []
+
+    @pytest.mark.parametrize("name", sorted(CORPUS))
+    @pytest.mark.parametrize("command", [["report"], ["report", "--format", "json"],
+                                         ["triples"], ["triples", "--format", "json"]])
+    def test_cli_builds_only_the_loaded_graph(self, capsys, tmp_path, built, name, command):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(graph_to_json(CORPUS[name])))
+        code, _, _ = run(capsys, [command[0], str(path), *command[1:]])
+        assert code == 0 and built == [CORPUS[name]]
+
+
+class TestFuzz:
+    """Seeded malformed and mutated input across every subcommand: each
+    run ends in exit code 0, 1 or 2 without a traceback, and exit code 1
+    prints exactly one error line."""
+
+    CASES = 240
+    GRAPHS = [loop_graph, edge_graph, two_cycle, pendant_cycle, double_loop]
+    JUNK = [None, 0, -1, 2.5, True, "", "zz", "a.b", "@", "*", [], ["v"], {}, {"id": "e"},
+            10**30, "inf", "INF", "2"]
+    LITERAL_CHARS = ".|@*0evwu1 "
+
+    def junk(self, rng, data):
+        """data with one entry replaced, deleted or duplicated, or junk."""
+        if rng.random() < 0.1 or not isinstance(data, (dict, list)) or not data:
+            return rng.choice(self.JUNK)
+        data = json.loads(json.dumps(data))
+        key = rng.choice(list(data) if isinstance(data, dict) else range(len(data)))
+        action = rng.random()
+        if action < 0.4:
+            data[key] = self.junk(rng, data[key])
+        elif action < 0.6:
+            del data[key]
+        elif isinstance(data, list):
+            data.insert(rng.randrange(len(data) + 1), data[key])
+        else:
+            data[key] = self.junk(rng, data[key])
+        return data
+
+    def mutate_triple(self, rng, g, triple):
+        t = json.loads(json.dumps(triple))
+        action = rng.randrange(5)
+        if action == 0:
+            t[rng.choice("HW")].append(rng.choice(list(g.vertices) + ["zz"]))
+        elif action == 1 and t["f"]:
+            entry = rng.choice(t["f"])
+            entry["value"] = rng.choice([0, -3, 1, 3, "inf", 10**30, 2.0, True, None])
+        elif action == 2 and t["f"]:
+            cycle = rng.choice(t["f"])["cycle"]
+            cycle.append(cycle.pop(0))  # another rotation, or the same loop
+        elif action == 3:
+            t = self.junk(rng, t)
+        return t
+
+    def mutate_literal(self, rng, literal):
+        chars = list(literal)
+        for _ in range(rng.randint(1, 2)):
+            pos = rng.randrange(len(chars) + 1)
+            action = rng.randrange(3)
+            if action == 0 or not chars:
+                chars.insert(pos, rng.choice(self.LITERAL_CHARS))
+            elif action == 1:
+                del chars[min(pos, len(chars) - 1)]
+            else:
+                chars[min(pos, len(chars) - 1)] = rng.choice(self.LITERAL_CHARS)
+        return "".join(chars)
+
+    def argv_for(self, rng, graph_file, triple_file, x, y):
+        command = rng.choice(["report", "equiv", "nf", "enumerate", "triples", "oracle"])
+        fmt = ["--format", rng.choice(["text", "json"])]
+        if command == "report":
+            return ["report", graph_file, *rng.choice([[], ["--dot"]]), *fmt]
+        if command == "equiv":
+            certify = ["--certify", "--len-bound", "3", "--steps", "200"]
+            return ["equiv", graph_file, triple_file, x, y, *rng.choice([[], certify]), *fmt]
+        if command == "nf":
+            return ["nf", graph_file, triple_file, x, *fmt]
+        if command == "enumerate":
+            brute = ["--brute", "--max-elements", "16"]
+            return ["enumerate", graph_file, "--f-cap", "2", *rng.choice([[], brute]), *fmt]
+        if command == "triples":
+            return ["triples", graph_file, "--f-cap", "2", *fmt]
+        return ["oracle", graph_file, "--max-elements", "16", *fmt]
+
+    def test_no_traceback(self, capsys, tmp_path):
+        rng = random.Random(1964)
+        started = time.perf_counter()
+        codes = Counter()
+        graph_file, triple_file = tmp_path / "g.json", tmp_path / "t.json"
+        for case in range(self.CASES):
+            g = rng.choice(self.GRAPHS)()
+            graph = graph_to_json(g)
+            triple = triple_to_json(g, rng.choice(enumerate_triples(g, 2).triples))
+            x, y = rng.sample([format_element(z) for z in bounded_elements(g, 2)], 2)
+            # one input is malformed or mutated, or none
+            target = rng.choice(["graph", "graph text", "triple", "triple", "literal", "none"])
+            if target == "graph":
+                graph = self.junk(rng, graph)
+            elif target == "triple":
+                triple = self.mutate_triple(rng, g, triple)
+            elif target == "literal":
+                x = self.mutate_literal(rng, x)
+            graph_text = json.dumps(graph)
+            if target == "graph text":
+                graph_text = graph_text[: rng.randrange(len(graph_text))]
+            graph_file.write_text(graph_text)
+            triple_file.write_text(json.dumps(triple))
+            argv = self.argv_for(rng, str(graph_file), str(triple_file), x, y)
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            out, err = capsys.readouterr()
+            context = (case, argv, graph_text, json.dumps(triple), err)
+            assert code in (0, 1, 2), context
+            assert "Traceback" not in err, context
+            if code == 1:
+                assert len(err.splitlines()) == 1 and err.startswith("error: "), context
+            codes[code] += 1
+        assert time.perf_counter() - started < 2
+        assert codes[0] and codes[1]

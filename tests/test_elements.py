@@ -255,9 +255,9 @@ class TestConjugateCycle:
     @pytest.mark.parametrize("name", ["loop", "two_cycle", "pendant_cycle"])
     def test_conjugation_identities(self, name):
         g = CORPUS[name]
-        from graphinverse.graphs import cycles_in, index_one_vertices
+        from graphinverse.graphs import cycles_in, index_one_edges
 
-        for c in cycles_in(g, index_one_vertices(g)):
+        for c in cycles_in(g, index_one_edges(g)):
             base = c.base
             prefixes = [
                 make_path(g, c.path.edges[:i] * 1, source=base) if i else vertex_path(base)

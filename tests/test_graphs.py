@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -20,16 +21,16 @@ from graphinverse.graphs import (
     graph_from_json,
     graph_to_dot,
     graph_to_json,
-    index_one_vertices,
+    index_one_edges,
     is_acyclic,
     is_congruence_free_graph,
     is_hereditary,
     is_strongly_connected,
     make_path,
-    quotient,
     topological_order,
     vertex_path,
 )
+from graphinverse.congruences import make_triple
 from graphinverse.corpus import (
     CORPUS,
     all_acyclic_graphs,
@@ -48,7 +49,9 @@ from graphinverse.oracle import all_paths
 from reference import (
     exits_of,
     hereditary_closure,
+    index_one_vertices,
     is_no_exit,
+    quotient,
     reachable,
     rees_only_condition,
     strongly_connected_by_search,
@@ -109,7 +112,7 @@ class TestConstruction:
 
     def test_vertex_and_edge_may_share_an_id(self):
         g = Graph.of(["x"], [("x", "x", "x")])
-        assert g.index("x") == 1
+        assert index_one_edges(g) == {"x": g.edge("x")}
 
 
 class TestHereditary:
@@ -195,41 +198,46 @@ class TestQuotient:
 
 class TestIndex:
     def test_edge_graph_indices(self, edge):
-        assert edge.index("v") == 1
-        assert edge.index("w") == 0
+        assert len(edge.out_edges("v")) == 1
+        assert len(edge.out_edges("w")) == 0
+        assert index_one_edges(edge) == {"v": edge.out_edges("v")[0]}
+        assert index_one_edges(edge, {"w"}) == {}
 
     def test_double_loop_index(self, double_loop):
-        assert double_loop.index("v") == 2
+        assert len(double_loop.out_edges("v")) == 2
+        assert index_one_edges(double_loop) == {}
 
     def test_unknown_vertex(self, edge):
         with pytest.raises(KeyError):
-            edge.index("zzz")
+            edge.out_edges("zzz")
 
     def test_index_one_sets(self, edge, loop):
-        assert index_one_vertices(edge) == {"v"}
-        assert index_one_vertices(loop) == {"v"}
-        assert index_one_vertices(parallel_pair()) == frozenset()
+        assert index_one_edges(edge).keys() == {"v"}
+        assert index_one_edges(loop).keys() == {"v"}
+        assert index_one_edges(parallel_pair()) == {}
 
 
 class TestCycles:
     def test_loop_cycle(self, loop):
-        [c] = cycles_in(loop, {"v"})
+        [c] = cycles_in(loop, index_one_edges(loop))
         assert c.path.edges == ("e",)
 
     def test_empty_w(self, loop):
-        assert cycles_in(loop, set()) == []
+        assert cycles_in(loop, {}) == []
 
     def test_two_cycle_single_class(self, two_cycle):
-        [c] = cycles_in(two_cycle, {"v", "w"})
+        [c] = cycles_in(two_cycle, index_one_edges(two_cycle))
         assert c.path.edges == ("e1", "e2")
 
     def test_rejects_bad_index(self, edge):
-        with pytest.raises(ValueError):
-            cycles_in(edge, {"w"})
+        # W = {w} cannot be given to cycles_in: w has index zero, so it
+        # has no W-edge, and a triple with that W is refused
+        assert "w" not in index_one_edges(edge)
+        with pytest.raises(ValueError, match="index one"):
+            make_triple(edge, w={"w"})
 
     def test_cycles_are_no_exit(self, corpus_graph):
-        bar = index_one_vertices(corpus_graph)
-        for c in cycles_in(corpus_graph, bar):
+        for c in cycles_in(corpus_graph, index_one_edges(corpus_graph)):
             assert is_no_exit(corpus_graph, c.path)
 
     def test_canonical_rotation_is_lex_least(self, two_cycle):
@@ -369,17 +377,19 @@ class TestCycleLayerAgainstReference:
         g = corpus_graph
         for h in enumerate_hereditary(g):
             q = quotient(g, h)
-            for w in subsets(index_one_vertices(q)):
-                assert [c.path for c in cycles_in(q, w)] == reference_cycles_in(q, w)
+            bar = index_one_edges(g, h)
+            for w in subsets(bar):
+                w_edges = {v: e for v, e in bar.items() if v in w}
+                assert [c.path for c in cycles_in(g, w_edges)] == reference_cycles_in(q, w)
 
     def test_cycles_in_seeded_functional_graphs(self):
         rng = random.Random(20180)
         for _ in range(200):
             g = shuffled_functional_graph(rng, rng.randint(1, 12))
-            bar = sorted(index_one_vertices(g))
+            bar = index_one_edges(g)
             for _ in range(4):
-                w = {v for v in bar if rng.random() < 0.8}
-                assert [c.path for c in cycles_in(g, w)] == reference_cycles_in(g, w)
+                w_edges = {v: e for v, e in sorted(bar.items()) if rng.random() < 0.8}
+                assert [c.path for c in cycles_in(g, w_edges)] == reference_cycles_in(g, w_edges)
 
     def test_from_path_every_corpus_rotation(self):
         for g in CORPUS.values():
@@ -523,3 +533,43 @@ class TestSerialization:
         dot = graph_to_dot(edge)
         assert '"v" -> "w" [label="e"]' in dot
         assert dot.startswith("digraph")
+
+    def test_dot_quotes_and_backslashes_escaped(self):
+        ids = ['a"b', "c\\d", '\\"', "plain"]
+        g = Graph.of(ids, [('e"1', ids[0], ids[1]), ("f\\", ids[2], ids[3]), ("x", ids[3], ids[3])])
+        dot = graph_to_dot(g)
+        body = dot.splitlines()[1:-1]
+        token = re.compile(r'"(?:[^"\\]|\\.)*"')
+        unquoted = []
+        for line in body:
+            found = token.findall(line)
+            # nothing but the quoted tokens holds a quote or a backslash
+            assert '"' not in token.sub("", line) and "\\" not in token.sub("", line)
+            unquoted.append([re.sub(r"\\(.)", r"\1", t[1:-1]) for t in found])
+        assert unquoted == [[v] for v in ids] + [[e.src, e.dst, e.id] for e in g.edges]
+
+
+class TestIndexOneEdgesAgainstReference:
+    """index_one_edges(g, h) against the quotient graph G∖H it replaced:
+    the same index-one vertices in graph order, each mapped to its only
+    edge in the quotient."""
+
+    @staticmethod
+    def check(g: Graph) -> None:
+        for h in enumerate_hereditary(g):
+            q = quotient(g, h)
+            w_edges = index_one_edges(g, h)
+            assert tuple(w_edges) == q.sort_vertices(index_one_vertices(q))
+            for v, e in w_edges.items():
+                assert q.out_edges(v) == (e,)
+
+    def test_corpus(self, corpus_graph):
+        self.check(corpus_graph)
+
+    def test_all_small_acyclic_graphs(self):
+        for g in all_acyclic_graphs(3, 3):
+            self.check(g)
+
+    def test_seeded_multigraphs(self):
+        for g in seeded_multigraphs(2015, 250):
+            self.check(g)
