@@ -91,13 +91,6 @@ def multiply(x: Element, y: Element) -> Element:
     return ZERO
 
 
-def inverse(x: Element) -> Element:
-    """Swap the two paths; zero is self-inverse."""
-    if x.is_zero:
-        return ZERO
-    return Element(x.beta, x.alpha)
-
-
 # ---------------------------------------------------------------------------
 # Element literals: `0` or `P|Q`, with P, Q either `@v` or `.`-joined edges
 # ---------------------------------------------------------------------------

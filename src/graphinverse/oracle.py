@@ -20,8 +20,8 @@ from .elements import (
     ZERO,
     Element,
     idempotent_element,
-    inverse,
     multiply,
+    path_element,
     vertex_element,
 )
 from .graphs import (
@@ -255,10 +255,6 @@ def triple_of_congruence(
 # ---------------------------------------------------------------------------
 
 
-# (u a, u b) for the contexts u, keyed by the first path of u a
-_Contexts = dict[tuple, list[tuple[Element, Element]]]
-
-
 @dataclass(frozen=True)
 class TransitionResult:
     reached: bool
@@ -270,18 +266,35 @@ class TransitionOracle:
     """Breadth-first search over one-step rewrites u a w -> u b w.
 
     (a, b) runs over the triple's generating pairs in both orientations;
-    intermediate elements, and the contexts u and w, are capped at
-    ``len_bound`` per path. A found chain certifies relatedness;
-    exhausting the bounds proves nothing.
+    u or w runs over the universe U of elements whose paths have at most
+    ``len_bound`` edges, the other context over all of I(G), and the
+    intermediate elements are capped at ``len_bound`` per path. A found
+    chain certifies relatedness; exhausting the bounds proves nothing.
 
-    One expansion of a nonzero z = (alpha, beta) touches only contexts
-    that can factor it: u a w = z needs the first path of u a to be a
-    prefix of alpha, so the contexts (u a, u b) are keyed by that path and
-    z looks up the prefixes of alpha. The right-hand contexts are the same
-    index over the inverted pairs (a*, b*), looked up by z*, since
-    u a w = z exactly when w* a* u* = z*. The expansion of zero runs once
-    per oracle and takes at most two products per directed pair and
-    context u; the rest is prefix lookups and sets of universe positions.
+    A nonzero z = alpha beta* is a walk, alpha forward and then beta back.
+    Each pair has a vertex s on one side, and u s w = z splits the walk at
+    a vertex x, with u = (walk up to x) rho* and w = rho (rest of walk)
+    for a path rho from s to x; for z within the bounds, u or w lies in U
+    exactly when rho has at most ``len_bound`` edges (x is within reach
+    of s). So the neighbours of z are read off the sites of its walk:
+
+    - (v, 0) gives 0 when the walk meets a vertex within reach of v;
+    - (e e*, s) gives z itself when the walk meets a vertex within reach
+      of s through e, and 0 through another edge; otherwise it acts only
+      at the turn, where alpha meets beta: alpha beta* -> alpha e (beta e)*
+      when the turn is s, and alpha' e (beta' e)* -> alpha' beta'*;
+    - (s, c^f) inserts c^f, rotated to start at x, into the walk at each
+      cycle vertex x within reach of s along the cycle, and (c^f, s) its
+      inverse; an insertion may cancel to 0, and either pair gives 0 when
+      the walk meets a vertex within reach of s off the cycle.
+
+    Whether z itself or 0 is a neighbour is a set lookup, and each other
+    site builds its rewrite once, after its path lengths pass the bound.
+    A power longer than 2 * ``len_bound`` is stood in by the least power
+    of its cycle that is: no nonzero insertion of either fits the bound,
+    and whether one is zero depends on its first ``len_bound`` + 1 edges.
+    The expansion of zero runs once per oracle and takes at most two
+    products per directed pair and element of U.
     """
 
     def __init__(self, g: Graph, t: CongruenceTriple, len_bound: int):
@@ -289,15 +302,45 @@ class TransitionOracle:
         self.triple = t
         self.len_bound = len_bound
         self.universe = bounded_elements(g, len_bound)
-        gens = triple_generators(g, t)
-        self.directed = [(a, b) for a, b in gens] + [(b, a) for a, b in gens]
-        self._left = _contexts(self.directed, self.universe)
-        # w* in the universe order of w, so that neighbours are found, and
-        # ties in a search broken, as by a scan of the right-hand contexts a w
-        self._inverted = _contexts(
-            [(inverse(a), inverse(b)) for a, b in self.directed],
-            [inverse(w) for w in self.universe],
-        )
+        self._turns: list[Path] = []  # the W-edges e of the pairs (e e*, s(e))
+        # per pair (P, s): the length of P's cycle and, for each cycle vertex
+        # x that a site can use, its distance from s along the cycle and P
+        # rotated to start at x
+        self._laps: list[tuple[int, dict[str, tuple[int, Path]]]] = []
+        # (vertex, edges taken) where the detours rho start whose rewrite is
+        # z itself, or 0
+        fixed: list[tuple[str, int]] = []
+        doomed: list[tuple[str, int]] = []
+        gens = []
+        for a, b in triple_generators(g, t):
+            p = a.alpha
+            assert p is not None
+            if b.is_zero:
+                doomed.append((p.source, 0))
+            elif a == idempotent_element(p):
+                self._turns.append(p)
+                fixed.append((p.target, 1))
+                doomed.extend((f.dst, 1) for f in g.out_edges(p.source) if f.id != p.edges[0])
+            else:
+                k = p.vertices.index(p.source, 1)
+                if len(p) > 2 * len_bound:
+                    laps = 2 * len_bound // k + 1
+                    p = Path(p.vertices[:1] + p.vertices[1 : k + 1] * laps, p.edges[:k] * laps)
+                    a = path_element(p)
+                rotations = {}
+                for d in range(k):
+                    if d <= len_bound or k - d <= len_bound:
+                        rotations[p.vertices[d]] = (d, Path(
+                            p.vertices[d:] + p.vertices[1 : d + 1], p.edges[d:] + p.edges[:d]
+                        ))
+                    doomed.extend(
+                        (f.dst, d + 1) for f in g.out_edges(p.vertices[d]) if f.id != p.edges[d]
+                    )
+                self._laps.append((k, rotations))
+            gens.append((a, b))
+        self.directed = gens + [(b, a) for a, b in gens]
+        self._fixed = _reach(g, fixed, len_bound)
+        self._doomed = _reach(g, doomed, len_bound)
         self._adjacency: dict[Element, frozenset[Element]] = {}
 
     def _within(self, x: Element) -> bool:
@@ -307,22 +350,56 @@ class TransitionOracle:
         return len(x.alpha) <= self.len_bound and len(x.beta) <= self.len_bound
 
     def neighbors(self, z: Element) -> frozenset[Element]:
-        """Every u b w within the bounds with u a w = z, u and w in the universe."""
+        """Every u b w within the bounds with (a, b) a directed pair,
+        u a w = z, and u or w in the universe; z itself within the bounds."""
+        if not self._within(z):
+            raise ValueError(f"{z!r} exceeds the length bound {self.len_bound}")
         cached = self._adjacency.get(z)
         if cached is None:
-            if z.is_zero:
-                cached = frozenset(self._zero_neighbors())
-            else:
-                cached = frozenset(x for x in self._neighbors(z) if self._within(x))
+            cached = frozenset(self._zero_neighbors() if z.is_zero else self._neighbors(z))
             self._adjacency[z] = cached
         return cached
 
     def _neighbors(self, z: Element) -> set[Element]:
-        """The left pass on z, united with the left pass on z* over the
-        inverted pairs, inverted back; exact because the universe is
-        closed under inversion."""
-        out = set(_left_pass(self._left, z))
-        out.update(inverse(x) for x in _left_pass(self._inverted, inverse(z)))
+        """The rewrites of a nonzero z, site by site along its walk."""
+        alpha, beta = z.alpha, z.beta
+        assert alpha is not None and beta is not None
+        n, m, bound = len(alpha), len(beta), self.len_bound
+        walk = alpha.vertices + beta.vertices[-2::-1]  # the vertex at each site
+        out: set[Element] = set()
+        if not self._fixed.isdisjoint(walk):
+            out.add(z)
+        if not self._doomed.isdisjoint(walk):
+            out.add(ZERO)
+        for e in self._turns:
+            if alpha.target == e.source and n < bound and m < bound:
+                out.add(Element(concat(alpha, e), concat(beta, e)))
+            if alpha.edges[-1:] == beta.edges[-1:] == e.edges:
+                out.add(Element(
+                    Path(alpha.vertices[:-1], alpha.edges[:-1]),
+                    Path(beta.vertices[:-1], beta.edges[:-1]),
+                ))
+        for k, rotations in self._laps:
+            for p, x in enumerate(walk):
+                site = rotations.get(x)
+                if site is None:
+                    continue
+                d, r = site
+                if d <= bound and (y := _splice(alpha, beta, p, r, bound, False)) is not None:
+                    out.add(y)
+                # r* at p: past the turn when a detour of d edges fits; along
+                # alpha when it fits beside P or the rest of alpha, or when x
+                # is s or alpha runs on along the cycle back to s
+                if p > n:
+                    fits = d <= bound
+                else:
+                    fits = (
+                        d == 0
+                        or alpha.edges[p : p + k - d] == r.edges[: k - d]
+                        or d <= bound - min(len(r), n - p)
+                    )
+                if fits and (y := _splice(beta, alpha, n + m - p, r, bound, True)) is not None:
+                    out.add(y)
         return out
 
     def _zero_neighbors(self) -> list[Element]:
@@ -405,24 +482,46 @@ class TransitionOracle:
         return TransitionResult(False, None, expansions)
 
 
-def _contexts(pairs: list[tuple[Element, Element]], contexts: list[Element]) -> _Contexts:
-    """The nonzero (u a, u b), u in contexts, keyed by the first path of u a."""
-    index: _Contexts = {}
-    for a, b in pairs:
-        for u in contexts:
-            ua = multiply(u, a)
-            if not ua.is_zero:
-                index.setdefault(_key(ua.alpha), []).append((ua, multiply(u, b)))
-    return index
+def _reach(g: Graph, starts: list[tuple[str, int]], limit: int) -> frozenset[str]:
+    """The ends of the paths of at most limit edges that continue a start
+    (v, k), a walk of k edges that has reached v; level by level, each
+    vertex at its least depth."""
+    reached: set[str] = set()
+    level: set[str] = set()
+    for k in range(limit + 1):
+        level = {e.dst for v in level for e in g.out_edges(v)} | {v for v, j in starts if j == k}
+        level -= reached
+        reached |= level
+    return frozenset(reached)
 
 
-def _left_pass(index: _Contexts, z: Element) -> Iterator[Element]:
-    """Each u b w with (u a, u b) in the index and u a w = z, for nonzero z."""
-    assert z.alpha is not None
-    for key in _prefix_keys(z.alpha):
-        for ua, ub in index.get(key, ()):
-            for w in _solve_right(ua, z):
-                yield multiply(ub, w)
+def _splice(
+    a: Path, b: Path, p: int, r: Path, len_bound: int, flip: bool
+) -> Element | None:
+    """The walk a b* with the closed path r inserted at its p-th vertex,
+    as an element (with its paths swapped when flip), or None when a path
+    of it exceeds len_bound. Past the turn, r cancels against the part of
+    b walked back just before."""
+    n, m, size = len(a), len(b), len(r)
+    if p <= n:
+        if n + size > len_bound:
+            return None
+        a = Path(a.vertices[:p] + r.vertices + a.vertices[p + 1 :], a.edges[:p] + r.edges + a.edges[p:])
+    else:
+        cut = p - n  # edges of b walked back just before the p-th vertex
+        j = m - cut
+        if cut <= size:
+            if r.edges[:cut] != b.edges[j:]:
+                return ZERO
+            if n + size - cut > len_bound:
+                return None
+            a = Path(a.vertices + r.vertices[cut + 1 :], a.edges + r.edges[cut:])
+            b = Path(b.vertices[: j + 1], b.edges[:j])
+        else:
+            if b.edges[j : j + size] != r.edges:
+                return ZERO
+            b = Path(b.vertices[: j + 1] + b.vertices[j + size + 1 :], b.edges[:j] + b.edges[j + size :])
+    return Element(b, a) if flip else Element(a, b)
 
 
 def _solve_right(q: Element, z: Element) -> list[Element]:

@@ -7,7 +7,7 @@ code it checks, and runs only at desk scale.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from graphinverse.congruences import (
     INF,
@@ -15,7 +15,7 @@ from graphinverse.congruences import (
     TripleEnumeration,
     make_triple,
 )
-from graphinverse.elements import Element
+from graphinverse.elements import ZERO, Element, multiply
 from graphinverse.graphs import (
     Cycle,
     Graph,
@@ -26,7 +26,14 @@ from graphinverse.graphs import (
     is_prefix,
     strip_prefix,
 )
-from graphinverse.oracle import ExplicitCongruence, FiniteSemigroup
+from graphinverse.oracle import (
+    ExplicitCongruence,
+    FiniteSemigroup,
+    TransitionOracle,
+    _key,
+    _prefix_keys,
+    _solve_right,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -247,3 +254,61 @@ def vertex_class_form_test(
         if len(rest) == 0 and m >= 1 and m % int(val) == 0:
             return True
     return False
+
+
+# ---------------------------------------------------------------------------
+# The rewrite search by context index
+# ---------------------------------------------------------------------------
+
+
+def inverse(x: Element) -> Element:
+    """Swap the two paths; zero is self-inverse."""
+    if x.is_zero:
+        return ZERO
+    return Element(x.beta, x.alpha)
+
+
+# (u a, u b) for the contexts u, keyed by the first path of u a
+Contexts = dict[tuple, list[tuple[Element, Element]]]
+
+
+def context_index(pairs: list[tuple[Element, Element]], contexts: list[Element]) -> Contexts:
+    """The nonzero (u a, u b), u in contexts, keyed by the first path of u a."""
+    index: Contexts = {}
+    for a, b in pairs:
+        for u in contexts:
+            ua = multiply(u, a)
+            if not ua.is_zero:
+                index.setdefault(_key(ua.alpha), []).append((ua, multiply(u, b)))
+    return index
+
+
+def left_pass(index: Contexts, z: Element) -> Iterator[Element]:
+    """Each u b w with (u a, u b) in the index and u a w = z, for nonzero z."""
+    assert z.alpha is not None
+    for key in _prefix_keys(z.alpha):
+        for ua, ub in index.get(key, ()):
+            for w in _solve_right(ua, z):
+                yield multiply(ub, w)
+
+
+class PrefixIndexOracle(TransitionOracle):
+    """The rewrite search with the neighbours of a nonzero z found context
+    by context: u a w = z needs the first path of u a to be a prefix of
+    alpha, so the contexts (u a, u b), u in U, are keyed by that path. The
+    right-hand contexts are the same index over the inverted pairs
+    (a*, b*) and contexts w*, looked up by z*, since u a w = z exactly
+    when w* a* u* = z* and U is closed under inversion."""
+
+    def __init__(self, g: Graph, t: CongruenceTriple, len_bound: int):
+        super().__init__(g, t, len_bound)
+        self._left = context_index(self.directed, self.universe)
+        self._inverted = context_index(
+            [(inverse(a), inverse(b)) for a, b in self.directed],
+            [inverse(w) for w in self.universe],
+        )
+
+    def _neighbors(self, z: Element) -> set[Element]:
+        out = set(left_pass(self._left, z))
+        out.update(inverse(x) for x in left_pass(self._inverted, inverse(z)))
+        return {x for x in out if self._within(x)}

@@ -12,7 +12,6 @@ from graphinverse.elements import (
     ZERO,
     format_element,
     idempotent_element,
-    inverse,
     multiply,
     parse_element,
     path_element,
@@ -20,7 +19,7 @@ from graphinverse.elements import (
 )
 from graphinverse.corpus import CORPUS, double_loop, loop_graph, two_cycle
 from graphinverse.oracle import bounded_elements
-from reference import conjugate_cycle, strip_cycle_prefix
+from reference import conjugate_cycle, inverse, strip_cycle_prefix
 
 
 def elem(g, literal):

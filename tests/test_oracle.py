@@ -4,6 +4,7 @@ import importlib
 import itertools
 import os
 import pkgutil
+import random
 import subprocess
 import sys
 from pathlib import Path as FilePath
@@ -21,7 +22,7 @@ from graphinverse.congruences import (
     triple_leq,
 )
 from graphinverse.corpus import CORPUS, all_acyclic_graphs, two_edge_path
-from graphinverse.graphs import Path, concat, is_prefix, strip_prefix
+from graphinverse.graphs import Cycle, Path, concat, is_prefix, make_path, strip_prefix
 from graphinverse.oracle import (
     TransitionOracle,
     bounded_elements,
@@ -30,8 +31,9 @@ from graphinverse.oracle import (
     materialize,
     triple_of_congruence,
 )
-from reference import is_compatible, vertex_class_form_test
+from reference import PrefixIndexOracle, is_compatible, vertex_class_form_test
 from test_congruences import loop_triple
+from test_graphs import seeded_multigraphs
 
 
 def elem(g, literal):
@@ -40,15 +42,18 @@ def elem(g, literal):
 
 class BruteNeighbors:
     """Reference neighbour sets of a TransitionOracle by exhaustive scan:
-    every context u with u a nonzero against _solve_right, every w with
-    a w nonzero against the test's own _solve_left, and for zero every
-    pair (u, w) of the universe with u a w = 0."""
+    every context u of the universe with u a nonzero against
+    _solve_right, every w of the universe with a w nonzero against the
+    test's own _solve_left (so u or w lies in the universe, the other
+    context is any), and for zero every pair (u, w) of the universe with
+    u a w = 0. ``directed`` replaces the oracle's directed pairs."""
 
-    def __init__(self, o):
+    def __init__(self, o, directed=None):
         self.oracle = o
+        self.directed = o.directed if directed is None else directed
         self.left = []
         self.right = []
-        for a, b in o.directed:
+        for a, b in self.directed:
             left = []
             right = []
             for u in o.universe:
@@ -68,7 +73,7 @@ class BruteNeighbors:
     def _neighbors(self, z):
         o = self.oracle
         if z.is_zero:
-            for a, b in o.directed:
+            for a, b in self.directed:
                 for u in o.universe:
                     ua = multiply(u, a)
                     ub = multiply(u, b)
@@ -76,7 +81,7 @@ class BruteNeighbors:
                         if multiply(ua, w).is_zero:
                             yield multiply(ub, w)
             return
-        for gi in range(len(o.directed)):
+        for gi in range(len(self.directed)):
             for u, ua, ub in self.left[gi]:
                 for w in oracle._solve_right(ua, z):
                     yield multiply(ub, w)
@@ -330,15 +335,18 @@ class TestTransitionOracle:
                     if r.reached:
                         assert equiv(g, t, x, y)
 
-    @pytest.mark.parametrize("len_bound", [1, 2])
+    @pytest.mark.parametrize("len_bound", [1, 2, 3])
     def test_neighbors_match_brute_force(self, corpus_graph, len_bound):
+        """Against the exhaustive scan and the context-by-context
+        expansion, for every triple; at len_bound 3, where the references
+        would take a minute, for a spread of nonzero elements."""
         g = corpus_graph
-        triples = enumerate_triples(g, f_cap=2).triples
-        for t in triples[:: max(1, len(triples) // 4)]:
+        for t in enumerate_triples(g, f_cap=2).triples:
             o = TransitionOracle(g, t, len_bound)
-            brute = BruteNeighbors(o)
-            for z in o.universe:
-                assert o.neighbors(z) == brute.neighbors(z), (t, z)
+            elements = o.universe if len_bound < 3 else spread(o.universe[1:], 12)
+            assert_neighbours_agree(
+                o, PrefixIndexOracle(g, t, len_bound), BruteNeighbors(o), elements
+            )
 
     def test_zero_expansion_is_linear_in_contexts(self, monkeypatch):
         g = CORPUS["parallel_two_cycle"]
@@ -350,6 +358,115 @@ class TestTransitionOracle:
         assert len(products) <= 2 * len(o.directed) * len(o.universe)
         assert zero_class == frozenset(o.universe)
         assert o.search(ZERO, elem(g, "a1|a1"), 5).reached
+
+    def test_out_of_bounds_element_has_no_neighbour_set(self, loop):
+        o = TransitionOracle(loop, loop_triple(loop, 2), 2)
+        with pytest.raises(ValueError, match="exceeds the length bound 2"):
+            o.neighbors(elem(loop, "e.e.e|@v"))
+
+
+def assert_neighbours_agree(o, ref, brute, elements):
+    for z in elements:
+        expected = brute.neighbors(z)
+        assert o.neighbors(z) == expected, (o.triple, o.len_bound, z)
+        assert ref.neighbors(z) == expected, (o.triple, o.len_bound, z)
+
+
+def spread(elements, count):
+    """About count elements, evenly spaced."""
+    return elements[:: max(1, len(elements) // count)]
+
+
+class TestSiteNeighbours:
+    """The neighbour sets read off the sites of z's walk are those of the
+    exhaustive scan, and those of the context-by-context expansion (see
+    also test_neighbors_match_brute_force). Where the references would
+    take minutes (the 16 130 elements of double_loop at len_bound 6), a
+    spread of nonzero elements is checked."""
+
+    def test_seeded_multigraphs(self):
+        rng = random.Random(2018)
+        checked = 0
+        for g in seeded_multigraphs(10, 200, max_vertices=5):
+            t = rng.choice(enumerate_triples(g, f_cap=2).triples)
+            for len_bound in (1, 2):
+                o = TransitionOracle(g, t, len_bound)
+                if len(o.universe) > 40:
+                    continue
+                ref = PrefixIndexOracle(g, t, len_bound)
+                assert_neighbours_agree(o, ref, BruteNeighbors(o), o.universe)
+                for _ in range(3):
+                    x, y = rng.choice(o.universe), rng.choice(o.universe)
+                    assert o.search(x, y, 2_000).reached == ref.search(x, y, 2_000).reached
+                checked += 1
+        assert checked >= 200
+
+    @pytest.mark.parametrize("name, count", [("loop", 49), ("double_loop", 12)])
+    def test_one_vertex_at_bound_six(self, name, count):
+        g = CORPUS[name]
+        for t in enumerate_triples(g, f_cap=2).triples:
+            o = TransitionOracle(g, t, 6)
+            assert_neighbours_agree(
+                o, PrefixIndexOracle(g, t, 6), BruteNeighbors(o), spread(o.universe[1:], count)
+            )
+
+    def test_outside_context(self, two_cycle):
+        """A neighbour that only a context outside the universe gives."""
+        g = two_cycle
+        c = Cycle.from_path(make_path(g, ["e1", "e2"]))
+        o = TransitionOracle(g, make_triple(g, w={"v", "w"}, f={c: 1}), 1)
+        z, y = elem(g, "@v|e2"), elem(g, "e1|@w")
+        assert y in o.neighbors(z)
+        assert not any(
+            multiply(multiply(u, a), w) == z and multiply(multiply(u, b), w) == y
+            for a, b in o.directed for u in o.universe for w in o.universe
+        )
+
+    def test_long_powers_agree_with_the_true_pairs(self, loop, two_cycle, pendant):
+        """Past 2 * len_bound edges, the oracle's pair (c^f, s(c)) holds the
+        least longer power of c; the neighbour sets are those of c^f."""
+        for g in (loop, two_cycle, pendant):
+            for len_bound in (1, 2):
+                for t in enumerate_triples(g, f_cap=1).triples:
+                    if not t.f:
+                        continue
+                    (c, _), = t.f
+                    for f in (2 * len_bound // len(c.path) + 1, 40):
+                        long = make_triple(g, t.h, t.w, {c: f})
+                        o = TransitionOracle(g, long, len_bound)
+                        assert all(
+                            len(x.alpha) <= 2 * len_bound + len(c.path)
+                            for pair in o.directed for x in pair if not x.is_zero
+                        )
+                        gens = triple_generators(g, long)
+                        brute = BruteNeighbors(o, gens + [(b, a) for a, b in gens])
+                        for z in o.universe:
+                            assert o.neighbors(z) == brute.neighbors(z), (long, len_bound, z)
+
+    def test_million_laps_search(self, loop):
+        c = Cycle.from_path(make_path(loop, ["e"]))
+        o = TransitionOracle(loop, make_triple(loop, w={"v"}, f={c: 10**6}), 3)
+        assert max(len(a.alpha) for a, _ in o.directed) == 7
+        assert o.search(elem(loop, "e|e"), vertex_element("v")).chain == (
+            elem(loop, "e|e"), vertex_element("v"),
+        )
+        assert not o.search(elem(loop, "e|@v"), vertex_element("v")).reached
+
+    def test_work_is_linear_in_the_walks(self, loop, monkeypatch):
+        """On the loop, where every path is a prefix of every longer one,
+        expanding all of U takes products and element constructions in
+        proportion to the walks' lengths times the pairs, not to |U|."""
+        o = TransitionOracle(loop, loop_triple(loop, 2), 12)
+        work = []
+        for name in ("multiply", "Element"):
+            real = getattr(oracle, name)
+            monkeypatch.setattr(
+                oracle, name, lambda *a, real=real: work.append(1) or real(*a)
+            )
+        found = sum(len(o.neighbors(z) - {z}) for z in o.universe[1:])
+        walks = sum(len(z.alpha) + len(z.beta) for z in o.universe[1:])
+        assert found == 1148
+        assert len(work) <= walks * len(o.directed)
 
 
 class TestOrderAcrossProcesses:
