@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .congruences import CongruenceTriple, make_triple, triple_generators
 from .elements import (
@@ -31,8 +31,6 @@ from .graphs import (
     cycles_in,
     index_one_edges,
     is_acyclic,
-    is_prefix,
-    strip_prefix,
     topological_order,
     vertex_path,
 )
@@ -293,15 +291,18 @@ class TransitionOracle:
     A power longer than 2 * ``len_bound`` is stood in by the least power
     of its cycle that is: no nonzero insertion of either fits the bound,
     and whether one is zero depends on its first ``len_bound`` + 1 edges.
-    The expansion of zero runs once per oracle and takes at most two
-    products per directed pair and element of U.
+
+    Zero is never expanded. The same contexts serve both directions of a
+    rewrite, so x is a neighbour of 0 exactly when 0 is one of x. A search
+    runs from its nonzero end until it meets the other end or 0; when it
+    meets 0 first, a second search runs from the other end for 0, and the
+    two chains join through 0.
     """
 
     def __init__(self, g: Graph, t: CongruenceTriple, len_bound: int):
         self.graph = g
         self.triple = t
         self.len_bound = len_bound
-        self.universe = bounded_elements(g, len_bound)
         self._turns: list[Path] = []  # the W-edges e of the pairs (e e*, s(e))
         # per pair (P, s): the length of P's cycle and, for each cycle vertex
         # x that a site can use, its distance from s along the cycle and P
@@ -343,6 +344,12 @@ class TransitionOracle:
         self._doomed = _reach(g, doomed, len_bound)
         self._adjacency: dict[Element, frozenset[Element]] = {}
 
+    @property
+    def universe(self) -> list[Element]:
+        """U, listed afresh on every read. No search reads it; it is kept
+        because the ``certify`` workload of perfbench reports its length."""
+        return bounded_elements(self.graph, self.len_bound)
+
     def _within(self, x: Element) -> bool:
         if x.is_zero:
             return True
@@ -351,12 +358,15 @@ class TransitionOracle:
 
     def neighbors(self, z: Element) -> frozenset[Element]:
         """Every u b w within the bounds with (a, b) a directed pair,
-        u a w = z, and u or w in the universe; z itself within the bounds."""
+        u a w = z, and u or w in the universe, for nonzero z within the
+        bounds."""
+        if z.is_zero:
+            raise ValueError("0 is never expanded")
         if not self._within(z):
             raise ValueError(f"{z!r} exceeds the length bound {self.len_bound}")
         cached = self._adjacency.get(z)
         if cached is None:
-            cached = frozenset(self._zero_neighbors() if z.is_zero else self._neighbors(z))
+            cached = frozenset(self._neighbors(z))
             self._adjacency[z] = cached
         return cached
 
@@ -402,67 +412,32 @@ class TransitionOracle:
                     out.add(y)
         return out
 
-    def _zero_neighbors(self) -> list[Element]:
-        """The u b w in the universe with u a w = 0.
-
-        u = 0 puts zero itself in. A nonzero x = q w, q = u b, needs the
-        first path of q to be a prefix of x's, and w is then one of
-        _solve_right(q, x). That w witnesses x when it lies in the
-        universe and u a w = 0, that is when its first path is comparable
-        with q's second path (always, as q w is nonzero) but not with the
-        second path of u a. Sets of universe positions are int bitmasks.
-        """
-        if not self.directed:
-            return []
-        universe = self.universe
-        position = {x: i for i, x in enumerate(universe)}
-        extending: dict[tuple, int] = {}  # positions whose first path extends the key
-        equal: dict[tuple, int] = {}  # positions whose first path is the key
-        for i in range(1, len(universe)):
-            keys = _prefix_keys(universe[i].alpha)
-            equal[keys[-1]] = equal.get(keys[-1], 0) | 1 << i
-            for key in keys:
-                extending[key] = extending.get(key, 0) | 1 << i
-
-        def comparable_to(p: Path) -> int:
-            """Positions whose first path is a prefix or an extension of p."""
-            keys = _prefix_keys(p)
-            mask = extending.get(keys.pop(), 0)
-            for key in keys:
-                mask |= equal.get(key, 0)
-            return mask
-
-        found = 1  # universe[0] is zero, reached from u = 0
-        for a, b in self.directed:
-            for u in universe:
-                q = multiply(u, b)
-                if q.is_zero:
-                    continue
-                candidates = extending.get(_key(q.alpha), 0) & ~found
-                if not candidates:
-                    continue
-                ua = multiply(u, a)
-                witnesses = comparable_to(q.beta)
-                if not ua.is_zero:
-                    witnesses &= ~comparable_to(ua.beta)
-                if not witnesses:
-                    continue
-                for i in _positions(candidates):
-                    for w in _solve_right(q, universe[i]):
-                        j = position.get(w)
-                        if j is not None and witnesses >> j & 1:
-                            found |= 1 << i
-                            break
-        return [universe[i] for i in _positions(found)]
-
     def search(
         self, x: Element, y: Element, step_bound: int = 100_000
     ) -> TransitionResult:
-        """BFS from x for y; ``step_bound`` caps node expansions."""
+        """BFS from the nonzero end, joined through 0 when it meets 0 first;
+        ``step_bound`` caps the node expansions of both searches."""
         if not (self._within(x) and self._within(y)):
             return TransitionResult(False, None, 0)
         if x == y:
             return TransitionResult(True, (x,), 0)
+        flip = x.is_zero
+        if flip:
+            x, y = y, x
+        chain, expansions = self._bfs(x, y, step_bound)
+        if chain is not None and chain[-1] != y:  # met 0 first
+            back, more = self._bfs(y, ZERO, step_bound - expansions)
+            expansions += more
+            chain = None if back is None else chain + back[-2::-1]
+        if flip and chain is not None:
+            chain = chain[::-1]
+        return TransitionResult(chain is not None, chain, expansions)
+
+    def _bfs(
+        self, x: Element, y: Element, step_bound: int
+    ) -> tuple[tuple[Element, ...] | None, int]:
+        """The chain from nonzero x to y or 0, whichever comes first, or
+        None, and the expansions made."""
         parent: dict[Element, Element] = {x: x}
         queue = deque([x])
         expansions = 0
@@ -473,13 +448,13 @@ class TransitionOracle:
                 if nxt in parent:
                     continue
                 parent[nxt] = z
-                if nxt == y:
+                if nxt == y or nxt.is_zero:
                     chain = [nxt]
                     while chain[-1] != x:
                         chain.append(parent[chain[-1]])
-                    return TransitionResult(True, tuple(reversed(chain)), expansions)
+                    return tuple(reversed(chain)), expansions
                 queue.append(nxt)
-        return TransitionResult(False, None, expansions)
+        return None, expansions
 
 
 def _reach(g: Graph, starts: list[tuple[str, int]], limit: int) -> frozenset[str]:
@@ -522,43 +497,3 @@ def _splice(
                 return ZERO
             b = Path(b.vertices[: j + 1] + b.vertices[j + size + 1 :], b.edges[:j] + b.edges[j + size :])
     return Element(b, a) if flip else Element(a, b)
-
-
-def _solve_right(q: Element, z: Element) -> list[Element]:
-    """All w with q w = z, for nonzero q and z."""
-    assert q.alpha is not None and q.beta is not None
-    assert z.alpha is not None and z.beta is not None
-    gamma, delta = q.alpha, q.beta
-    alpha, beta = z.alpha, z.beta
-    out = []
-    if is_prefix(gamma, alpha):
-        xi = strip_prefix(gamma, alpha)
-        out.append(Element(concat(delta, xi), beta))
-    if gamma == alpha:
-        for k in range(len(delta) + 1):
-            zeta, xi_edges = delta.edges[: len(delta) - k], delta.edges[len(delta) - k :]
-            if k > len(beta) or beta.edges[len(beta) - k :] != xi_edges:
-                continue
-            w_alpha = Path(delta.vertices[: len(delta) - k + 1], zeta)
-            w_beta = Path(beta.vertices[: len(beta) - k + 1], beta.edges[: len(beta) - k])
-            if w_alpha.target == w_beta.target:
-                out.append(Element(w_alpha, w_beta))
-    return list(dict.fromkeys(out))
-
-
-def _key(p: Path) -> tuple:
-    """A path as (source vertex, edge ids), cheaper to hash than the Path."""
-    return (p.source, p.edges)
-
-
-def _prefix_keys(p: Path) -> list[tuple]:
-    """Keys of the prefixes of p, shortest first, p's own last."""
-    return [(p.source, p.edges[:k]) for k in range(len(p.edges) + 1)]
-
-
-def _positions(mask: int) -> Iterator[int]:
-    """The set bits of mask, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low

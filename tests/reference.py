@@ -7,6 +7,7 @@ code it checks, and runs only at desk scale.
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from typing import Iterable, Iterator
 
 from graphinverse.congruences import (
@@ -20,6 +21,7 @@ from graphinverse.graphs import (
     Cycle,
     Graph,
     Path,
+    concat,
     cycles_in,
     enumerate_hereditary,
     is_hereditary,
@@ -30,9 +32,8 @@ from graphinverse.oracle import (
     ExplicitCongruence,
     FiniteSemigroup,
     TransitionOracle,
-    _key,
-    _prefix_keys,
-    _solve_right,
+    TransitionResult,
+    bounded_elements,
 )
 
 
@@ -268,6 +269,46 @@ def inverse(x: Element) -> Element:
     return Element(x.beta, x.alpha)
 
 
+def solve_right(q: Element, z: Element) -> list[Element]:
+    """All w with q w = z, for nonzero q and z."""
+    assert q.alpha is not None and q.beta is not None
+    assert z.alpha is not None and z.beta is not None
+    gamma, delta = q.alpha, q.beta
+    alpha, beta = z.alpha, z.beta
+    out = []
+    if is_prefix(gamma, alpha):
+        xi = strip_prefix(gamma, alpha)
+        out.append(Element(concat(delta, xi), beta))
+    if gamma == alpha:
+        for k in range(len(delta) + 1):
+            zeta, xi_edges = delta.edges[: len(delta) - k], delta.edges[len(delta) - k :]
+            if k > len(beta) or beta.edges[len(beta) - k :] != xi_edges:
+                continue
+            w_alpha = Path(delta.vertices[: len(delta) - k + 1], zeta)
+            w_beta = Path(beta.vertices[: len(beta) - k + 1], beta.edges[: len(beta) - k])
+            if w_alpha.target == w_beta.target:
+                out.append(Element(w_alpha, w_beta))
+    return list(dict.fromkeys(out))
+
+
+def path_key(p: Path) -> tuple:
+    """A path as (source vertex, edge ids), cheaper to hash than the Path."""
+    return (p.source, p.edges)
+
+
+def prefix_keys(p: Path) -> list[tuple]:
+    """Keys of the prefixes of p, shortest first, p's own last."""
+    return [(p.source, p.edges[:k]) for k in range(len(p.edges) + 1)]
+
+
+def positions(mask: int) -> Iterator[int]:
+    """The set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 # (u a, u b) for the contexts u, keyed by the first path of u a
 Contexts = dict[tuple, list[tuple[Element, Element]]]
 
@@ -279,17 +320,73 @@ def context_index(pairs: list[tuple[Element, Element]], contexts: list[Element])
         for u in contexts:
             ua = multiply(u, a)
             if not ua.is_zero:
-                index.setdefault(_key(ua.alpha), []).append((ua, multiply(u, b)))
+                index.setdefault(path_key(ua.alpha), []).append((ua, multiply(u, b)))
     return index
 
 
 def left_pass(index: Contexts, z: Element) -> Iterator[Element]:
     """Each u b w with (u a, u b) in the index and u a w = z, for nonzero z."""
     assert z.alpha is not None
-    for key in _prefix_keys(z.alpha):
+    for key in prefix_keys(z.alpha):
         for ua, ub in index.get(key, ()):
-            for w in _solve_right(ua, z):
+            for w in solve_right(ua, z):
                 yield multiply(ub, w)
+
+
+def zero_neighbors(
+    directed: list[tuple[Element, Element]], universe: list[Element]
+) -> list[Element]:
+    """The u b w in the universe with u a w = 0, (a, b) in directed and u,
+    w in the universe (universe[0] is zero).
+
+    u = 0 puts zero itself in. A nonzero x = q w, q = u b, needs the
+    first path of q to be a prefix of x's, and w is then one of
+    solve_right(q, x). That w witnesses x when it lies in the universe
+    and u a w = 0, that is when its first path is comparable with q's
+    second path (always, as q w is nonzero) but not with the second path
+    of u a. Sets of universe positions are int bitmasks.
+    """
+    if not directed:
+        return []
+    position = {x: i for i, x in enumerate(universe)}
+    extending: dict[tuple, int] = {}  # positions whose first path extends the key
+    equal: dict[tuple, int] = {}  # positions whose first path is the key
+    for i in range(1, len(universe)):
+        keys = prefix_keys(universe[i].alpha)
+        equal[keys[-1]] = equal.get(keys[-1], 0) | 1 << i
+        for key in keys:
+            extending[key] = extending.get(key, 0) | 1 << i
+
+    def comparable_to(p: Path) -> int:
+        """Positions whose first path is a prefix or an extension of p."""
+        keys = prefix_keys(p)
+        mask = extending.get(keys.pop(), 0)
+        for key in keys:
+            mask |= equal.get(key, 0)
+        return mask
+
+    found = 1  # universe[0] is zero, reached from u = 0
+    for a, b in directed:
+        for u in universe:
+            q = multiply(u, b)
+            if q.is_zero:
+                continue
+            candidates = extending.get(path_key(q.alpha), 0) & ~found
+            if not candidates:
+                continue
+            ua = multiply(u, a)
+            witnesses = comparable_to(q.beta)
+            if not ua.is_zero:
+                witnesses &= ~comparable_to(ua.beta)
+            if not witnesses:
+                continue
+            for i in positions(candidates):
+                for w in solve_right(q, universe[i]):
+                    j = position.get(w)
+                    if j is not None and witnesses >> j & 1:
+                        found |= 1 << i
+                        break
+    return [universe[i] for i in positions(found)]
 
 
 class PrefixIndexOracle(TransitionOracle):
@@ -298,17 +395,52 @@ class PrefixIndexOracle(TransitionOracle):
     alpha, so the contexts (u a, u b), u in U, are keyed by that path. The
     right-hand contexts are the same index over the inverted pairs
     (a*, b*) and contexts w*, looked up by z*, since u a w = z exactly
-    when w* a* u* = z* and U is closed under inversion."""
+    when w* a* u* = z* and U is closed under inversion. Zero is expanded
+    like any other element, by the scan of zero_neighbors, and the search
+    is one breadth-first search from x."""
 
     def __init__(self, g: Graph, t: CongruenceTriple, len_bound: int):
         super().__init__(g, t, len_bound)
-        self._left = context_index(self.directed, self.universe)
+        self.elements = bounded_elements(g, len_bound)
+        self._left = context_index(self.directed, self.elements)
         self._inverted = context_index(
             [(inverse(a), inverse(b)) for a, b in self.directed],
-            [inverse(w) for w in self.universe],
+            [inverse(w) for w in self.elements],
         )
+        self._zero_row: frozenset[Element] | None = None
+
+    def neighbors(self, z: Element) -> frozenset[Element]:
+        if not z.is_zero:
+            return super().neighbors(z)
+        if self._zero_row is None:
+            self._zero_row = frozenset(zero_neighbors(self.directed, self.elements))
+        return self._zero_row
 
     def _neighbors(self, z: Element) -> set[Element]:
         out = set(left_pass(self._left, z))
         out.update(inverse(x) for x in left_pass(self._inverted, inverse(z)))
         return {x for x in out if self._within(x)}
+
+    def search(self, x: Element, y: Element, step_bound: int = 100_000) -> TransitionResult:
+        """BFS from x for y; ``step_bound`` caps node expansions."""
+        if not (self._within(x) and self._within(y)):
+            return TransitionResult(False, None, 0)
+        if x == y:
+            return TransitionResult(True, (x,), 0)
+        parent: dict[Element, Element] = {x: x}
+        queue = deque([x])
+        expansions = 0
+        while queue and expansions < step_bound:
+            z = queue.popleft()
+            expansions += 1
+            for nxt in self.neighbors(z):
+                if nxt in parent:
+                    continue
+                parent[nxt] = z
+                if nxt == y:
+                    chain = [nxt]
+                    while chain[-1] != x:
+                        chain.append(parent[chain[-1]])
+                    return TransitionResult(True, tuple(reversed(chain)), expansions)
+                queue.append(nxt)
+        return TransitionResult(False, None, expansions)

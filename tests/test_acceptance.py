@@ -121,23 +121,34 @@ def test_criterion_3_loop_graph_oracle_agreement():
         g = loop_graph()
         c = Cycle.from_path(make_path(g, ["e"]))
         pool = bounded_elements(g, 6)
+        universe = bounded_elements(g, 12)
         for value in (1, 2, 3, INF):
             t = make_triple(g, w={"v"}, f={c: value})
             oracle = TransitionOracle(g, t, 12)
+            # 0 is joined into a component but never expanded; a component
+            # that meets it takes the label of the first one that did, as
+            # x is a neighbour of 0 exactly when 0 is one of x
             component: dict = {}
             expansions = 0
-            for start in oracle.universe:
+            for start in universe[1:]:
                 if start in component:
                     continue
-                component[start] = start
+                label = component[start] = start
+                members = [start]
                 stack = [start]
                 while stack:
                     z = stack.pop()
                     expansions += 1
                     for nxt in oracle.neighbors(z):
-                        if nxt not in component:
+                        if nxt.is_zero:
+                            label = component.setdefault(ZERO, start)
+                        elif nxt not in component:
                             component[nxt] = start
+                            members.append(nxt)
                             stack.append(nxt)
+                for z in members:
+                    component[z] = label
+            component.setdefault(ZERO, ZERO)
             assert expansions <= 100_000
             for x in pool:
                 for y in pool:

@@ -291,6 +291,31 @@ class TestEquiv:
         assert code == 0
         assert "certificate: e.e|@v -> @v|@v" in out
 
+    def test_certificate_without_listing_the_universe(self, capsys, tmp_path, monkeypatch):
+        """At the default len_bound 8, U on double_loop has 261 122 elements;
+        the certificate of a pair answered before any expansion lists none."""
+
+        def refuse(*args):
+            raise AssertionError("the universe was listed")
+
+        monkeypatch.setattr(oracle, "bounded_elements", refuse)
+        g = double_loop()
+        graph, triple = tmp_path / "double_loop.json", tmp_path / "t.json"
+        graph.write_text(json.dumps(graph_to_json(g)))
+        triple.write_text(json.dumps(triple_to_json(g, make_triple(g))))
+        code, out, _ = run(capsys, ["equiv", str(graph), str(triple), "a|a", "a|a", "--certify"])
+        assert code == 0
+        assert out.splitlines() == ["true", "certificate: a|a"]
+
+    def test_certificate_through_zero(self, capsys, tmp_path):
+        g = edge_graph()
+        graph, triple = tmp_path / "edge.json", tmp_path / "t.json"
+        graph.write_text(json.dumps(graph_to_json(g)))
+        triple.write_text(json.dumps(triple_to_json(g, make_triple(g, h={"w"}))))
+        code, out, _ = run(capsys, ["equiv", str(graph), str(triple), "@w|@w", "e|e", "--certify"])
+        assert code == 0
+        assert out.splitlines() == ["true", "certificate: @w|@w -> 0 -> e|e"]
+
     def test_certificate_out_of_bounds_exits_two(self, capsys, loop_files):
         graph, triple = loop_files
         x = ".".join(["e"] * 5) + "|@v"

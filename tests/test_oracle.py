@@ -25,13 +25,14 @@ from graphinverse.corpus import CORPUS, all_acyclic_graphs, two_edge_path
 from graphinverse.graphs import Cycle, Path, concat, is_prefix, make_path, strip_prefix
 from graphinverse.oracle import (
     TransitionOracle,
+    TransitionResult,
     bounded_elements,
     congruence_closure,
     enumerate_congruences,
     materialize,
     triple_of_congruence,
 )
-from reference import PrefixIndexOracle, is_compatible, vertex_class_form_test
+from reference import PrefixIndexOracle, is_compatible, solve_right, vertex_class_form_test
 from test_congruences import loop_triple
 from test_graphs import seeded_multigraphs
 
@@ -51,12 +52,13 @@ class BruteNeighbors:
     def __init__(self, o, directed=None):
         self.oracle = o
         self.directed = o.directed if directed is None else directed
+        self.universe = bounded_elements(o.graph, o.len_bound)
         self.left = []
         self.right = []
         for a, b in self.directed:
             left = []
             right = []
-            for u in o.universe:
+            for u in self.universe:
                 ua = multiply(u, a)
                 if not ua.is_zero:
                     left.append((u, ua, multiply(u, b)))
@@ -71,19 +73,18 @@ class BruteNeighbors:
         return frozenset(x for x in self._neighbors(z) if o._within(x))
 
     def _neighbors(self, z):
-        o = self.oracle
         if z.is_zero:
             for a, b in self.directed:
-                for u in o.universe:
+                for u in self.universe:
                     ua = multiply(u, a)
                     ub = multiply(u, b)
-                    for w in o.universe:
+                    for w in self.universe:
                         if multiply(ua, w).is_zero:
                             yield multiply(ub, w)
             return
         for gi in range(len(self.directed)):
             for u, ua, ub in self.left[gi]:
-                for w in oracle._solve_right(ua, z):
+                for w in solve_right(ua, z):
                     yield multiply(ub, w)
             for w, aw, bw in self.right[gi]:
                 for u in _solve_left(aw, z):
@@ -341,23 +342,70 @@ class TestTransitionOracle:
         expansion, for every triple; at len_bound 3, where the references
         would take a minute, for a spread of nonzero elements."""
         g = corpus_graph
+        universe = bounded_elements(g, len_bound)
+        elements = universe if len_bound < 3 else spread(universe[1:], 12)
         for t in enumerate_triples(g, f_cap=2).triples:
             o = TransitionOracle(g, t, len_bound)
-            elements = o.universe if len_bound < 3 else spread(o.universe[1:], 12)
             assert_neighbours_agree(
                 o, PrefixIndexOracle(g, t, len_bound), BruteNeighbors(o), elements
             )
 
-    def test_zero_expansion_is_linear_in_contexts(self, monkeypatch):
+    def test_search_never_lists_the_universe(self, monkeypatch, double_loop):
+        """Neither building the oracle nor searching, through 0 or not,
+        lists U, which has 4^8 pairs of paths on double_loop at bound 8."""
+
+        def refuse(*args):
+            raise AssertionError("the universe was listed")
+
+        monkeypatch.setattr(oracle, "bounded_elements", refuse)
+        o = TransitionOracle(double_loop, make_triple(double_loop), 8)
+        assert o.search(elem(double_loop, "a|a"), elem(double_loop, "a|a")).chain == (
+            elem(double_loop, "a|a"),
+        )
         g = CORPUS["parallel_two_cycle"]
         o = TransitionOracle(g, make_triple(g, h={"v", "w"}), 4)
-        products = []
-        real = oracle.multiply
-        monkeypatch.setattr(oracle, "multiply", lambda x, y: products.append(1) or real(x, y))
-        zero_class = o.neighbors(ZERO)
-        assert len(products) <= 2 * len(o.directed) * len(o.universe)
-        assert zero_class == frozenset(o.universe)
-        assert o.search(ZERO, elem(g, "a1|a1"), 5).reached
+        for x, y in [(ZERO, elem(g, "a1|a1")), (elem(g, "a1|a1"), ZERO)]:
+            r = o.search(x, y, 5)
+            assert r.reached and r.chain == (x, y)
+
+    def test_step_bound_is_shared_through_zero(self):
+        g = CORPUS["parallel_two_cycle"]
+        o = TransitionOracle(g, make_triple(g, h={"v", "w"}), 2)
+        x, y = elem(g, "a1|a1"), elem(g, "a2|a2")
+        assert o.neighbors(x) == {ZERO}
+        assert o.search(x, y, 1) == TransitionResult(False, None, 1)
+        assert o.search(x, y, 2) == TransitionResult(True, (x, ZERO, y), 2)
+
+    def test_zero_is_never_expanded(self, loop):
+        o = TransitionOracle(loop, loop_triple(loop, 2), 2)
+        with pytest.raises(ValueError, match="0 is never expanded"):
+            o.neighbors(ZERO)
+
+    def test_universe_is_listed_on_read(self, two_cycle):
+        o = TransitionOracle(two_cycle, make_triple(two_cycle), 2)
+        assert o.universe == bounded_elements(two_cycle, 2)
+
+    @pytest.mark.parametrize("len_bound", [1, 2])
+    def test_search_matches_zero_expanding_reference(self, corpus_graph, len_bound):
+        """The search joined through 0 reaches what one breadth-first
+        search that expands 0 reaches, on pairs of a spread of U with 0 at
+        either end; each link of a chain is one rewrite between related
+        elements."""
+        g = corpus_graph
+        pool = [ZERO] + spread(bounded_elements(g, len_bound)[1:], 10)
+        for t in enumerate_triples(g, f_cap=2).triples:
+            o = TransitionOracle(g, t, len_bound)
+            ref = PrefixIndexOracle(g, t, len_bound)
+            for x in pool:
+                for y in pool:
+                    r = o.search(x, y)
+                    assert r.reached == ref.search(x, y).reached, (t, len_bound, x, y)
+                    if not r.reached:
+                        continue
+                    assert r.chain[0] == x and r.chain[-1] == y
+                    for a, b in zip(r.chain, r.chain[1:]):
+                        assert equiv(g, t, a, b)
+                        assert a in o.neighbors(b) if a.is_zero else b in o.neighbors(a)
 
     def test_out_of_bounds_element_has_no_neighbour_set(self, loop):
         o = TransitionOracle(loop, loop_triple(loop, 2), 2)
@@ -368,8 +416,19 @@ class TestTransitionOracle:
 def assert_neighbours_agree(o, ref, brute, elements):
     for z in elements:
         expected = brute.neighbors(z)
-        assert o.neighbors(z) == expected, (o.triple, o.len_bound, z)
+        assert row(o, brute.universe, z) == expected, (o.triple, o.len_bound, z)
         assert ref.neighbors(z) == expected, (o.triple, o.len_bound, z)
+
+
+def row(o, universe, z):
+    """The neighbours of z. o never expands 0, so the row of 0 is read by
+    symmetry: the x != 0 of the universe with 0 a neighbour of x, and 0
+    itself when there are pairs (from the context u = 0)."""
+    if not z.is_zero:
+        return o.neighbors(z)
+    return frozenset(x for x in universe[1:] if ZERO in o.neighbors(x)) | (
+        {ZERO} if o.directed else set()
+    )
 
 
 def spread(elements, count):
@@ -387,7 +446,9 @@ class TestSiteNeighbours:
     def test_seeded_multigraphs(self):
         """One seeded triple per draw; universes of more than 40 elements
         (up to 1 020 here) by a spread of 6 nonzero elements, without
-        searches."""
+        searches. The searches are checked against the reference's single
+        breadth-first search that expands 0, with 0 at either end of one
+        pair in three."""
         rng = random.Random(2018)
         whole = 0
         for g in seeded_multigraphs(10, 200, max_vertices=5):
@@ -395,12 +456,17 @@ class TestSiteNeighbours:
             for len_bound in (1, 2):
                 o = TransitionOracle(g, t, len_bound)
                 ref = PrefixIndexOracle(g, t, len_bound)
-                if len(o.universe) > 40:
-                    assert_neighbours_agree(o, ref, BruteNeighbors(o), spread(o.universe[1:], 6))
+                brute = BruteNeighbors(o)
+                universe = brute.universe
+                if len(universe) > 40:
+                    assert_neighbours_agree(o, ref, brute, spread(universe[1:], 6))
                     continue
-                assert_neighbours_agree(o, ref, BruteNeighbors(o), o.universe)
-                for _ in range(3):
-                    x, y = rng.choice(o.universe), rng.choice(o.universe)
+                assert_neighbours_agree(o, ref, brute, universe)
+                for x, y in [
+                    (rng.choice(universe), rng.choice(universe)),
+                    (rng.choice(universe), ZERO),
+                    (ZERO, rng.choice(universe)),
+                ]:
                     assert o.search(x, y, 2_000).reached == ref.search(x, y, 2_000).reached
                 whole += 1
         assert whole >= 200
@@ -408,11 +474,10 @@ class TestSiteNeighbours:
     @pytest.mark.parametrize("name, count", [("loop", 49), ("double_loop", 12)])
     def test_one_vertex_at_bound_six(self, name, count):
         g = CORPUS[name]
+        elements = spread(bounded_elements(g, 6)[1:], count)
         for t in enumerate_triples(g, f_cap=2).triples:
             o = TransitionOracle(g, t, 6)
-            assert_neighbours_agree(
-                o, PrefixIndexOracle(g, t, 6), BruteNeighbors(o), spread(o.universe[1:], count)
-            )
+            assert_neighbours_agree(o, PrefixIndexOracle(g, t, 6), BruteNeighbors(o), elements)
 
     def test_outside_context(self, two_cycle):
         """A neighbour that only a context outside the universe gives."""
@@ -421,9 +486,10 @@ class TestSiteNeighbours:
         o = TransitionOracle(g, make_triple(g, w={"v", "w"}, f={c: 1}), 1)
         z, y = elem(g, "@v|e2"), elem(g, "e1|@w")
         assert y in o.neighbors(z)
+        universe = bounded_elements(g, 1)
         assert not any(
             multiply(multiply(u, a), w) == z and multiply(multiply(u, b), w) == y
-            for a, b in o.directed for u in o.universe for w in o.universe
+            for a, b in o.directed for u in universe for w in universe
         )
 
     def test_long_powers_agree_with_the_true_pairs(self, loop, two_cycle, pendant):
@@ -431,6 +497,7 @@ class TestSiteNeighbours:
         least longer power of c; the neighbour sets are those of c^f."""
         for g in (loop, two_cycle, pendant):
             for len_bound in (1, 2):
+                universe = bounded_elements(g, len_bound)
                 for t in enumerate_triples(g, f_cap=1).triples:
                     if not t.f:
                         continue
@@ -444,8 +511,8 @@ class TestSiteNeighbours:
                         )
                         gens = triple_generators(g, long)
                         brute = BruteNeighbors(o, gens + [(b, a) for a, b in gens])
-                        for z in o.universe:
-                            assert o.neighbors(z) == brute.neighbors(z), (long, len_bound, z)
+                        for z in universe:
+                            assert row(o, universe, z) == brute.neighbors(z), (long, len_bound, z)
 
     def test_million_laps_search(self, loop):
         c = Cycle.from_path(make_path(loop, ["e"]))
@@ -461,14 +528,15 @@ class TestSiteNeighbours:
         expanding all of U takes products and element constructions in
         proportion to the walks' lengths times the pairs, not to |U|."""
         o = TransitionOracle(loop, loop_triple(loop, 2), 12)
+        universe = bounded_elements(loop, 12)
         work = []
         for name in ("multiply", "Element"):
             real = getattr(oracle, name)
             monkeypatch.setattr(
                 oracle, name, lambda *a, real=real: work.append(1) or real(*a)
             )
-        found = sum(len(o.neighbors(z) - {z}) for z in o.universe[1:])
-        walks = sum(len(z.alpha) + len(z.beta) for z in o.universe[1:])
+        found = sum(len(o.neighbors(z) - {z}) for z in universe[1:])
+        walks = sum(len(z.alpha) + len(z.beta) for z in universe[1:])
         assert found == 1148
         assert len(work) <= walks * len(o.directed)
 
@@ -481,12 +549,12 @@ class TestOrderAcrossProcesses:
     SCRIPT = """
 from graphinverse.congruences import make_triple
 from graphinverse.corpus import two_edge_path
-from graphinverse.elements import ZERO, format_element
+from graphinverse.elements import ZERO, format_element, parse_element
 from graphinverse.oracle import TransitionOracle
 g = two_edge_path()
 oracle = TransitionOracle(g, make_triple(g, h={"w"}), 2)
 print(hash(ZERO))
-print([format_element(x) for x in oracle.neighbors(ZERO)])
+print([format_element(x) for x in oracle.neighbors(parse_element(g, "@w|@w"))])
 """
 
     def run(self) -> str:
