@@ -33,16 +33,9 @@ from .graphs import (
     graph_to_dot,
     graph_to_json,
     index_one_edges,
-    is_acyclic,
     is_congruence_free_graph,
     is_strongly_connected,
     load_graph,
-)
-from .oracle import (
-    TransitionOracle,
-    enumerate_congruences,
-    materialize,
-    triple_of_congruence,
 )
 
 # conservative defaults: the semigroup is usually infinite, so every
@@ -56,8 +49,10 @@ def _check_bounds(args: argparse.Namespace) -> None:
     """Reject out-of-range bound flags before any file is read."""
     if getattr(args, "f_cap", 1) < 1:
         raise ValueError("--f-cap must be a positive integer")
-    if getattr(args, "len_bound", 0) < 0 or getattr(args, "steps", 0) < 0:
-        raise ValueError("bounds must be nonnegative")
+    if getattr(args, "len_bound", 0) < 0:
+        raise ValueError("--len-bound must be nonnegative")
+    if getattr(args, "steps", 0) < 0:
+        raise ValueError("--steps must be nonnegative")
     if getattr(args, "max_elements", 0) < 0:
         raise ValueError("--max-elements must be nonnegative")
 
@@ -150,6 +145,8 @@ def cmd_equiv(args: argparse.Namespace) -> int:
     lines = ["true" if verdict else "false"]
     code = 0
     if args.certify:
+        from .oracle import TransitionOracle
+
         result = TransitionOracle(g, t, args.len_bound).search(x, y, args.steps)
         if result.reached and result.chain is not None:
             chain = [format_element(z) for z in result.chain]
@@ -189,12 +186,9 @@ def _triple_lines(g: Graph, enumeration) -> list[str]:
 def cmd_enumerate(args: argparse.Namespace) -> int:
     g = load_graph(args.graph)
     if args.brute:
-        if not is_acyclic(g):
-            raise ValueError(
-                "--brute requires an acyclic graph: a cycle makes the semigroup "
-                "infinite, so congruences cannot be enumerated explicitly"
-            )
-        s = materialize(g, args.max_elements)
+        from .oracle import brute_force
+
+        s, congruences = brute_force(g, args.max_elements)
     enumeration = enumerate_triples(g, args.f_cap)
     payload: dict = {
         "f_cap": args.f_cap,
@@ -212,14 +206,9 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         )
     )
     if args.brute:
-        congruences = enumerate_congruences(s, max_elements=args.max_elements)
-        match = len(congruences) == len(enumeration.triples)
-        recovered = sorted(
-            json.dumps(triple_to_json(g, triple_of_congruence(g, s, rho)))
-            for rho in congruences
-        )
+        recovered = sorted(json.dumps(triple_to_json(g, t)) for _, t in congruences)
         listed = sorted(json.dumps(triple_to_json(g, t)) for t in enumeration.triples)
-        bijection = match and recovered == listed
+        bijection = recovered == listed
         payload["brute"] = {
             "elements": len(s),
             "congruences": len(congruences),
@@ -250,22 +239,17 @@ def cmd_triples(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
+    from .oracle import brute_force
+
     g = load_graph(args.graph)
-    if not is_acyclic(g):
-        raise ValueError("the oracle materializes I(G), which needs an acyclic graph")
-    s = materialize(g, args.max_elements)
-    congruences = enumerate_congruences(s, max_elements=args.max_elements)
-    entries = []
-    for rho in congruences:
-        t = triple_of_congruence(g, s, rho)
-        entries.append(
-            {
-                "classes": [
-                    [format_element(s.elements[i]) for i in cls] for cls in rho.classes
-                ],
-                "triple": triple_to_json(g, t),
-            }
-        )
+    s, congruences = brute_force(g, args.max_elements)
+    entries = [
+        {
+            "classes": [[format_element(s.elements[i]) for i in cls] for cls in rho.classes],
+            "triple": triple_to_json(g, t),
+        }
+        for rho, t in congruences
+    ]
     payload = {
         "elements": [format_element(x) for x in s.elements],
         "congruences": entries,

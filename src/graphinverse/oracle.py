@@ -183,18 +183,12 @@ def congruence_closure(
     return ExplicitCongruence.from_class_map([find(i) for i in range(n)])
 
 
-def enumerate_congruences(
-    s: FiniteSemigroup, max_elements: int = 20
-) -> list[ExplicitCongruence]:
+def enumerate_congruences(s: FiniteSemigroup) -> list[ExplicitCongruence]:
     """All congruences: principal congruences closed under pairwise joins.
 
-    Feasible for small tables only, hence the element-count guard.
+    Feasible for small tables only; ``materialize`` bounds their size.
     """
     n = len(s)
-    if n > max_elements:
-        raise ValueError(
-            f"semigroup has {n} elements, above the bound {max_elements}"
-        )
     els = s.elements
     identity = ExplicitCongruence(tuple((i,) for i in range(n)))
     found = {identity}
@@ -246,6 +240,15 @@ def triple_of_congruence(
         else:
             raise RuntimeError(f"no identified power for cycle {c!r}")
     return make_triple(g, h, frozenset(w), fmap)
+
+
+def brute_force(
+    g: Graph, max_elements: int | None
+) -> tuple[FiniteSemigroup, list[tuple[ExplicitCongruence, CongruenceTriple]]]:
+    """The brute-force side of the bijection: I(G) materialized under the
+    size bound, each of its congruences and the triple read off it."""
+    s = materialize(g, max_elements)
+    return s, [(rho, triple_of_congruence(g, s, rho)) for rho in enumerate_congruences(s)]
 
 
 # ---------------------------------------------------------------------------
@@ -463,10 +466,13 @@ def _reach(g: Graph, starts: list[tuple[str, int]], limit: int) -> frozenset[str
     vertex at its least depth."""
     reached: set[str] = set()
     level: set[str] = set()
+    deepest = max((j for _, j in starts), default=0)
     for k in range(limit + 1):
         level = {e.dst for v in level for e in g.out_edges(v)} | {v for v, j in starts if j == k}
         level -= reached
         reached |= level
+        if not level and k >= deepest:  # nothing left to grow from
+            break
     return frozenset(reached)
 
 

@@ -327,6 +327,21 @@ class TestEquiv:
         assert out.splitlines()[0] == "true"
         assert "no certificate within bounds" in out
 
+    @pytest.mark.parametrize("files, x", [("loop_files", "e|@v"), ("edge_files", "e|@w")])
+    def test_huge_len_bound_builds_at_once(self, request, files, x):
+        """The reach pass stops once it can grow no further, so its cost
+        does not follow --len-bound."""
+        graph, triple = request.getfixturevalue(files)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        proc = subprocess.run(
+            [sys.executable, "-m", "graphinverse", "equiv", graph, triple, x, x,
+             "--certify", "--len-bound", "1000000000"],
+            capture_output=True, text=True, timeout=10,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["true", f"certificate: {x}"]
+
     def test_bad_literal(self, capsys, loop_files):
         graph, triple = loop_files
         code, _, err = run(capsys, ["equiv", graph, triple, "e|", "@v|@v"])
@@ -465,6 +480,39 @@ class TestOracleCommand:
         assert len(data["congruences"]) == 4
 
 
+class TestLazyOracleImport:
+    """Only the commands that run the brute force or the rewrite search
+    load graphinverse.oracle."""
+
+    @pytest.mark.parametrize(
+        "argv, loaded",
+        [
+            (["report", "G"], False),
+            (["nf", "G", "T", "e|@w"], False),
+            (["oracle", "G"], True),
+        ],
+        ids=["report", "nf", "oracle"],
+    )
+    def test_fresh_interpreter(self, edge_files, argv, loaded):
+        files = dict(zip("GT", edge_files))
+        argv = [files.get(a, a) for a in argv]
+        code = (
+            "import sys\n"
+            "from graphinverse.cli import main\n"
+            f"code = main({argv!r})\n"
+            "print('graphinverse.oracle' in sys.modules, file=sys.stderr)\n"
+            "sys.exit(code)\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == f"{loaded}\n"
+
+
 class TestHugeCycleValue:
     """A finite f-value past the index range ends in one error line:
     the normal form of @v|e is e^(f-1)|@v, and --certify builds the
@@ -528,6 +576,14 @@ class TestFlags:
         code, out, err = run(capsys, argv)
         assert code == 1 and out == ""
         assert err == "error: --max-elements must be nonnegative\n"
+
+    @pytest.mark.parametrize("flag", ["--len-bound", "--steps"])
+    def test_negative_search_bound_names_its_flag(self, capsys, loop_files, flag):
+        graph, triple = loop_files
+        argv = ["equiv", graph, triple, "e|@v", "e|@v", "--certify", flag, "-1"]
+        code, out, err = run(capsys, argv)
+        assert code == 1 and out == ""
+        assert err == f"error: {flag} must be nonnegative\n"
 
     def test_huge_f_cap_on_acyclic_graph(self, capsys, edge_files):
         # no cycle takes a value, so the range 1..cap is never built

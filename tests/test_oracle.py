@@ -27,6 +27,7 @@ from graphinverse.oracle import (
     TransitionOracle,
     TransitionResult,
     bounded_elements,
+    brute_force,
     congruence_closure,
     enumerate_congruences,
     materialize,
@@ -224,15 +225,38 @@ class TestEnumerateCongruences:
         s = materialize(g)
         assert len(enumerate_congruences(s)) == len(enumerate_triples(g).triples)
 
-    def test_bound_is_enforced(self):
-        s = materialize(two_edge_path())
-        with pytest.raises(ValueError):
-            enumerate_congruences(s, max_elements=10)
-
     def test_all_outputs_are_congruences(self, edge):
         s = materialize(edge)
         for rho in enumerate_congruences(s):
             assert is_compatible(s, rho)
+
+
+class TestBruteForce:
+    def test_pairs_each_congruence_with_its_triple(self, acyclic_graph):
+        g = acyclic_graph
+        s, congruences = brute_force(g, None)
+        assert s == materialize(g)
+        assert [rho for rho, _ in congruences] == enumerate_congruences(s)
+        for rho, t in congruences:
+            assert t == triple_of_congruence(g, s, rho)
+
+    def test_bound_is_on_the_semigroup_size(self, monkeypatch):
+        products = []
+        monkeypatch.setattr(oracle, "multiply", lambda x, y: products.append(1))
+        # the two-edge path has 1 + 1 + 4 + 9 = 15 elements
+        with pytest.raises(ValueError, match="semigroup has 15 elements, above the bound 14"):
+            brute_force(two_edge_path(), 14)
+        assert not products
+        monkeypatch.undo()
+        s, congruences = brute_force(two_edge_path(), 15)
+        assert len(s) == 15 and len(congruences) == len(enumerate_triples(two_edge_path()).triples)
+
+    def test_refuses_a_cycle_before_any_product(self, loop, monkeypatch):
+        products = []
+        monkeypatch.setattr(oracle, "multiply", lambda x, y: products.append(1))
+        with pytest.raises(ValueError, match="acyclic"):
+            brute_force(loop, None)
+        assert not products
 
 
 class TestTripleOfCongruence:
@@ -258,7 +282,7 @@ class TestBijection:
     def test_both_directions_on_corpus(self, acyclic_graph):
         g = acyclic_graph
         s = materialize(g)
-        congruences = enumerate_congruences(s, max_elements=64)
+        congruences = enumerate_congruences(s)
         triples = enumerate_triples(g).triples
         assert len(congruences) == len(triples)
         # closure of the recovered triple gives back the congruence
@@ -276,7 +300,7 @@ class TestBijection:
     def test_monotone(self, acyclic_graph):
         g = acyclic_graph
         s = materialize(g)
-        congruences = enumerate_congruences(s, max_elements=64)
+        congruences = enumerate_congruences(s)
         for r1 in congruences:
             for r2 in congruences:
                 if all(r2.together(cls[0], i) for cls in r1.classes for i in cls[1:]):
