@@ -9,6 +9,7 @@ rewrite-chain certificate for one nontrivial identification.
 from __future__ import annotations
 
 import argparse
+import sys
 from collections import defaultdict
 
 from graphinverse import (
@@ -36,9 +37,14 @@ def main() -> None:
     ap.add_argument("--len-bound", type=int, default=4)
     args = ap.parse_args()
 
+    if args.f_cap < 1:
+        sys.exit("error: --f-cap must be a positive integer")
     g = CORPUS[args.graph]
     triples = enumerate_triples(g, f_cap=args.f_cap).triples
     if args.triple_index is not None:
+        if not -len(triples) <= args.triple_index < len(triples):
+            sys.exit(f"error: --triple-index {args.triple_index} is out of range: "
+                     f"{args.graph} has {len(triples)} triples under --f-cap {args.f_cap}")
         t = triples[args.triple_index]
     else:
         finite = [t for t in triples if any(v != INF for _, v in t.f)]

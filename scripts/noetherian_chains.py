@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import random
+import sys
 from collections import Counter
 
 from graphinverse import chain_stabilizes, enumerate_triples, triple_leq
@@ -41,6 +42,9 @@ def main() -> None:
     ap.add_argument("--f-cap", type=int, default=6)
     ap.add_argument("--seed", type=int, default=97)
     args = ap.parse_args()
+    for flag, value in (("--chains", args.chains), ("--f-cap", args.f_cap)):
+        if value < 1:
+            sys.exit(f"error: {flag} must be a positive integer")
 
     rng = random.Random(args.seed)
     for name, g in sorted(CORPUS.items()):

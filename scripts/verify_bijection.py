@@ -5,12 +5,14 @@ For every acyclic multigraph up to the requested size: materialize the
 semigroup, enumerate its congruences by brute force, enumerate the
 triples, and confirm the two readings invert each other. ``--max-elements``
 bounds |I(G)|, which is counted before any product. Prints one row per
-graph and a summary.
+graph and a summary; a semigroup above the bound ends the run with a
+one-line error and exit code 1.
 """
 
 from __future__ import annotations
 
 import argparse
+import sys
 import time
 
 from graphinverse import enumerate_triples, triple_generators
@@ -29,7 +31,10 @@ def main() -> None:
     started = time.monotonic()
     widest = 0
     for i, g in enumerate(graphs):
-        s, congruences = brute_force(g, args.max_elements)
+        try:
+            s, congruences = brute_force(g, args.max_elements)
+        except ValueError as exc:  # above --max-elements
+            sys.exit(f"error: {exc} set by --max-elements")
         triples = enumerate_triples(g).triples
         # the triples read off are the listed ones, each once, and each
         # generates the congruence it was read off

@@ -32,6 +32,7 @@ from typing import Iterable, Mapping
 from .elements import (
     ZERO,
     Element,
+    _element,
     idempotent_element,
     path_element,
     vertex_element,
@@ -40,6 +41,7 @@ from .graphs import (
     Cycle,
     Graph,
     Path,
+    _path,
     concat,
     cycle_power,
     cycles_in,
@@ -210,7 +212,6 @@ def reduce_mod_h(g: Graph, t: CongruenceTriple, x: Element) -> Element:
     """
     if x.is_zero:
         return ZERO
-    assert x.alpha is not None
     return ZERO if x.alpha.target in t.h else x
 
 
@@ -231,10 +232,8 @@ def equiv(g: Graph, t: CongruenceTriple, x: Element, y: Element) -> bool:
         return x.is_zero and y.is_zero
     if x == y:
         return True
-    assert x.alpha is not None and x.beta is not None
-    assert y.alpha is not None and y.beta is not None
-    a, b = x.alpha, x.beta
-    p, q = y.alpha, y.beta
+    a, b = x
+    p, q = y
     if len(a) > len(p):
         a, b, p, q = p, q, a, b
     if not is_prefix(a, p):
@@ -287,18 +286,18 @@ def normal_form(g: Graph, t: CongruenceTriple, x: Element) -> Element:
     x = reduce_mod_h(g, t, x)
     if x.is_zero:
         return ZERO
-    assert x.alpha is not None and x.beta is not None
-    a, b = x.alpha, x.beta
+    a, b = x
     while True:
         a, b, stripped = _strip_common_tail(t.w, a, b)
         a, b, reduced = _reduce_tail_run(t, a, b)
         if not (stripped or reduced):
-            return Element(a, b)
+            return _element(a, b)
 
 
 def _strip_common_tail(w: frozenset[str], a: Path, b: Path) -> tuple[Path, Path, bool]:
-    k, n = 0, min(len(a.edges), len(b.edges))
-    while k < n and a.edges[-1 - k] == b.edges[-1 - k] and a.vertices[-2 - k] in w:
+    verts, a_edges, b_edges = a.vertices, a.edges, b.edges  # read once, not per edge
+    k, n = 0, min(len(a_edges), len(b_edges))
+    while k < n and a_edges[-1 - k] == b_edges[-1 - k] and verts[-2 - k] in w:
         k += 1
     if not k:
         return a, b, False
@@ -306,7 +305,7 @@ def _strip_common_tail(w: frozenset[str], a: Path, b: Path) -> tuple[Path, Path,
 
 
 def _drop_last(p: Path, k: int) -> Path:
-    return Path(p.vertices[: len(p.vertices) - k], p.edges[: len(p.edges) - k])
+    return _path(p.vertices[: len(p.vertices) - k], p.edges[: len(p.edges) - k])
 
 
 def _trailing_run(t: CongruenceTriple, p: Path) -> int:
@@ -324,7 +323,7 @@ def _trailing_run(t: CongruenceTriple, p: Path) -> int:
 def _cycle_walk(c: Cycle, start: str, length: int) -> Path:
     """The forced path of the given length along c from a cycle vertex."""
     laps = cycle_power(c.based_at(start), length // len(c) + 1)
-    return Path(laps.vertices[: length + 1], laps.edges[:length])
+    return _path(laps.vertices[: length + 1], laps.edges[:length])
 
 
 def _reduce_tail_run(t: CongruenceTriple, a: Path, b: Path) -> tuple[Path, Path, bool]:
@@ -363,7 +362,7 @@ def vertex_class_members(
     w_edges = index_one_edges(g, t.h)
     gamma = vertex_path(v)
     while True:
-        emit(Element(gamma, gamma))
+        emit(_element(gamma, gamma))
         c, val = t.cycle_at.get(gamma.target, (None, INF))
         if val != INF:
             loop = c.based_at(gamma.target)
@@ -371,13 +370,13 @@ def vertex_class_members(
             k = 1
             while len(gamma) + k * step <= len_bound:
                 squiggle = concat(gamma, cycle_power(loop, k * int(val)))
-                emit(Element(squiggle, gamma))
-                emit(Element(gamma, squiggle))
+                emit(_element(squiggle, gamma))
+                emit(_element(gamma, squiggle))
                 k += 1
         if len(gamma) >= len_bound or gamma.target not in t.w:
             break
         e = w_edges[gamma.target]
-        gamma = Path(gamma.vertices + (e.dst,), gamma.edges + (e.id,))
+        gamma = _path(gamma.vertices + (e.dst,), gamma.edges + (e.id,))
     members.sort(key=_element_sort_key)
     return members
 
@@ -385,7 +384,6 @@ def vertex_class_members(
 def _element_sort_key(x: Element):
     if x.is_zero:
         return (-1, -1, (), (), "", "")
-    assert x.alpha is not None and x.beta is not None
     return (
         len(x.alpha),
         len(x.beta),

@@ -8,7 +8,7 @@ absorbs every product.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .graphs import (
     Graph,
@@ -25,69 +25,82 @@ class ElementLiteralError(ValueError):
     """Raised when an element literal cannot be parsed over the graph."""
 
 
-@dataclass(frozen=True)
-class Element:
+class Element(namedtuple("Element", "alpha beta")):
     """Zero, or a pair of paths with a common range.
 
     ``Element(p, q)`` denotes p followed by the reversal of q; the second
     path is the "starred" one. The idempotents are exactly the elements
-    with ``alpha == beta``, and a vertex v is ``Element(@v, @v)``.
+    with ``alpha == beta``, and a vertex v is ``Element(@v, @v)``. An
+    element is the tuple (alpha, beta) but equals no bare tuple, and
+    ``Element(None, None)`` is the one zero, ``ZERO``.
     """
 
-    alpha: Path | None
-    beta: Path | None
+    __slots__ = ()
+    is_zero = False  # a class attribute, True only on zero's class
 
-    def __post_init__(self) -> None:
-        a, b = self.alpha, self.beta
-        if (a is None) != (b is None):
+    def __new__(cls, alpha: Path | None, beta: Path | None) -> Element:
+        if alpha is None and beta is None:
+            return ZERO
+        if alpha is None or beta is None:
             raise ValueError("zero element must have both paths empty")
-        if a is not None and b is not None and a.target != b.target:
-            raise ValueError(f"paths {a!r} and {b!r} have different ranges")
+        if alpha.target != beta.target:
+            raise ValueError(f"paths {alpha!r} and {beta!r} have different ranges")
+        return tuple.__new__(cls, (alpha, beta))
 
-    def __hash__(self) -> int:
-        # hash(None) is address-based, so zero gets a constant: set orders
-        # of elements then repeat across runs under a fixed PYTHONHASHSEED
-        if self.alpha is None:
-            return 0
-        return hash((self.alpha, self.beta))
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Element) and tuple.__eq__(self, other)
 
-    @property
-    def is_zero(self) -> bool:
-        return self.alpha is None
+    def __ne__(self, other: object) -> bool:
+        return not isinstance(other, Element) or tuple.__ne__(self, other)
+
+    __hash__ = tuple.__hash__
 
     def __repr__(self) -> str:
         return format_element(self)
 
 
-ZERO = Element(None, None)
+class _Zero(Element):
+    __slots__ = ()
+    is_zero = True
+
+    def __hash__(self) -> int:
+        # hash(None) is address-based, so zero gets a constant: set orders
+        # of elements then repeat across runs under a fixed PYTHONHASHSEED
+        return 0
+
+
+ZERO: Element = tuple.__new__(_Zero, (None, None))
+
+
+def _element(alpha: Path, beta: Path) -> Element:
+    """Element(alpha, beta) unchecked, for a nonzero result correct by construction."""
+    return tuple.__new__(Element, (alpha, beta))
 
 
 def vertex_element(v: str) -> Element:
-    return Element(vertex_path(v), vertex_path(v))
+    return idempotent_element(vertex_path(v))
 
 
 def path_element(p: Path) -> Element:
     """The path p viewed as an element (ghost part trivial)."""
-    return Element(p, vertex_path(p.target))
+    return _element(p, vertex_path(p.target))
 
 
 def idempotent_element(p: Path) -> Element:
-    return Element(p, p)
+    return _element(p, p)
 
 
 def multiply(x: Element, y: Element) -> Element:
     """Exact product. Non-composable operands yield zero, never an error."""
     if x.is_zero or y.is_zero:
         return ZERO
-    assert x.alpha is not None and x.beta is not None
-    assert y.alpha is not None and y.beta is not None
     b, z = x.beta, y.alpha
     if is_prefix(b, z):
         xi = strip_prefix(b, z)
-        return Element(concat(x.alpha, xi), y.beta)
+        return _element(concat(x.alpha, xi), y.beta)
     if is_prefix(z, b):
         xi = strip_prefix(z, b)
-        return Element(x.alpha, concat(y.beta, xi))
+        return _element(x.alpha, concat(y.beta, xi))
     return ZERO
 
 
@@ -99,7 +112,6 @@ def multiply(x: Element, y: Element) -> Element:
 def format_element(x: Element) -> str:
     if x.is_zero:
         return "0"
-    assert x.alpha is not None and x.beta is not None
     return f"{x.alpha!r}|{x.beta!r}"
 
 

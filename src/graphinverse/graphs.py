@@ -12,6 +12,7 @@ so every enumeration in this package is reproducible.
 from __future__ import annotations
 
 import json
+from collections import namedtuple
 from dataclasses import dataclass
 from itertools import compress, count
 from typing import Iterable, Iterator, Mapping, NamedTuple
@@ -105,22 +106,30 @@ class Graph:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Path:
+class Path(namedtuple("Path", "vertices edges")):
     """A (possibly empty) composable edge sequence.
 
     ``vertices`` lists the visited vertices, so ``len(vertices) ==
     len(edges) + 1``; a length-0 path is a single vertex. Paths are
     self-contained: once built against a graph they can be inspected and
-    combined without it.
+    combined without it. A path is the tuple (vertices, edges), hashed and
+    compared in C, yet equal to no bare tuple nor to a tuple of another type.
     """
 
-    vertices: tuple[str, ...]
-    edges: tuple[str, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if len(self.vertices) != len(self.edges) + 1:
+    def __new__(cls, vertices: tuple[str, ...], edges: tuple[str, ...]) -> Path:
+        if len(vertices) != len(edges) + 1:
             raise ValueError("path vertex/edge counts are inconsistent")
+        return tuple.__new__(cls, (vertices, edges))
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is Path and tuple.__eq__(self, other)
+
+    def __ne__(self, other: object) -> bool:
+        return type(other) is not Path or tuple.__ne__(self, other)
+
+    __hash__ = tuple.__hash__
 
     @property
     def source(self) -> str:
@@ -148,9 +157,14 @@ class Path:
         return ".".join(self.edges)
 
 
+def _path(vertices: tuple[str, ...], edges: tuple[str, ...]) -> Path:
+    """Path(vertices, edges) unchecked, for a result correct by construction."""
+    return tuple.__new__(Path, (vertices, edges))
+
+
 def vertex_path(v: str) -> Path:
     """The length-0 path sitting at v."""
-    return Path((v,), ())
+    return _path((v,), ())
 
 
 def make_path(g: Graph, edge_ids: Iterable[str], source: str | None = None) -> Path:
@@ -181,7 +195,7 @@ def concat(p: Path, q: Path) -> Path:
     if p.target != q.source:
         raise ValueError(f"paths do not compose: {p!r} ends at {p.target!r}, "
                          f"{q!r} starts at {q.source!r}")
-    return Path(p.vertices + q.vertices[1:], p.edges + q.edges)
+    return _path(p.vertices + q.vertices[1:], p.edges + q.edges)
 
 
 def is_prefix(p: Path, q: Path) -> bool:
@@ -194,7 +208,7 @@ def strip_prefix(p: Path, q: Path) -> Path:
     if not is_prefix(p, q):
         raise ValueError(f"{p!r} is not a prefix of {q!r}")
     n = len(p.edges)
-    return Path(q.vertices[n:], q.edges[n:])
+    return _path(q.vertices[n:], q.edges[n:])
 
 
 @dataclass(frozen=True)
@@ -263,7 +277,7 @@ class Cycle:
 def _rotate(p: Path, k: int) -> Path:
     if k == 0:
         return p
-    return Path(p.vertices[k:] + p.vertices[1 : k + 1], p.edges[k:] + p.edges[:k])
+    return _path(p.vertices[k:] + p.vertices[1 : k + 1], p.edges[k:] + p.edges[:k])
 
 
 def cycle_power(loop: Path, m: int) -> Path:
@@ -272,7 +286,7 @@ def cycle_power(loop: Path, m: int) -> Path:
         raise ValueError(f"not a closed path: {loop!r}")
     if m < 0:
         raise ValueError("negative cycle power")
-    return Path(loop.vertices[:1] + loop.vertices[1:] * m, loop.edges * m)
+    return _path(loop.vertices[:1] + loop.vertices[1:] * m, loop.edges * m)
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +369,7 @@ def cycles_in(g: Graph, w_edges: Mapping[str, Edge]) -> list[Cycle]:
             u = e.dst
         if walk_of.get(u) == start:  # this walk closed a new cycle at u
             k = verts.index(u)
-            c = Cycle.from_path(Path(tuple(verts[k:]) + (u,), tuple(edges[k:])))
+            c = Cycle.from_path(_path(tuple(verts[k:]) + (u,), tuple(edges[k:])))
             found.append((min(pos[v] for v in verts[k:]), c))
     found.sort(key=lambda rc: rc[0])
     return [c for _, c in found]

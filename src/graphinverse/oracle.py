@@ -19,6 +19,7 @@ from .congruences import CongruenceTriple, make_triple, triple_generators
 from .elements import (
     ZERO,
     Element,
+    _element,
     idempotent_element,
     multiply,
     path_element,
@@ -27,6 +28,7 @@ from .elements import (
 from .graphs import (
     Graph,
     Path,
+    _path,
     concat,
     cycles_in,
     index_one_edges,
@@ -49,7 +51,7 @@ def all_paths(g: Graph, max_len: int | None = None) -> list[Path]:
         nxt = []
         for p in frontier:
             for e in g.out_edges(p.target):
-                nxt.append(Path(p.vertices + (e.dst,), p.edges + (e.id,)))
+                nxt.append(_path(p.vertices + (e.dst,), p.edges + (e.id,)))
         out.extend(nxt)
         frontier = nxt
         if not frontier:
@@ -65,7 +67,7 @@ def bounded_elements(g: Graph, len_bound: int | None = None) -> list[Element]:
     for a in paths:
         for b in paths:
             if a.target == b.target:
-                out.append(Element(a, b))
+                out.append(_element(a, b))
     return out
 
 
@@ -318,7 +320,6 @@ class TransitionOracle:
         gens = []
         for a, b in triple_generators(g, t):
             p = a.alpha
-            assert p is not None
             if b.is_zero:
                 doomed.append((p.source, 0))
             elif a == idempotent_element(p):
@@ -329,12 +330,12 @@ class TransitionOracle:
                 k = p.vertices.index(p.source, 1)
                 if len(p) > 2 * len_bound:
                     laps = 2 * len_bound // k + 1
-                    p = Path(p.vertices[:1] + p.vertices[1 : k + 1] * laps, p.edges[:k] * laps)
+                    p = _path(p.vertices[:1] + p.vertices[1 : k + 1] * laps, p.edges[:k] * laps)
                     a = path_element(p)
                 rotations = {}
                 for d in range(k):
                     if d <= len_bound or k - d <= len_bound:
-                        rotations[p.vertices[d]] = (d, Path(
+                        rotations[p.vertices[d]] = (d, _path(
                             p.vertices[d:] + p.vertices[1 : d + 1], p.edges[d:] + p.edges[:d]
                         ))
                     doomed.extend(
@@ -356,7 +357,6 @@ class TransitionOracle:
     def _within(self, x: Element) -> bool:
         if x.is_zero:
             return True
-        assert x.alpha is not None and x.beta is not None
         return len(x.alpha) <= self.len_bound and len(x.beta) <= self.len_bound
 
     def neighbors(self, z: Element) -> frozenset[Element]:
@@ -375,8 +375,7 @@ class TransitionOracle:
 
     def _neighbors(self, z: Element) -> set[Element]:
         """The rewrites of a nonzero z, site by site along its walk."""
-        alpha, beta = z.alpha, z.beta
-        assert alpha is not None and beta is not None
+        alpha, beta = z
         n, m, bound = len(alpha), len(beta), self.len_bound
         walk = alpha.vertices + beta.vertices[-2::-1]  # the vertex at each site
         out: set[Element] = set()
@@ -386,11 +385,11 @@ class TransitionOracle:
             out.add(ZERO)
         for e in self._turns:
             if alpha.target == e.source and n < bound and m < bound:
-                out.add(Element(concat(alpha, e), concat(beta, e)))
+                out.add(_element(concat(alpha, e), concat(beta, e)))
             if alpha.edges[-1:] == beta.edges[-1:] == e.edges:
-                out.add(Element(
-                    Path(alpha.vertices[:-1], alpha.edges[:-1]),
-                    Path(beta.vertices[:-1], beta.edges[:-1]),
+                out.add(_element(
+                    _path(alpha.vertices[:-1], alpha.edges[:-1]),
+                    _path(beta.vertices[:-1], beta.edges[:-1]),
                 ))
         for k, rotations in self._laps:
             for p, x in enumerate(walk):
@@ -487,7 +486,7 @@ def _splice(
     if p <= n:
         if n + size > len_bound:
             return None
-        a = Path(a.vertices[:p] + r.vertices + a.vertices[p + 1 :], a.edges[:p] + r.edges + a.edges[p:])
+        a = _path(a.vertices[:p] + r.vertices + a.vertices[p + 1 :], a.edges[:p] + r.edges + a.edges[p:])
     else:
         cut = p - n  # edges of b walked back just before the p-th vertex
         j = m - cut
@@ -496,10 +495,10 @@ def _splice(
                 return ZERO
             if n + size - cut > len_bound:
                 return None
-            a = Path(a.vertices + r.vertices[cut + 1 :], a.edges + r.edges[cut:])
-            b = Path(b.vertices[: j + 1], b.edges[:j])
+            a = _path(a.vertices + r.vertices[cut + 1 :], a.edges + r.edges[cut:])
+            b = _path(b.vertices[: j + 1], b.edges[:j])
         else:
             if b.edges[j : j + size] != r.edges:
                 return ZERO
-            b = Path(b.vertices[: j + 1] + b.vertices[j + size + 1 :], b.edges[:j] + b.edges[j + size :])
-    return Element(b, a) if flip else Element(a, b)
+            b = _path(b.vertices[: j + 1] + b.vertices[j + size + 1 :], b.edges[:j] + b.edges[j + size :])
+    return _element(b, a) if flip else _element(a, b)

@@ -1,15 +1,27 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphinverse.graphs import Cycle, Path, cycle_power, is_prefix, make_path, vertex_path
+from graphinverse.graphs import (
+    Cycle,
+    Path,
+    concat,
+    cycle_power,
+    is_prefix,
+    make_path,
+    strip_prefix,
+    vertex_path,
+)
+from graphinverse.congruences import enumerate_triples, normal_form
 from graphinverse.elements import (
     ElementLiteralError,
     ZERO,
+    Element,
     format_element,
     idempotent_element,
     multiply,
@@ -18,8 +30,9 @@ from graphinverse.elements import (
     vertex_element,
 )
 from graphinverse.corpus import CORPUS, double_loop, loop_graph, two_cycle
-from graphinverse.oracle import bounded_elements
+from graphinverse.oracle import TransitionOracle, all_paths, bounded_elements
 from reference import conjugate_cycle, inverse, strip_cycle_prefix
+from test_graphs import seeded_multigraphs
 
 
 def elem(g, literal):
@@ -323,6 +336,116 @@ class TestConstructors:
 
     def test_mismatched_ranges_rejected(self, edge):
         with pytest.raises(ValueError):
-            from graphinverse.elements import Element
-
             Element(make_path(edge, ["e"]), vertex_path("v"))
+
+    def test_mismatched_counts_and_half_zero_rejected(self, edge):
+        for vertices, edges in [(("v", "w"), ()), (("v",), ("e",))]:
+            with pytest.raises(ValueError, match="counts"):
+                Path(vertices, edges)
+        p = make_path(edge, ["e"])
+        for half in [(p, None), (None, p)]:
+            with pytest.raises(ValueError, match="zero"):
+                Element(*half)
+
+
+class TestValueSemantics:
+    """Paths and elements are tuples underneath, hashed and compared in C,
+    but a value never equals a bare tuple or a tuple of another type."""
+
+    def test_path_is_not_its_tuple_an_edge_or_an_element(self, edge):
+        p = make_path(edge, ["e"])
+        for other in [(p.vertices, p.edges), edge.edge("e"), path_element(p), Element(p, p)]:
+            assert p != other and other != p
+            assert not (p == other or other == p)
+        assert p == make_path(edge, ["e"]) and not p != make_path(edge, ["e"])
+
+    def test_element_is_not_its_tuple(self, corpus_graph):
+        pool = bounded_elements(corpus_graph, 2)
+        for x in pool:
+            for other in [(x.alpha, x.beta), x.alpha, *pool[:5]]:
+                assert (x == other) == (x is other)
+                assert (x != other) != (x == other)
+                assert (other != x) != (other == x)
+
+    def test_mixed_sets_and_dicts_keep_values_apart(self, two_cycle):
+        for x in bounded_elements(two_cycle, 2):
+            pair = (x.alpha, x.beta)
+            assert len({x, pair}) == len({pair, x}) == 2
+            assert {x: 1, pair: 2}[x] == 1 and {pair: 2, x: 1}[pair] == 2
+            assert pair not in {x} and x not in {pair}
+        for p in all_paths(two_cycle, 2):
+            bare = (p.vertices, p.edges)
+            assert len({p, bare}) == 2 and bare not in {p} and p not in {bare}
+
+    def test_zero_is_one_value_with_hash_zero(self, loop):
+        assert Element(None, None) is ZERO
+        assert hash(ZERO) == 0 and ZERO.is_zero
+        assert not any(x.is_zero for x in bounded_elements(loop, 2)[1:])
+        assert ZERO != (None, None) and ZERO == Element(None, None)
+
+    def test_fields_cannot_be_set(self, loop):
+        p = make_path(loop, ["e"])
+        x = path_element(p)
+        for value, field in [(p, "vertices"), (p, "edges"), (x, "alpha"), (x, "beta"),
+                             (ZERO, "alpha"), (x, "is_zero"), (p, "label")]:
+            with pytest.raises(AttributeError):
+                setattr(value, field, None)
+
+
+def assert_valid(g, x):
+    """x survives the public constructors unchanged, and each of its
+    paths is one that make_path builds over g."""
+    if isinstance(x, Path):
+        assert type(x) is Path and Path(x.vertices, x.edges) == x
+        assert make_path(g, x.edges, x.source) == x
+    elif x.is_zero:
+        assert x is ZERO
+    else:
+        assert type(x) is Element and Element(x.alpha, x.beta) == x
+        assert_valid(g, x.alpha)
+        assert_valid(g, x.beta)
+
+
+class TestBuiltValuesAreValid:
+    """Results the package builds without checks are valid values: every
+    product, concatenation, remainder, cycle power, normal form and
+    rewrite neighbour, over the corpus and seeded multigraphs."""
+
+    @staticmethod
+    def check(g, len_bound, triples):
+        paths = all_paths(g, len_bound)
+        for p in paths:
+            assert_valid(g, p)
+            for q in paths:
+                if p.target == q.source:
+                    assert_valid(g, concat(p, q))
+                if is_prefix(p, q):
+                    assert_valid(g, strip_prefix(p, q))
+            if p.is_closed:
+                for m in range(4):
+                    assert_valid(g, cycle_power(p, m))
+        pool = bounded_elements(g, len_bound)
+        right = pool[:: max(1, len(pool) // 40)]  # every y of a small pool
+        for x in pool:
+            assert_valid(g, x)
+            for y in right:
+                assert_valid(g, multiply(x, y))
+        for t in triples:
+            for c, _ in t.f:
+                for v in c.path.vertices:
+                    assert_valid(g, c.based_at(v))
+            o = TransitionOracle(g, t, len_bound)
+            for x in pool:
+                assert_valid(g, normal_form(g, t, x))
+                if not x.is_zero:
+                    for y in o.neighbors(x):
+                        assert_valid(g, y)
+
+    def test_corpus(self, corpus_graph):
+        self.check(corpus_graph, 2, enumerate_triples(corpus_graph, f_cap=2).triples)
+
+    def test_seeded_multigraphs(self):
+        rng = random.Random(13)
+        for g in seeded_multigraphs(1972, 100, max_vertices=5):
+            triples = enumerate_triples(g, f_cap=3).triples
+            self.check(g, 2, rng.sample(triples, min(3, len(triples))))

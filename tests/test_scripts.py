@@ -43,6 +43,29 @@ def test_script_runs(script, args, expected):
     assert any(expected in line for line in proc.stdout.splitlines()), proc.stdout
 
 
+@pytest.mark.parametrize(
+    "script, args, names",
+    [
+        ("verify_bijection.py", ["--max-elements", "10"], "--max-elements"),
+        ("class_atlas.py", ["--triple-index", "999"], "--triple-index"),
+        ("class_atlas.py", ["--f-cap", "0"], "--f-cap"),
+        ("noetherian_chains.py", ["--f-cap", "0"], "--f-cap"),
+        ("noetherian_chains.py", ["--chains", "0"], "--chains"),
+    ],
+    ids=["verify_bijection-max-elements", "class_atlas-triple-index", "class_atlas-f-cap",
+         "noetherian_chains-f-cap", "noetherian_chains-chains"],
+)
+def test_script_error_is_one_line(script, args, names):
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script), *args],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+    assert proc.returncode == 1
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and names in lines[0], proc.stderr
+
+
 def _used_names(tree: ast.AST, strings: bool = False) -> set[str]:
     """Names and attribute names used in tree; with strings, also the
     parts of dotted-name string constants, since perfbench names its
