@@ -48,9 +48,8 @@ from .graphs import (
     enumerate_hereditary,
     index_one_edges,
     is_hereditary,
-    is_prefix,
     make_path,
-    strip_prefix,
+    remainder,
     vertex_path,
 )
 
@@ -203,18 +202,6 @@ def triple_generators(g: Graph, t: CongruenceTriple) -> list[tuple[Element, Elem
     return pairs
 
 
-def reduce_mod_h(g: Graph, t: CongruenceTriple, x: Element) -> Element:
-    """Zero if x falls into the ideal spanned by H, else x unchanged.
-
-    A path meeting H ends in H (H is hereditary), so testing the common
-    range of the two paths suffices; the surviving element reads verbatim
-    over G∖H.
-    """
-    if x.is_zero:
-        return ZERO
-    return ZERO if x.alpha.target in t.h else x
-
-
 def equiv(g: Graph, t: CongruenceTriple, x: Element, y: Element) -> bool:
     """Decide whether the triple's congruence relates x and y.
 
@@ -226,24 +213,26 @@ def equiv(g: Graph, t: CongruenceTriple, x: Element, y: Element) -> bool:
     lap power collapsing to its base.
     """
     t = t.over(g)
-    x = reduce_mod_h(g, t, x)
-    y = reduce_mod_h(g, t, y)
-    if x.is_zero or y.is_zero:
-        return x.is_zero and y.is_zero
+    # a path meeting H ends in H (H is hereditary), so an element falls
+    # into the ideal of H exactly when its common range lies in H
+    x_dead = x.is_zero or x.alpha.target in t.h
+    y_dead = y.is_zero or y.alpha.target in t.h
+    if x_dead or y_dead:
+        return x_dead and y_dead
     if x == y:
         return True
     a, b = x
     p, q = y
     if len(a) > len(p):
         a, b, p, q = p, q, a, b
-    if not is_prefix(a, p):
+    p1 = remainder(a, p)
+    if p1 is None:
         return False
-    p1 = strip_prefix(a, p)
-    if is_prefix(b, q):
-        q1 = strip_prefix(b, q)
+    q1 = remainder(b, q)
+    if q1 is not None:
         return _vertex_class_test(t, p1, q1)
-    if is_prefix(q, b):
-        b1 = strip_prefix(q, b)
+    b1 = remainder(q, b)
+    if b1 is not None:
         return _identified_power(t, concat(p1, b1))
     return False
 
@@ -257,14 +246,10 @@ def _vertex_class_test(t: CongruenceTriple, p: Path, q: Path) -> bool:
     """
     if p == q:
         return p.vertex_set <= t.w
-    if is_prefix(q, p):
-        shorter, longer = q, p
-    elif is_prefix(p, q):
-        shorter, longer = p, q
-    else:
-        return False
-    tail = strip_prefix(shorter, longer)
-    return shorter.vertex_set <= t.w and _identified_power(t, tail)
+    if len(p) < len(q):
+        p, q = q, p
+    tail = remainder(q, p)
+    return tail is not None and q.vertex_set <= t.w and _identified_power(t, tail)
 
 
 def normal_form(g: Graph, t: CongruenceTriple, x: Element) -> Element:
@@ -283,8 +268,7 @@ def normal_form(g: Graph, t: CongruenceTriple, x: Element) -> Element:
     starred side shrinks.
     """
     t = t.over(g)
-    x = reduce_mod_h(g, t, x)
-    if x.is_zero:
+    if x.is_zero or x.alpha.target in t.h:
         return ZERO
     a, b = x
     while True:

@@ -10,15 +10,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .graphs import (
-    Graph,
-    Path,
-    concat,
-    is_prefix,
-    make_path,
-    strip_prefix,
-    vertex_path,
-)
+from .graphs import Graph, Path, _path, make_path, remainder, vertex_path
 
 
 class ElementLiteralError(ValueError):
@@ -94,13 +86,13 @@ def multiply(x: Element, y: Element) -> Element:
     """Exact product. Non-composable operands yield zero, never an error."""
     if x.is_zero or y.is_zero:
         return ZERO
-    b, z = x.beta, y.alpha
-    if is_prefix(b, z):
-        xi = strip_prefix(b, z)
-        return _element(concat(x.alpha, xi), y.beta)
-    if is_prefix(z, b):
-        xi = strip_prefix(z, b)
-        return _element(x.alpha, concat(y.beta, xi))
+    (a, b), (z, d) = x, y
+    xi = remainder(b, z)
+    if xi is not None:
+        return _element(_path(a.vertices + xi.vertices[1:], a.edges + xi.edges), d)
+    xi = remainder(z, b)
+    if xi is not None:
+        return _element(a, _path(d.vertices + xi.vertices[1:], d.edges + xi.edges))
     return ZERO
 
 
@@ -126,7 +118,7 @@ def _parse_path(g: Graph, text: str) -> Path:
     if not text:
         raise ElementLiteralError("empty path literal; a vertex is written '@v'")
     ids = text.split(".")
-    if any(not i for i in ids):
+    if "" in ids:
         raise ElementLiteralError(f"empty edge id in path literal {text!r}")
     try:
         return make_path(g, ids)
@@ -150,4 +142,4 @@ def parse_element(g: Graph, text: str) -> Element:
         raise ElementLiteralError(
             f"paths end at different vertices: {alpha.target!r} vs {beta.target!r}"
         )
-    return Element(alpha, beta)
+    return _element(alpha, beta)

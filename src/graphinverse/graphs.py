@@ -179,16 +179,19 @@ def make_path(g: Graph, edge_ids: Iterable[str], source: str | None = None) -> P
             raise ValueError("a length-0 path needs an explicit source vertex")
         g._require_vertex(source)
         return vertex_path(source)
-    edges = [g.edge(i) for i in ids]
+    edge_map = g._edge_map  # type: ignore[attr-defined]
+    try:
+        edges = [edge_map[i] for i in ids]
+    except KeyError as exc:
+        raise KeyError(f"unknown edge id {exc.args[0]!r}") from None
     if source is not None and edges[0].src != source:
         raise ValueError(f"path source {source!r} does not match first edge {ids[0]!r}")
     verts = [edges[0].src]
-    for prev, nxt in zip(edges, edges[1:]):
-        if prev.dst != nxt.src:
-            raise ValueError(f"edges {prev.id!r} and {nxt.id!r} do not compose")
-        verts.append(prev.dst)
-    verts.append(edges[-1].dst)
-    return Path(tuple(verts), ids)
+    for k, e in enumerate(edges):
+        if e.src != verts[k]:
+            raise ValueError(f"edges {ids[k - 1]!r} and {ids[k]!r} do not compose")
+        verts.append(e.dst)
+    return _path(tuple(verts), ids)
 
 
 def concat(p: Path, q: Path) -> Path:
@@ -198,17 +201,13 @@ def concat(p: Path, q: Path) -> Path:
     return _path(p.vertices + q.vertices[1:], p.edges + q.edges)
 
 
-def is_prefix(p: Path, q: Path) -> bool:
-    """True iff q = p followed by some path."""
-    return p.source == q.source and q.edges[: len(p.edges)] == p.edges
-
-
-def strip_prefix(p: Path, q: Path) -> Path:
-    """The remainder of q after its prefix p."""
-    if not is_prefix(p, q):
-        raise ValueError(f"{p!r} is not a prefix of {q!r}")
-    n = len(p.edges)
-    return _path(q.vertices[n:], q.edges[n:])
+def remainder(p: Path, q: Path) -> Path | None:
+    """The rest of q after its prefix p, or None when p is not a prefix of q."""
+    (p_verts, p_edges), (q_verts, q_edges) = p, q
+    n = len(p_edges)
+    if p_verts[0] != q_verts[0] or q_edges[:n] != p_edges:
+        return None
+    return _path(q_verts[n:], q_edges[n:])
 
 
 @dataclass(frozen=True)

@@ -76,12 +76,15 @@ class FiniteSemigroup:
     """The full semigroup of a finite acyclic graph, with Cayley table.
 
     ``elements[0]`` is zero; ``table[i][j]`` indexes the product of
-    elements i and j.
+    elements i and j. ``generators`` indexes the vertices, the edges
+    e|@r(e) and the ghosts @r(e)|e, of which every nonzero element is a
+    product.
     """
 
     graph: Graph
     elements: tuple[Element, ...]
     table: tuple[tuple[int, ...], ...]
+    generators: tuple[int, ...]
 
     def __post_init__(self) -> None:
         object.__setattr__(
@@ -96,9 +99,6 @@ class FiniteSemigroup:
             return self._index[x]  # type: ignore[attr-defined]
         except KeyError:
             raise KeyError(f"element {x!r} is not in the materialized semigroup") from None
-
-    def mul(self, i: int, j: int) -> int:
-        return self.table[i][j]
 
 
 def materialize(g: Graph, max_elements: int | None = None) -> FiniteSemigroup:
@@ -124,7 +124,11 @@ def materialize(g: Graph, max_elements: int | None = None) -> FiniteSemigroup:
     table = tuple(
         tuple(index[multiply(x, y)] for y in elements) for x in elements
     )
-    return FiniteSemigroup(g, tuple(elements), table)
+    generators = [vertex_element(v) for v in g.vertices]
+    for e in g.edges:
+        p = _path((e.src, e.dst), (e.id,))
+        generators += [path_element(p), _element(vertex_path(e.dst), p)]
+    return FiniteSemigroup(g, tuple(elements), table, tuple(index[x] for x in generators))
 
 
 @dataclass(frozen=True)
@@ -158,31 +162,44 @@ class ExplicitCongruence:
         return [(cls[0], i) for cls in self.classes for i in cls[1:]]
 
 
+def _find(parent: list[int], i: int) -> int:
+    while parent[i] != i:
+        parent[i] = parent[parent[i]]
+        i = parent[i]
+    return i
+
+
 def congruence_closure(
     s: FiniteSemigroup, pairs: Iterable[tuple[Element, Element]]
 ) -> ExplicitCongruence:
     """Least congruence containing the pairs: union-find seeded with the
-    pairs and closed under one-sided translations until fixpoint."""
+    pairs, each merged pair translated on both sides by the generators
+    until fixpoint. Every element is a product of generators, so a
+    partition compatible with them is compatible with all."""
     n = len(s)
     parent = list(range(n))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
+    table, generators = s.table, s.generators
     work = [(s.index_of(a), s.index_of(b)) for a, b in pairs]
     while work:
         i, j = work.pop()
-        ri, rj = find(i), find(j)
+        ri, rj = _find(parent, i), _find(parent, j)
         if ri == rj:
             continue
         parent[rj] = ri
-        for z in range(n):
-            work.append((s.mul(z, i), s.mul(z, j)))
-            work.append((s.mul(i, z), s.mul(j, z)))
-    return ExplicitCongruence.from_class_map([find(i) for i in range(n)])
+        row_i, row_j = table[i], table[j]
+        for z in generators:
+            work.append((table[z][i], table[z][j]))
+            work.append((row_i[z], row_j[z]))
+    return ExplicitCongruence.from_class_map([_find(parent, i) for i in range(n)])
+
+
+def _join(n: int, rho: ExplicitCongruence, sigma: ExplicitCongruence) -> ExplicitCongruence:
+    """The join of two congruences on n elements: the equivalence their
+    classes generate, which is already a congruence."""
+    parent = list(range(n))
+    for i, j in rho.generating_pairs() + sigma.generating_pairs():
+        parent[_find(parent, j)] = _find(parent, i)
+    return ExplicitCongruence.from_class_map([_find(parent, i) for i in range(n)])
 
 
 def enumerate_congruences(s: FiniteSemigroup) -> list[ExplicitCongruence]:
@@ -202,8 +219,7 @@ def enumerate_congruences(s: FiniteSemigroup) -> list[ExplicitCongruence]:
         fresh: set[ExplicitCongruence] = set()
         for rho in frontier:
             for sigma in found:
-                pairs = rho.generating_pairs() + sigma.generating_pairs()
-                joined = congruence_closure(s, [(els[i], els[j]) for i, j in pairs])
+                joined = _join(n, rho, sigma)
                 if joined not in found and joined not in fresh:
                     fresh.add(joined)
         found |= fresh

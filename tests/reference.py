@@ -25,8 +25,6 @@ from graphinverse.graphs import (
     cycles_in,
     enumerate_hereditary,
     is_hereditary,
-    is_prefix,
-    strip_prefix,
 )
 from graphinverse.oracle import (
     ExplicitCongruence,
@@ -40,6 +38,19 @@ from graphinverse.oracle import (
 # ---------------------------------------------------------------------------
 # Graphs
 # ---------------------------------------------------------------------------
+
+
+def is_prefix(p: Path, q: Path) -> bool:
+    """True iff q = p followed by some path."""
+    return p.source == q.source and q.edges[: len(p.edges)] == p.edges
+
+
+def strip_prefix(p: Path, q: Path) -> Path:
+    """The remainder of q after its prefix p."""
+    if not is_prefix(p, q):
+        raise ValueError(f"{p!r} is not a prefix of {q!r}")
+    n = len(p.edges)
+    return Path(q.vertices[n:], q.edges[n:])
 
 
 def exits_of(g: Graph, p: Path) -> list[str]:
@@ -203,18 +214,82 @@ def per_triple_enumeration(g: Graph, f_cap: int) -> TripleEnumeration:
     return TripleEnumeration(tuple(triples), unbounded)
 
 
+def reduce_mod_h(g: Graph, t: CongruenceTriple, x: Element) -> Element:
+    """Zero if x falls into the ideal spanned by H, else x unchanged.
+
+    A path meeting H ends in H (H is hereditary), so testing the common
+    range of the two paths suffices; the surviving element reads verbatim
+    over G∖H.
+    """
+    if x.is_zero:
+        return ZERO
+    return ZERO if x.alpha.target in t.h else x
+
+
 def is_compatible(s: FiniteSemigroup, part: ExplicitCongruence) -> bool:
     """Re-verify the congruence property from scratch."""
     n = len(s)
+    table = s.table
     for cls in part.classes:
         x = cls[0]
         for y in cls[1:]:
             for z in range(n):
-                if not part.together(s.mul(z, x), s.mul(z, y)):
+                if not part.together(table[z][x], table[z][y]):
                     return False
-                if not part.together(s.mul(x, z), s.mul(y, z)):
+                if not part.together(table[x][z], table[y][z]):
                     return False
     return True
+
+
+def closure_by_all_translations(
+    s: FiniteSemigroup, pairs: Iterable[tuple[Element, Element]]
+) -> ExplicitCongruence:
+    """Least congruence containing the pairs: union-find seeded with the
+    pairs, each merged pair translated on both sides by every element."""
+    n = len(s)
+    parent = list(range(n))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    work = [(s.index_of(a), s.index_of(b)) for a, b in pairs]
+    while work:
+        i, j = work.pop()
+        ri, rj = find(i), find(j)
+        if ri == rj:
+            continue
+        parent[rj] = ri
+        for z in range(n):
+            work.append((s.table[z][i], s.table[z][j]))
+            work.append((s.table[i][z], s.table[j][z]))
+    return ExplicitCongruence.from_class_map([find(i) for i in range(n)])
+
+
+def congruences_by_closed_joins(s: FiniteSemigroup) -> list[ExplicitCongruence]:
+    """All congruences: principal congruences closed under joins, each
+    join taken as the closure of both congruences' generating pairs."""
+    n = len(s)
+    els = s.elements
+    identity = ExplicitCongruence(tuple((i,) for i in range(n)))
+    found = {identity}
+    for i in range(n):
+        for j in range(i + 1, n):
+            found.add(closure_by_all_translations(s, [(els[i], els[j])]))
+    frontier = set(found)
+    while frontier:
+        fresh: set[ExplicitCongruence] = set()
+        for rho in frontier:
+            for sigma in found:
+                pairs = rho.generating_pairs() + sigma.generating_pairs()
+                joined = closure_by_all_translations(s, [(els[i], els[j]) for i, j in pairs])
+                if joined not in found and joined not in fresh:
+                    fresh.add(joined)
+        found |= fresh
+        frontier = fresh
+    return sorted(found, key=lambda r: (-len(r.classes), r.classes))
 
 
 def vertex_class_form_test(

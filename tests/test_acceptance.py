@@ -19,7 +19,6 @@ from graphinverse.congruences import (
     equiv,
     make_triple,
     normal_form,
-    reduce_mod_h,
     triple_generators,
     triple_leq,
 )
@@ -56,6 +55,7 @@ from reference import (
     exits_of,
     index_one_vertices,
     quotient,
+    reduce_mod_h,
     rees_only_condition,
     vertex_class_form_test,
 )

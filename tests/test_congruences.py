@@ -27,7 +27,6 @@ from graphinverse.congruences import (
     equiv,
     make_triple,
     normal_form,
-    reduce_mod_h,
     triple_from_json,
     triple_generators,
     triple_leq,
@@ -38,7 +37,7 @@ from graphinverse.congruences import (
 from graphinverse import corpus
 from graphinverse.corpus import ACYCLIC_CORPUS, CORPUS, CYCLIC_CORPUS
 from graphinverse.oracle import all_paths, bounded_elements, congruence_closure, materialize
-from reference import per_triple_enumeration
+from reference import per_triple_enumeration, reduce_mod_h
 from test_elements import as_cycle_power
 from test_graphs import seeded_multigraphs
 

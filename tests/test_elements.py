@@ -12,9 +12,8 @@ from graphinverse.graphs import (
     Path,
     concat,
     cycle_power,
-    is_prefix,
     make_path,
-    strip_prefix,
+    remainder,
     vertex_path,
 )
 from graphinverse.congruences import enumerate_triples, normal_form
@@ -31,7 +30,7 @@ from graphinverse.elements import (
 )
 from graphinverse.corpus import CORPUS, double_loop, loop_graph, two_cycle
 from graphinverse.oracle import TransitionOracle, all_paths, bounded_elements
-from reference import conjugate_cycle, inverse, strip_cycle_prefix
+from reference import conjugate_cycle, inverse, is_prefix, strip_cycle_prefix
 from test_graphs import seeded_multigraphs
 
 
@@ -313,6 +312,22 @@ class TestLiterals:
         with pytest.raises(ElementLiteralError):
             parse_element(loop, bad)
 
+    @pytest.mark.parametrize("graph, literal, message", [
+        ("loop", "@zzz|@v", "unknown vertex 'zzz'"),
+        ("loop", "@|@v", "empty vertex name after '@'"),
+        ("loop", "|@v", "empty path literal; a vertex is written '@v'"),
+        ("loop", "e..e|@v", "empty edge id in path literal 'e..e'"),
+        ("loop", "zz|@v", "\"unknown edge id 'zz'\""),
+        ("two_cycle", "e1.e1|@w", "edges 'e1' and 'e1' do not compose"),
+        ("edge", "e|@v", "paths end at different vertices: 'w' vs 'v'"),
+        ("loop", "e|e|e", "element literal must be '0' or 'P|Q', got 'e|e|e'"),
+        ("loop", "@v", "element literal must be '0' or 'P|Q', got '@v'"),
+    ])
+    def test_error_messages(self, graph, literal, message):
+        with pytest.raises(ElementLiteralError) as info:
+            parse_element(CORPUS[graph], literal)
+        assert type(info.value) is ElementLiteralError and str(info.value) == message
+
     def test_mismatched_ranges_rejected(self, edge):
         with pytest.raises(ElementLiteralError):
             parse_element(edge, "e|@v")
@@ -408,8 +423,8 @@ def assert_valid(g, x):
 
 class TestBuiltValuesAreValid:
     """Results the package builds without checks are valid values: every
-    product, concatenation, remainder, cycle power, normal form and
-    rewrite neighbour, over the corpus and seeded multigraphs."""
+    product, concatenation, remainder, cycle power, parsed literal, normal
+    form and rewrite neighbour, over the corpus and seeded multigraphs."""
 
     @staticmethod
     def check(g, len_bound, triples):
@@ -419,8 +434,9 @@ class TestBuiltValuesAreValid:
             for q in paths:
                 if p.target == q.source:
                     assert_valid(g, concat(p, q))
-                if is_prefix(p, q):
-                    assert_valid(g, strip_prefix(p, q))
+                rest = remainder(p, q)
+                if rest is not None:
+                    assert_valid(g, rest)
             if p.is_closed:
                 for m in range(4):
                     assert_valid(g, cycle_power(p, m))
@@ -428,6 +444,7 @@ class TestBuiltValuesAreValid:
         right = pool[:: max(1, len(pool) // 40)]  # every y of a small pool
         for x in pool:
             assert_valid(g, x)
+            assert_valid(g, parse_element(g, format_element(x)))
             for y in right:
                 assert_valid(g, multiply(x, y))
         for t in triples:

@@ -27,6 +27,7 @@ from graphinverse.graphs import (
     is_hereditary,
     is_strongly_connected,
     make_path,
+    remainder,
     topological_order,
     vertex_path,
 )
@@ -51,9 +52,11 @@ from reference import (
     hereditary_closure,
     index_one_vertices,
     is_no_exit,
+    is_prefix,
     quotient,
     reachable,
     rees_only_condition,
+    strip_prefix,
     strongly_connected_by_search,
     subset_scan_hereditary,
 )
@@ -503,6 +506,20 @@ class TestPaths:
         with pytest.raises(ValueError):
             make_path(two_cycle, [])
 
+    @pytest.mark.parametrize("args, kind, message", [
+        ((["zzz"],), KeyError, "unknown edge id 'zzz'"),
+        ((["e1", "e1", "zzz"],), KeyError, "unknown edge id 'zzz'"),  # ids before composition
+        ((["e1", "e1"],), ValueError, "edges 'e1' and 'e1' do not compose"),
+        ((["e1", "e2", "e2"],), ValueError, "edges 'e2' and 'e2' do not compose"),
+        (([],), ValueError, "a length-0 path needs an explicit source vertex"),
+        (([], "q"), KeyError, "unknown vertex id 'q'"),
+        ((["e1"], "w"), ValueError, "path source 'w' does not match first edge 'e1'"),
+    ])
+    def test_make_path_errors(self, two_cycle, args, kind, message):
+        with pytest.raises(kind) as info:
+            make_path(two_cycle, *args)
+        assert type(info.value) is kind and info.value.args == (message,)
+
     def test_concat_checks_endpoints(self, two_cycle):
         e1 = make_path(two_cycle, ["e1"])
         with pytest.raises(ValueError):
@@ -513,6 +530,29 @@ class TestPaths:
         p = make_path(two_cycle, ["e1", "e2", "e1"])
         assert p.vertex_set == {"v", "w"}
         assert vertex_path("v").vertex_set == frozenset()
+
+
+class TestRemainder:
+    """remainder(p, q) is strip_prefix(p, q) when p is a prefix of q, and
+    None otherwise, over every ordered pair of paths of length <= 3."""
+
+    @staticmethod
+    def check(g):
+        paths = all_paths(g, 3)
+        for p in paths:
+            for q in paths:
+                rest = remainder(p, q)
+                if is_prefix(p, q):
+                    assert type(rest) is Path and rest == strip_prefix(p, q)
+                else:
+                    assert rest is None
+
+    def test_corpus(self, corpus_graph):
+        self.check(corpus_graph)
+
+    def test_seeded_multigraphs(self):
+        for g in seeded_multigraphs(8128, 60, max_vertices=5):
+            self.check(g)
 
 
 class TestSerialization:

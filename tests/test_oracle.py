@@ -21,8 +21,8 @@ from graphinverse.congruences import (
     triple_generators,
     triple_leq,
 )
-from graphinverse.corpus import CORPUS, all_acyclic_graphs, two_edge_path
-from graphinverse.graphs import Cycle, Path, concat, is_prefix, make_path, strip_prefix
+from graphinverse.corpus import ACYCLIC_CORPUS, CORPUS, all_acyclic_graphs, two_edge_path
+from graphinverse.graphs import Cycle, Path, concat, make_path
 from graphinverse.oracle import (
     TransitionOracle,
     TransitionResult,
@@ -33,7 +33,16 @@ from graphinverse.oracle import (
     materialize,
     triple_of_congruence,
 )
-from reference import PrefixIndexOracle, is_compatible, solve_right, vertex_class_form_test
+from reference import (
+    PrefixIndexOracle,
+    closure_by_all_translations,
+    congruences_by_closed_joins,
+    is_compatible,
+    is_prefix,
+    solve_right,
+    strip_prefix,
+    vertex_class_form_test,
+)
 from test_congruences import loop_triple
 from test_graphs import seeded_multigraphs
 
@@ -135,19 +144,19 @@ class TestMaterialize:
         s = materialize(acyclic_graph)
         for i, x in enumerate(s.elements):
             for j, y in enumerate(s.elements):
-                assert s.elements[s.mul(i, j)] == multiply(x, y)
+                assert s.elements[s.table[i][j]] == multiply(x, y)
 
     def test_table_is_associative(self, acyclic_graph):
         s = materialize(acyclic_graph)
         n = len(s)
         for i, j, k in itertools.product(range(n), repeat=3):
-            assert s.mul(s.mul(i, j), k) == s.mul(i, s.mul(j, k))
+            assert s.table[s.table[i][j]][k] == s.table[i][s.table[j][k]]
 
     def test_zero_absorbs(self, acyclic_graph):
         s = materialize(acyclic_graph)
         z = s.index_of(ZERO)
         for i in range(len(s)):
-            assert s.mul(i, z) == z and s.mul(z, i) == z
+            assert s.table[i][z] == z and s.table[z][i] == z
 
     def test_unique_representation(self, acyclic_graph):
         s = materialize(acyclic_graph)
@@ -229,6 +238,44 @@ class TestEnumerateCongruences:
         s = materialize(edge)
         for rho in enumerate_congruences(s):
             assert is_compatible(s, rho)
+
+
+def acyclic_family():
+    return all_acyclic_graphs(3, 3) + list(ACYCLIC_CORPUS.values())
+
+
+class TestAgainstClosureReference:
+    """Translating by the generators and joining by partitions give the
+    congruences of the references, which translate by every element and
+    close every join, order included."""
+
+    def test_generators_are_vertices_edges_and_ghosts(self, acyclic_graph):
+        g = acyclic_graph
+        s = materialize(g)
+        expected = {repr(vertex_element(v)) for v in g.vertices}
+        expected |= {f"{e.id}|@{e.dst}" for e in g.edges} | {f"@{e.dst}|{e.id}" for e in g.edges}
+        assert {repr(s.elements[i]) for i in s.generators} == expected
+        assert len(s.generators) == len(expected)
+
+    def test_principal_closures(self):
+        for g in acyclic_family():
+            s = materialize(g)
+            els = s.elements
+            for i, j in itertools.combinations(range(len(s)), 2):
+                pair = [(els[i], els[j])]
+                assert congruence_closure(s, pair) == closure_by_all_translations(s, pair)
+
+    def test_triple_generator_closures(self):
+        for g in acyclic_family():
+            s = materialize(g)
+            for t in enumerate_triples(g).triples:
+                pairs = triple_generators(g, t)
+                assert congruence_closure(s, pairs) == closure_by_all_translations(s, pairs)
+
+    def test_enumeration(self):
+        for g in acyclic_family():
+            s = materialize(g)
+            assert enumerate_congruences(s) == congruences_by_closed_joins(s)
 
 
 class TestBruteForce:
