@@ -338,7 +338,8 @@ def main(argv: list[str] | None = None) -> int:
         _check_bounds(args)
         return args.func(args)
     except (ValueError, KeyError, OSError, OverflowError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str() quotes a KeyError's message; an OSError's args are (errno, text)
+        print(f"error: {exc.args[0] if isinstance(exc, KeyError) else exc}", file=sys.stderr)
         return 1
 
 

@@ -136,7 +136,8 @@ def _compile(g: Graph, t: CongruenceTriple) -> CongruenceTriple:
 def validate_triple(g: Graph, t: CongruenceTriple) -> tuple[bool, list[str]]:
     """Check a triple against g; returns (ok, diagnostics)."""
     problems: list[str] = []
-    unknown = [v for v in t.h if not g.has_vertex(v)]
+    vertices = g._vpos.keys()  # type: ignore[attr-defined]
+    unknown = t.h - vertices
     if unknown:
         problems.append(f"H contains unknown vertices {sorted(unknown)}")
         return False, problems
@@ -144,7 +145,7 @@ def validate_triple(g: Graph, t: CongruenceTriple) -> tuple[bool, list[str]]:
         problems.append(f"H = {sorted(t.h)} is not hereditary")
         return False, problems
     w_edges = index_one_edges(g, t.h)
-    stray = {v for v in t.w if v in t.h or not g.has_vertex(v)}
+    stray = t.w & t.h | t.w - vertices
     if stray:
         problems.append(f"W contains vertices outside the quotient: {sorted(stray)}")
     bad_index = t.w - stray - w_edges.keys()
@@ -258,34 +259,48 @@ def normal_form(g: Graph, t: CongruenceTriple, x: Element) -> Element:
     The form is reached by (1) discarding the ideal of H, then repeating
     until fixed: (2) strip a common trailing edge whose source is in W,
     and (3) when the common range sits on a cycle c with finite f(c),
-    measure each side's maximal trailing run along the cycle (in edges)
-    and replace the two runs by the single run (la - lb) mod f(c)|c|
-    carried on the plain side. Edge granularity matters: the congruence
-    can trade a partial lap on the starred side for its complement on the
-    plain side. Stripping can expose new runs and run reduction can expose
-    new strippable tails, hence the loop; it terminates because the
-    starred path never grows and the plain side only grows when the
-    starred side shrinks.
+    replace the two sides' maximal trailing runs along c, of la and lb
+    edges, by the single run (la - lb) mod f(c)|c| on the plain side.
+    Edge granularity matters: the congruence can trade a partial lap on
+    the starred side for its complement on the plain side. Stripping can
+    expose new runs and run reduction new strippable tails, hence the
+    loop; it ends because the starred path never grows and the plain side
+    grows only when the starred side shrinks.
+
+    On a cycle, (2) strips min(la, lb) edges in one step and (3) reduces
+    what is left of la and lb, so a round costs O(log n) steps whatever
+    the lap counts. Both runs follow c back from the common range and
+    every cycle vertex is in W, so (2) edge by edge would strip the same
+    edges; one slice comparison checks that they agree, and where it
+    fails the edge-by-edge strip decides alone. Off the cycles that strip
+    walks back along a simple W-path.
     """
     t = t.over(g)
     if x.is_zero or x.alpha.target in t.h:
         return ZERO
     a, b = x
     while True:
-        a, b, stripped = _strip_common_tail(t.w, a, b)
-        a, b, reduced = _reduce_tail_run(t, a, b)
-        if not (stripped or reduced):
+        c, val = t.cycle_at.get(a.target, (None, INF))
+        if c is not None:
+            la, lb = _trailing_run(t, a), _trailing_run(t, b)
+            k = min(la, lb)
+            if k and a.edges[-k:] == b.edges[-k:]:
+                a, b, la, lb = _drop_last(a, k), _drop_last(b, k), la - k, lb - k
+        verts, a_edges, b_edges, w = a.vertices, a.edges, b.edges, t.w  # read once, not per edge
+        k, n = 0, min(len(a_edges), len(b_edges))
+        while k < n and a_edges[-1 - k] == b_edges[-1 - k] and verts[-2 - k] in w:
+            k += 1
+        if k:  # the common range moved: measure again
+            a, b = _drop_last(a, k), _drop_last(b, k)
+            continue
+        if val == INF:
             return _element(a, b)
-
-
-def _strip_common_tail(w: frozenset[str], a: Path, b: Path) -> tuple[Path, Path, bool]:
-    verts, a_edges, b_edges = a.vertices, a.edges, b.edges  # read once, not per edge
-    k, n = 0, min(len(a_edges), len(b_edges))
-    while k < n and a_edges[-1 - k] == b_edges[-1 - k] and verts[-2 - k] in w:
-        k += 1
-    if not k:
-        return a, b, False
-    return _drop_last(a, k), _drop_last(b, k), True
+        d = (la - lb) % (len(c) * int(val))
+        if lb == 0 and la == d:
+            return _element(a, b)
+        a, b = _drop_last(a, la), _drop_last(b, lb)
+        laps = cycle_power(c.based_at(a.target), d // len(c) + 1)  # the d edges along c
+        a = _path(a.vertices + laps.vertices[1 : d + 1], a.edges + laps.edges[:d])
 
 
 def _drop_last(p: Path, k: int) -> Path:
@@ -299,29 +314,10 @@ def _trailing_run(t: CongruenceTriple, p: Path) -> int:
     Each cycle vertex lies in W, so of its edges only the cycle edge does
     not range into H: p stays on the first cycle of t it reaches. Being on
     a cycle of t is thus monotone along p, and the run starts where it
-    turns true.
+    turns true, found by bisection. The run is the walk along the cycle
+    back from p's target, so two runs to one target share the shorter.
     """
     return len(p.edges) - bisect_left(p.vertices, True, key=t.cycle_at.__contains__)
-
-
-def _cycle_walk(c: Cycle, start: str, length: int) -> Path:
-    """The forced path of the given length along c from a cycle vertex."""
-    laps = cycle_power(c.based_at(start), length // len(c) + 1)
-    return _path(laps.vertices[: length + 1], laps.edges[:length])
-
-
-def _reduce_tail_run(t: CongruenceTriple, a: Path, b: Path) -> tuple[Path, Path, bool]:
-    c, val = t.cycle_at.get(a.target, (None, INF))
-    if val == INF:
-        return a, b, False
-    period = len(c) * int(val)
-    la = _trailing_run(t, a)
-    lb = _trailing_run(t, b)
-    d = (la - lb) % period
-    if lb == 0 and la == d:
-        return a, b, False
-    core_a, core_b = _drop_last(a, la), _drop_last(b, lb)
-    return concat(core_a, _cycle_walk(c, core_a.target, d)), core_b, True
 
 
 def vertex_class_members(
@@ -494,7 +490,7 @@ def triple_from_json(g: Graph, data: object) -> CongruenceTriple:
         try:
             cyc = Cycle.from_path(make_path(g, cycle))
         except (ValueError, KeyError) as exc:
-            raise TripleFormatError(f"bad cycle {cycle!r}: {exc}") from None
+            raise TripleFormatError(f"bad cycle {cycle!r}: {exc.args[0]}") from None
         if tuple(cycle) != cyc.path.edges:
             raise TripleFormatError(
                 f"cycle {cycle!r} is not in canonical rotation; "
@@ -514,7 +510,7 @@ def triple_from_json(g: Graph, data: object) -> CongruenceTriple:
     except TripleFormatError:
         raise
     except (ValueError, KeyError) as exc:
-        raise TripleFormatError(str(exc)) from None
+        raise TripleFormatError(exc.args[0]) from None
 
 
 def load_triple(g: Graph, path: str) -> CongruenceTriple:

@@ -123,7 +123,7 @@ def _parse_path(g: Graph, text: str) -> Path:
     try:
         return make_path(g, ids)
     except (ValueError, KeyError) as exc:
-        raise ElementLiteralError(str(exc)) from None
+        raise ElementLiteralError(exc.args[0]) from None  # str() quotes a KeyError
 
 
 def parse_element(g: Graph, text: str) -> Element:

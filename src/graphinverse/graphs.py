@@ -88,8 +88,10 @@ class Graph:
             raise KeyError(f"unknown edge id {edge_id!r}") from None
 
     def out_edges(self, v: str) -> tuple[Edge, ...]:
-        self._require_vertex(v)
-        return self._out[v]  # type: ignore[attr-defined]
+        try:
+            return self._out[v]  # type: ignore[attr-defined]
+        except KeyError:
+            raise KeyError(f"unknown vertex id {v!r}") from None
 
     def sort_vertices(self, vs: Iterable[str]) -> tuple[str, ...]:
         """Order a vertex collection by this graph's insertion order."""
@@ -97,8 +99,7 @@ class Graph:
         return tuple(sorted(vs, key=pos.__getitem__))
 
     def _require_vertex(self, v: str) -> None:
-        if not self.has_vertex(v):
-            raise KeyError(f"unknown vertex id {v!r}")
+        self.out_edges(v)  # raises KeyError for an unknown vertex
 
 
 # ---------------------------------------------------------------------------
@@ -335,9 +336,9 @@ def index_one_edges(g: Graph, h: Iterable[str] = ()) -> dict[str, Edge]:
     h, mapped to that edge, in graph order."""
     hs = frozenset(h)
     w_edges: dict[str, Edge] = {}
-    for v in g.vertices:
+    for v, out in g._out.items():  # type: ignore[attr-defined]
         if v not in hs:
-            kept = [e for e in g.out_edges(v) if e.dst not in hs]
+            kept = [e for e in out if e.dst not in hs]
             if len(kept) == 1:
                 w_edges[v] = kept[0]
     return w_edges
@@ -369,7 +370,7 @@ def cycles_in(g: Graph, w_edges: Mapping[str, Edge]) -> list[Cycle]:
         if walk_of.get(u) == start:  # this walk closed a new cycle at u
             k = verts.index(u)
             c = Cycle.from_path(_path(tuple(verts[k:]) + (u,), tuple(edges[k:])))
-            found.append((min(pos[v] for v in verts[k:]), c))
+            found.append((min(map(pos.__getitem__, verts[k:])), c))
     found.sort(key=lambda rc: rc[0])
     return [c for _, c in found]
 

@@ -22,6 +22,7 @@ from graphinverse.graphs import (
     Graph,
     Path,
     concat,
+    cycle_power,
     cycles_in,
     enumerate_hereditary,
     is_hereditary,
@@ -224,6 +225,59 @@ def reduce_mod_h(g: Graph, t: CongruenceTriple, x: Element) -> Element:
     if x.is_zero:
         return ZERO
     return ZERO if x.alpha.target in t.h else x
+
+
+def drop_last(p: Path, k: int) -> Path:
+    return Path(p.vertices[: len(p.vertices) - k], p.edges[: len(p.edges) - k])
+
+
+def strip_common_tail(w: frozenset[str], a: Path, b: Path) -> tuple[Path, Path, bool]:
+    """Drop the common trailing edges of a and b whose sources lie in W,
+    one edge at a time: the pairs (e e*, s(e)) applied in context."""
+    k, n = 0, min(len(a), len(b))
+    while k < n and a.edges[-1 - k] == b.edges[-1 - k] and a.vertices[-2 - k] in w:
+        k += 1
+    if not k:
+        return a, b, False
+    return drop_last(a, k), drop_last(b, k), True
+
+
+def trailing_run(c: Cycle, p: Path) -> int:
+    """Edges of the maximal suffix of p that runs along c into p's target,
+    matched edge by edge against c."""
+    body = c.path.vertices[:-1]
+    pos, n, run = body.index(p.target), len(c), 0
+    while run < len(p) and p.edges[-1 - run] == c.path.edges[(pos - 1 - run) % n]:
+        run += 1
+    return run
+
+
+def normal_form_by_edges(g: Graph, t: CongruenceTriple, x: Element) -> Element:
+    """The normal form of x as normal_form defines it, built edge by edge.
+
+    Zero when x falls into the ideal of H; otherwise repeat, until
+    nothing changes, (1) strip_common_tail and (2) at a common range on a
+    cycle c of finite f(c), replace the two trailing runs la and lb along
+    c by one run of (la - lb) mod f(c)|c| edges on the plain side.
+    """
+    if reduce_mod_h(g, t, x).is_zero:
+        return ZERO
+    cycle_of = {v: (c, val) for c, val in t.f for v in c.vertex_set}
+    a, b = x
+    while True:
+        a, b, stripped = strip_common_tail(t.w, a, b)
+        c, val = cycle_of.get(a.target, (None, INF))
+        reduced = False
+        if val != INF:
+            la, lb = trailing_run(c, a), trailing_run(c, b)
+            d = (la - lb) % (len(c) * int(val))
+            if not (lb == 0 and la == d):
+                a, b = drop_last(a, la), drop_last(b, lb)
+                laps = cycle_power(c.based_at(a.target), d // len(c) + 1)
+                a = concat(a, Path(laps.vertices[: d + 1], laps.edges[:d]))
+                reduced = True
+        if not (stripped or reduced):
+            return Element(a, b)
 
 
 def is_compatible(s: FiniteSemigroup, part: ExplicitCongruence) -> bool:

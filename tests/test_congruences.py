@@ -3,10 +3,11 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
+import random
 
 import pytest
 
-from graphinverse.graphs import Cycle, Graph, Path, make_path
+from graphinverse.graphs import Cycle, Graph, Path, concat, cycle_power, cycles_in, make_path
 from graphinverse.elements import (
     ZERO,
     Element,
@@ -37,7 +38,7 @@ from graphinverse.congruences import (
 from graphinverse import corpus
 from graphinverse.corpus import ACYCLIC_CORPUS, CORPUS, CYCLIC_CORPUS
 from graphinverse.oracle import all_paths, bounded_elements, congruence_closure, materialize
-from reference import per_triple_enumeration, reduce_mod_h
+from reference import normal_form_by_edges, per_triple_enumeration, reduce_mod_h, trailing_run
 from test_elements import as_cycle_power
 from test_graphs import seeded_multigraphs
 
@@ -539,14 +540,6 @@ class TestCycleLayerAgainstReference:
         at, val = t.cycle_at.get(c.base, (None, INF))
         return at == c and val != INF and m % int(val) == 0
 
-    @staticmethod
-    def reference_trailing_run(c, p):
-        body = c.path.vertices[:-1]
-        pos, n, run = body.index(p.target), len(c), 0
-        while run < len(p) and p.edges[-1 - run] == c.path.edges[(pos - 1 - run) % n]:
-            run += 1
-        return run
-
     @pytest.mark.parametrize("name", sorted(CYCLIC_CORPUS))
     def test_lap_power_on_closed_paths_up_to_six(self, name):
         g = CORPUS[name]
@@ -575,7 +568,7 @@ class TestCycleLayerAgainstReference:
             for p in paths:
                 if p.target in t.cycle_at:  # so p avoids H
                     c, _ = t.cycle_at[p.target]
-                    assert _trailing_run(t, p) == self.reference_trailing_run(c, p), (t, p)
+                    assert _trailing_run(t, p) == trailing_run(c, p), (t, p)
 
     def test_make_triple_canonicalizes_a_long_ring_once(self, monkeypatch):
         n = 3000
@@ -595,3 +588,101 @@ class TestCycleLayerAgainstReference:
         assert normal_form(g, t, path_element(c.power(4))) == path_element(c.path)
         assert normal_form(g, t, Element(c.power(5), c.power(2))) == v0
         assert calls == [n]
+
+
+class TestNormalFormAgainstEdgeByEdge:
+    """normal_form strips the common part of two lap runs in one step; the
+    reference strips and measures edge by edge. Both build the same form."""
+
+    @staticmethod
+    def fed_ring(rng, n):
+        """A ring of n shuffled edge names, fed by tails of 1-4 edges that
+        end on the ring or on an earlier tail: every vertex has one edge."""
+        ring = [f"r{i}" for i in range(n)]
+        names = rng.sample(range(n), n)
+        edges = [(f"c{names[i]}", ring[i], ring[(i + 1) % n]) for i in range(n)]
+        vs = list(ring)
+        for k in range(rng.randint(1, 4)):
+            tail = [f"t{k}v{i}" for i in range(rng.randint(1, 4))]
+            stops = tail + [rng.choice(vs)]
+            edges += [(f"t{k}e{i}", stops[i], stops[i + 1]) for i in range(len(tail))]
+            vs += tail
+        return Graph.of(vs, edges), ring
+
+    @staticmethod
+    def walk(g, v, length):
+        verts, edges = [v], []
+        for _ in range(length):
+            (e,) = g.out_edges(verts[-1])
+            verts.append(e.dst)
+            edges.append(e.id)
+        return Path(tuple(verts), tuple(edges))
+
+    @staticmethod
+    def distance(g, v, target):
+        for d in range(len(g.vertices)):
+            if v == target:
+                return d
+            v = g.out_edges(v)[0].dst
+        return None
+
+    @staticmethod
+    def along(c, v, length):
+        laps = cycle_power(c.based_at(v), length // len(c) + 1)
+        return Path(laps.vertices[: length + 1], laps.edges[:length])
+
+    @staticmethod
+    def steps(c, u, v):
+        """Edges along c from u to v."""
+        body = c.path.vertices[:-1]
+        return (body.index(v) - body.index(u)) % len(c)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 17, 64, 131, 200])
+    def test_fed_rings(self, n):
+        rng = random.Random(n)
+        for val in (1, 2, 3, INF):
+            g, ring = self.fed_ring(rng, n)
+            tails = [v for v in g.vertices if v not in ring]
+            ring_w = ring if rng.random() < 0.8 else rng.sample(ring, rng.randint(0, n - 1))
+            w = set(ring_w) | {v for v in tails if rng.random() < 0.5}
+            cycles = cycles_in(g, {v: g.out_edges(v)[0] for v in w})
+            t = make_triple(g, (), w, {c: val for c in cycles})
+            for _ in range(25):
+                target = rng.choice(g.vertices)
+                starts = [v for v in g.vertices if self.distance(g, v, target) is not None]
+                sa, sb = rng.choice(starts), rng.choice(starts)
+                m1, m2 = rng.randint(0, 30), rng.randint(0, 30)
+                if rng.random() < 0.4:  # a common tail, behind runs that cancel mod f(c)
+                    sb, m2 = sa, m1 + rng.choice([0, 6, 12])
+                laps = n * (target in ring)
+                a = self.walk(g, sa, self.distance(g, sa, target) + m1 * laps)
+                b = self.walk(g, sb, self.distance(g, sb, target) + m2 * laps)
+                for x in (Element(a, b), Element(b, a)):
+                    assert normal_form(g, t, x) == normal_form_by_edges(g, t, x), (t, x)
+
+    def test_runs_need_the_cycle_edges(self, two_cycle):
+        # runs over the cycle's vertices on another edge, as from another graph
+        c = Cycle.from_path(make_path(two_cycle, ["e1", "e2"]))
+        t = make_triple(two_cycle, (), {"v", "w"}, {c: INF})
+        x = Element(make_path(two_cycle, ["e1", "e2"]), Path(("v", "w", "v"), ("x", "e2")))
+        expected = Element(Path(("v", "w"), ("e1",)), Path(("v", "w"), ("x",)))
+        assert normal_form(two_cycle, t, x) == normal_form_by_edges(two_cycle, t, x) == expected
+
+    def test_seeded_multigraphs(self):
+        rng = random.Random(2042)
+        for g in seeded_multigraphs(2042, 60, max_vertices=5):
+            paths = all_paths(g, 2)
+            elements = bounded_elements(g, 2)
+            for t in sample_triples(g, 3):
+                pool = rng.sample(elements, min(len(elements), 120))
+                for c, _ in t.f:  # lap runs and partial laps on both sides
+                    at = [p for p in paths if p.target in c.vertex_set]
+                    for _ in range(6):
+                        p, q = rng.choice(at), rng.choice(at)
+                        la = rng.randint(0, 30) * len(c) + rng.randrange(len(c))
+                        a = concat(p, self.along(c, p.target, la))
+                        lb = self.steps(c, q.target, a.target) + rng.randint(0, 30) * len(c)
+                        b = concat(q, self.along(c, q.target, lb))
+                        pool += [Element(a, b), Element(b, a)]
+                for x in pool:
+                    assert normal_form(g, t, x) == normal_form_by_edges(g, t, x), (t, x)

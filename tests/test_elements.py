@@ -317,7 +317,7 @@ class TestLiterals:
         ("loop", "@|@v", "empty vertex name after '@'"),
         ("loop", "|@v", "empty path literal; a vertex is written '@v'"),
         ("loop", "e..e|@v", "empty edge id in path literal 'e..e'"),
-        ("loop", "zz|@v", "\"unknown edge id 'zz'\""),
+        ("loop", "zz|@v", "unknown edge id 'zz'"),
         ("two_cycle", "e1.e1|@w", "edges 'e1' and 'e1' do not compose"),
         ("edge", "e|@v", "paths end at different vertices: 'w' vs 'v'"),
         ("loop", "e|e|e", "element literal must be '0' or 'P|Q', got 'e|e|e'"),
