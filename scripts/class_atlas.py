@@ -39,8 +39,10 @@ def main() -> None:
 
     if args.f_cap < 1:
         sys.exit("error: --f-cap must be a positive integer")
+    if args.len_bound < 0:
+        sys.exit("error: --len-bound must be nonnegative")
     g = CORPUS[args.graph]
-    triples = enumerate_triples(g, f_cap=args.f_cap).triples
+    triples = enumerate_triples(g, f_cap=args.f_cap)
     if args.triple_index is not None:
         if not -len(triples) <= args.triple_index < len(triples):
             sys.exit(f"error: --triple-index {args.triple_index} is out of range: "

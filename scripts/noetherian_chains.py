@@ -42,13 +42,14 @@ def main() -> None:
     ap.add_argument("--f-cap", type=int, default=6)
     ap.add_argument("--seed", type=int, default=97)
     args = ap.parse_args()
-    for flag, value in (("--chains", args.chains), ("--f-cap", args.f_cap)):
+    for flag, value in (("--chains", args.chains), ("--length", args.length),
+                        ("--f-cap", args.f_cap)):
         if value < 1:
             sys.exit(f"error: {flag} must be a positive integer")
 
     rng = random.Random(args.seed)
     for name, g in sorted(CORPUS.items()):
-        triples = enumerate_triples(g, f_cap=args.f_cap).triples
+        triples = enumerate_triples(g, f_cap=args.f_cap)
         indices = Counter()
         for _ in range(args.chains):
             chain = random_chain(rng, g, triples, args.length)

@@ -26,6 +26,11 @@ def main() -> None:
     ap.add_argument("--max-edges", type=int, default=3)
     ap.add_argument("--max-elements", type=int, default=64)
     args = ap.parse_args()
+    # a bound below these would list no graph and pass vacuously
+    if args.max_vertices < 1:
+        sys.exit("error: --max-vertices must be a positive integer")
+    if args.max_edges < 0:
+        sys.exit("error: --max-edges must be nonnegative")
 
     graphs = all_acyclic_graphs(args.max_vertices, args.max_edges)
     started = time.monotonic()
@@ -35,7 +40,7 @@ def main() -> None:
             s, congruences = brute_force(g, args.max_elements)
         except ValueError as exc:  # above --max-elements
             sys.exit(f"error: {exc} set by --max-elements")
-        triples = enumerate_triples(g).triples
+        triples = enumerate_triples(g)
         # the triples read off are the listed ones, each once, and each
         # generates the congruence it was read off
         assert len(congruences) == len(triples)

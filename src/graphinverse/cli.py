@@ -2,9 +2,10 @@
 
 Subcommands: ``report`` (graph-side facts and predicates), ``equiv``
 (decide a pair, optionally with a rewrite-chain certificate), ``nf``
-(canonical class representative), ``enumerate`` / ``triples`` (triple
-listings, optionally checked against brute force), and ``oracle``
-(materialize an acyclic instance and enumerate its congruences).
+(canonical class representative), ``enumerate`` / ``triples`` (one
+triple listing, in full or as JSON lines, optionally checked against
+brute force), and ``oracle`` (materialize an acyclic instance and
+enumerate its congruences).
 
 Exit codes: 0 success, 1 invalid input (usage errors included), 2 a
 pair decided equivalent but no certificate found within bounds.
@@ -15,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 from typing import Iterable, NoReturn
 
 from .congruences import (
@@ -173,14 +175,16 @@ def cmd_nf(args: argparse.Namespace) -> int:
     return 0
 
 
-def _triple_lines(g: Graph, enumeration) -> list[str]:
-    lines = []
-    for t in enumeration.triples:
-        fs = ", ".join(
-            f"{'.'.join(c.path.edges)}->{'inf' if v == INF else v}" for c, v in t.f
-        )
-        lines.append(f"H={_vset(g, t.h)} W={_vset(g, t.w)} f={{{fs}}}")
-    return lines
+def _listing(g: Graph, f_cap: int) -> tuple[tuple, dict]:
+    """The capped triples of g, and the JSON payload that lists them."""
+    triples = enumerate_triples(g, f_cap)
+    return triples, {
+        "f_cap": f_cap,
+        "count": len(triples),
+        # with f_cap >= 1, the uncapped family grows exactly when a W closes a cycle
+        "infinite_family": any(t.f for t in triples),
+        "triples": [triple_to_json(g, t) for t in triples],
+    }
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
@@ -189,26 +193,19 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         from .oracle import brute_force
 
         s, congruences = brute_force(g, args.max_elements)
-    enumeration = enumerate_triples(g, args.f_cap)
-    payload: dict = {
-        "f_cap": args.f_cap,
-        "count": len(enumeration.triples),
-        "infinite_family": enumeration.unbounded,
-        "triples": [triple_to_json(g, t) for t in enumeration.triples],
-    }
-    lines = _triple_lines(g, enumeration)
-    lines.append(
-        f"{len(enumeration.triples)} triples"
-        + (
-            f" (finite f-values capped at {args.f_cap}; the full family is infinite)"
-            if enumeration.unbounded
-            else ""
-        )
-    )
+    triples, payload = _listing(g, args.f_cap)
+    lines = [
+        f"H={_vset(g, t.h)} W={_vset(g, t.w)} f={{"
+        + ", ".join(f"{'.'.join(c.path.edges)}->{'inf' if v == INF else v}" for c, v in t.f)
+        + "}"
+        for t in triples
+    ]
+    capped = f" (finite f-values capped at {args.f_cap}; the full family is infinite)"
+    lines.append(f"{len(triples)} triples" + (capped if payload["infinite_family"] else ""))
+    code = 0
     if args.brute:
-        recovered = sorted(json.dumps(triple_to_json(g, t)) for _, t in congruences)
-        listed = sorted(json.dumps(triple_to_json(g, t)) for t in enumeration.triples)
-        bijection = recovered == listed
+        # the triples read off the congruences are the listed ones, each once
+        bijection = Counter(t for _, t in congruences) == Counter(triples)
         payload["brute"] = {
             "elements": len(s),
             "congruences": len(congruences),
@@ -218,21 +215,15 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
             f"brute force: {len(s)} elements, {len(congruences)} congruences; "
             f"bijection {'verified' if bijection else 'FAILED'}"
         )
-        if not bijection:
-            _emit(args, payload, lines)
-            return 1
+        code = 0 if bijection else 1
     _emit(args, payload, lines)
-    return 0
+    return code
 
 
 def cmd_triples(args: argparse.Namespace) -> int:
     g = load_graph(args.graph)
-    enumeration = enumerate_triples(g, args.f_cap)
-    payload = {
-        "f_cap": args.f_cap,
-        "infinite_family": enumeration.unbounded,
-        "triples": [triple_to_json(g, t) for t in enumeration.triples],
-    }
+    _, payload = _listing(g, args.f_cap)
+    del payload["count"]
     # a generator: JSON mode never formats the text lines
     _emit(args, payload, (json.dumps(d) for d in payload["triples"]))
     return 0

@@ -6,11 +6,13 @@ positive integer or infinity. Each triple determines a congruence of the
 graph inverse semigroup; the triple is kept as data and membership of a
 pair (x, y) is decided directly, since the semigroup is usually infinite.
 
-:func:`make_triple` is the one validating constructor, and it compiles
-the triple once: the result remembers the graph it was validated over and
+:func:`make_triple` is the one validating constructor: it names every
+problem it finds in one :class:`TripleFormatError`, and it compiles the
+triple once, so the result remembers the graph it was validated over and
 indexes each cycle vertex's (cycle, f-value). :func:`enumerate_triples`
-compiles the triples it lists the same way, without validating what it
-built valid. Every operation taking ``(g, t)`` reads that index through
+returns a tuple of triples compiled the same way, without validating what
+it built valid; whether the uncapped family is infinite is read off them.
+Every operation taking ``(g, t)`` reads the index through
 :meth:`CongruenceTriple.over`, which validates anew only a triple not
 compiled over g.
 
@@ -115,13 +117,42 @@ def make_triple(
     w: Iterable[str] = (),
     f: Mapping[Cycle, FValue] | Iterable[tuple[Cycle, FValue]] = (),
 ) -> CongruenceTriple:
-    """Build and validate a triple over g, compiled for use with g."""
+    """Build and validate a triple over g, compiled for use with g. A bad
+    H is named alone; else every problem with W, then with f, is named in
+    one TripleFormatError."""
     pairs = f.items() if isinstance(f, Mapping) else f
     t = CongruenceTriple(
         frozenset(h), frozenset(w), tuple(sorted(pairs, key=lambda kv: kv[0].path.edges))
     )
-    ok, problems = validate_triple(g, t)
-    if not ok:
+    vertices = g._vpos.keys()  # type: ignore[attr-defined]
+    unknown = t.h - vertices
+    if unknown:
+        raise TripleFormatError(f"H contains unknown vertices {sorted(unknown)}")
+    if not is_hereditary(g, t.h):
+        raise TripleFormatError(f"H = {sorted(t.h)} is not hereditary")
+    w_edges = index_one_edges(g, t.h)
+    problems: list[str] = []
+    stray = t.w & t.h | t.w - vertices
+    if stray:
+        problems.append(f"W contains vertices outside the quotient: {sorted(stray)}")
+    bad_index = t.w - stray - w_edges.keys()
+    if bad_index:
+        problems.append(
+            f"W vertices without index one in the quotient: {sorted(bad_index)}"
+        )
+    if not problems:
+        expected = cycles_in(g, {v: e for v, e in w_edges.items() if v in t.w})
+        domain = [c for c, _ in t.f]
+        if sorted(c.path.edges for c in domain) != sorted(c.path.edges for c in expected):
+            problems.append(
+                f"cycle-function domain {[list(c.path.edges) for c in domain]} "
+                f"differs from the cycles inside W "
+                f"{[list(c.path.edges) for c in expected]}"
+            )
+        for _, val in t.f:
+            if not is_fvalue(val):
+                problems.append(f"cycle value {val!r} is not a positive integer or inf")
+    if problems:
         raise TripleFormatError("; ".join(problems))
     return _compile(g, t)
 
@@ -131,42 +162,6 @@ def _compile(g: Graph, t: CongruenceTriple) -> CongruenceTriple:
     object.__setattr__(t, "graph", g)
     object.__setattr__(t, "cycle_at", {v: (c, val) for c, val in t.f for v in c.vertex_set})
     return t
-
-
-def validate_triple(g: Graph, t: CongruenceTriple) -> tuple[bool, list[str]]:
-    """Check a triple against g; returns (ok, diagnostics)."""
-    problems: list[str] = []
-    vertices = g._vpos.keys()  # type: ignore[attr-defined]
-    unknown = t.h - vertices
-    if unknown:
-        problems.append(f"H contains unknown vertices {sorted(unknown)}")
-        return False, problems
-    if not is_hereditary(g, t.h):
-        problems.append(f"H = {sorted(t.h)} is not hereditary")
-        return False, problems
-    w_edges = index_one_edges(g, t.h)
-    stray = t.w & t.h | t.w - vertices
-    if stray:
-        problems.append(f"W contains vertices outside the quotient: {sorted(stray)}")
-    bad_index = t.w - stray - w_edges.keys()
-    if bad_index:
-        problems.append(
-            f"W vertices without index one in the quotient: {sorted(bad_index)}"
-        )
-    if problems:
-        return False, problems
-    expected = cycles_in(g, {v: e for v, e in w_edges.items() if v in t.w})
-    domain = [c for c, _ in t.f]
-    if sorted(c.path.edges for c in domain) != sorted(c.path.edges for c in expected):
-        problems.append(
-            f"cycle-function domain {[list(c.path.edges) for c in domain]} "
-            f"differs from the cycles inside W "
-            f"{[list(c.path.edges) for c in expected]}"
-        )
-    for c, val in t.f:
-        if not is_fvalue(val):
-            problems.append(f"cycle value {val!r} is not a positive integer or inf")
-    return not problems, problems
 
 
 # ---------------------------------------------------------------------------
@@ -325,6 +320,8 @@ def vertex_class_members(
 ) -> list[Element]:
     """All elements with both paths of length <= len_bound in the class
     of the vertex v; v must lie outside H."""
+    if len_bound < 0:
+        raise ValueError(f"length bound {len_bound} is negative")
     if v in t.h:
         raise ValueError(f"vertex {v!r} lies in H, its class is the zero class")
     t = t.over(g)
@@ -393,26 +390,18 @@ def triple_leq(g: Graph, t1: CongruenceTriple, t2: CongruenceTriple) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class TripleEnumeration:
-    """Triples with finite cycle values capped; ``unbounded`` flags that
-    uncapped values would make the full family infinite."""
-
-    triples: tuple[CongruenceTriple, ...]
-    unbounded: bool
-
-
-def enumerate_triples(g: Graph, f_cap: int = 4) -> TripleEnumeration:
-    """All triples of g whose finite cycle values are <= f_cap.
+def enumerate_triples(g: Graph, f_cap: int = 4) -> tuple[CongruenceTriple, ...]:
+    """All triples of g whose finite cycle values are <= f_cap, compiled.
 
     Ordered lexicographically: hereditary sets in subset-bitmask order,
     then W in bitmask order over the index-one vertices of G∖H, then
-    cycle values (1, .., f_cap, inf) per cycle.
+    cycle values (1, .., f_cap, inf) per cycle. Uncapped, the family is
+    infinite exactly when some W closes a cycle, that is when
+    ``any(t.f for t in triples)``.
     """
     if f_cap < 1:
         raise ValueError("f_cap must be a positive integer")
     triples: list[CongruenceTriple] = []
-    unbounded = False
     for h in enumerate_hereditary(g):
         bar_edges = index_one_edges(g, h)
         bar = tuple(bar_edges)
@@ -421,15 +410,13 @@ def enumerate_triples(g: Graph, f_cap: int = 4) -> TripleEnumeration:
         for mask in range(1 << len(bar)):
             w = frozenset(v for i, v in enumerate(bar) if mask >> i & 1)
             cycles = [c for c, vs in bar_cycles if vs <= w]
-            if cycles:
-                unbounded = True
             # build the value range only for a W with a cycle to take it
             values = (*range(1, f_cap + 1), INF) if cycles else ()
             ranked = sorted(enumerate(cycles), key=lambda ic: ic[1].path.edges)
             for combo in itertools.product(values, repeat=len(cycles)):
                 f = tuple((c, combo[i]) for i, c in ranked)
                 triples.append(_compile(g, CongruenceTriple(h, w, f)))
-    return TripleEnumeration(tuple(triples), unbounded)
+    return tuple(triples)
 
 
 def chain_stabilizes(g: Graph, chain: list[CongruenceTriple]) -> int:

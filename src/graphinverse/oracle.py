@@ -45,6 +45,8 @@ def all_paths(g: Graph, max_len: int | None = None) -> list[Path]:
         if not is_acyclic(g):
             raise ValueError("unbounded path enumeration needs an acyclic graph")
         max_len = len(g.edges)
+    elif max_len < 0:
+        raise ValueError(f"length bound {max_len} is negative")
     out: list[Path] = [vertex_path(v) for v in g.vertices]
     frontier = list(out)
     for _ in range(max_len):

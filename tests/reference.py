@@ -13,7 +13,6 @@ from typing import Iterable, Iterator
 from graphinverse.congruences import (
     INF,
     CongruenceTriple,
-    TripleEnumeration,
     make_triple,
 )
 from graphinverse.elements import ZERO, Element, multiply
@@ -194,12 +193,15 @@ def conjugate_cycle(g: Graph, c: Cycle, a: Path) -> Path:
 # ---------------------------------------------------------------------------
 
 
-def per_triple_enumeration(g: Graph, f_cap: int) -> TripleEnumeration:
+def per_triple_enumeration(
+    g: Graph, f_cap: int
+) -> tuple[tuple[CongruenceTriple, ...], bool]:
     """All triples with finite cycle values <= f_cap, in the documented
     order of enumerate_triples: hereditary sets by subset scan, then W in
     bitmask order over the index-one vertices of the quotient q = G∖H,
     then the cycle values per cycle of q inside W; each triple validated
-    by make_triple."""
+    by make_triple. Also whether some W closes a cycle of q, which makes
+    the uncapped family infinite."""
     values = tuple(range(1, f_cap + 1)) + (INF,)
     triples = []
     unbounded = False
@@ -212,7 +214,7 @@ def per_triple_enumeration(g: Graph, f_cap: int) -> TripleEnumeration:
             unbounded = unbounded or bool(cycles)
             for combo in itertools.product(values, repeat=len(cycles)):
                 triples.append(make_triple(g, h, w, zip(cycles, combo)))
-    return TripleEnumeration(tuple(triples), unbounded)
+    return tuple(triples), unbounded
 
 
 def reduce_mod_h(g: Graph, t: CongruenceTriple, x: Element) -> Element:

@@ -87,7 +87,7 @@ def test_criterion_1_bijection_on_small_acyclic_graphs():
         for g in graphs:
             s = materialize(g)
             congruences = enumerate_congruences(s)
-            triples = enumerate_triples(g).triples
+            triples = enumerate_triples(g)
             expected = sum(
                 2 ** len(index_one_vertices(quotient(g, h)))
                 for h in enumerate_hereditary(g)
@@ -167,7 +167,7 @@ def test_criterion_4_pair_round_trip():
                       "with f <= 4 or inf, on the cyclic corpus"):
         for name, g in sorted(CYCLIC_CORPUS.items()):
             bar = index_one_vertices(g)
-            for t in enumerate_triples(g, f_cap=4).triples:
+            for t in enumerate_triples(g, f_cap=4):
                 if t.h:
                     continue
                 recovered_w = frozenset(
@@ -237,7 +237,7 @@ def test_criterion_5_congruence_axioms_sampled():
         rng = random.Random(20260810)
         for name, g in sorted(CORPUS.items()):
             pool = bounded_elements(g, 3)
-            triples = spread(enumerate_triples(g, f_cap=3).triples, 4)
+            triples = spread(enumerate_triples(g, f_cap=3), 4)
             per_triple = 10_000 // len(triples) + 1
             for t in triples:
                 q = quotient(g, t.h)
@@ -262,7 +262,7 @@ def test_criterion_6_normal_form_complete():
                       "exhaustively for path lengths <= 4"):
         for name, g in sorted(CORPUS.items()):
             pool = bounded_elements(g, 4)
-            triples = spread(enumerate_triples(g, f_cap=3).triples, 6)
+            triples = spread(enumerate_triples(g, f_cap=3), 6)
             for t in triples:
                 forms = {x: normal_form(g, t, x) for x in pool}
                 for x in pool:
@@ -307,7 +307,7 @@ def test_criterion_7_graph_predicates_match_brute_force():
 
 def _special_triples(g, f_cap=3, limit=6):
     return spread(
-        [t for t in enumerate_triples(g, f_cap=f_cap).triples if not t.h], limit
+        [t for t in enumerate_triples(g, f_cap=f_cap) if not t.h], limit
     )
 
 
@@ -382,7 +382,7 @@ def test_criterion_9_noetherian_demo():
         from graphinverse.graphs import is_acyclic
 
         for name, g in sorted(CORPUS.items()):
-            triples = enumerate_triples(g, f_cap=6).triples
+            triples = enumerate_triples(g, f_cap=6)
             for _ in range(100):
                 # grow through random strict upper bounds for a while, then
                 # stay put: a random weakly increasing chain of length 50

@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import json
 import random
+import re
 
 import pytest
 
@@ -32,13 +33,19 @@ from graphinverse.congruences import (
     triple_generators,
     triple_leq,
     triple_to_json,
-    validate_triple,
     vertex_class_members,
 )
 from graphinverse import corpus
 from graphinverse.corpus import ACYCLIC_CORPUS, CORPUS, CYCLIC_CORPUS
 from graphinverse.oracle import all_paths, bounded_elements, congruence_closure, materialize
-from reference import normal_form_by_edges, per_triple_enumeration, reduce_mod_h, trailing_run
+from reference import (
+    inverse,
+    normal_form_by_edges,
+    per_triple_enumeration,
+    quotient,
+    reduce_mod_h,
+    trailing_run,
+)
 from test_elements import as_cycle_power
 from test_graphs import seeded_multigraphs
 
@@ -55,7 +62,7 @@ def loop_triple(g, m):
 def sample_triples(g, f_cap=2, limit=8):
     """A spread of triples for property tests: identity, universal, and a
     few in between."""
-    all_triples = enumerate_triples(g, f_cap).triples
+    all_triples = enumerate_triples(g, f_cap)
     if len(all_triples) <= limit:
         return list(all_triples)
     step = max(1, len(all_triples) // limit)
@@ -77,37 +84,45 @@ class TestDivides:
         assert not divides(INF, 5)
 
 
+def rejected(message):
+    """pytest.raises for make_triple's whole error message."""
+    return pytest.raises(TripleFormatError, match=f"^{re.escape(message)}$")
+
+
 class TestValidation:
     def test_edge_examples(self, edge):
-        ok, _ = validate_triple(edge, CongruenceTriple(frozenset({"w"}), frozenset(), ()))
-        assert ok
-        ok, problems = validate_triple(
-            edge, CongruenceTriple(frozenset(), frozenset({"w"}), ())
-        )
-        assert not ok and any("index one" in p for p in problems)
+        assert make_triple(edge, h={"w"}).h == {"w"}
+        with rejected("W vertices without index one in the quotient: ['w']"):
+            make_triple(edge, w={"w"})
 
     def test_loop_zero_value_rejected(self, loop):
         c = Cycle.from_path(make_path(loop, ["e"]))
-        ok, problems = validate_triple(
-            loop, CongruenceTriple(frozenset(), frozenset({"v"}), ((c, 0),))
-        )
-        assert not ok and any("positive" in p for p in problems)
+        with rejected("cycle value 0 is not a positive integer or inf"):
+            make_triple(loop, w={"v"}, f={c: 0})
 
     def test_non_hereditary_h(self, edge):
-        ok, problems = validate_triple(
-            edge, CongruenceTriple(frozenset({"v"}), frozenset(), ())
-        )
-        assert not ok and any("hereditary" in p for p in problems)
+        with rejected("H = ['v'] is not hereditary"):
+            make_triple(edge, h={"v"})
 
     def test_missing_cycle_domain(self, loop):
-        ok, problems = validate_triple(
-            loop, CongruenceTriple(frozenset(), frozenset({"v"}), ())
-        )
-        assert not ok and any("domain" in p for p in problems)
+        with rejected("cycle-function domain [] differs from the cycles inside W [['e']]"):
+            make_triple(loop, w={"v"})
 
     def test_make_triple_rejects_bad(self, edge):
         with pytest.raises(TripleFormatError):
             make_triple(edge, w={"w"})
+
+    def test_every_problem_named(self, edge, loop):
+        with rejected("H contains unknown vertices ['x']"):
+            make_triple(edge, h={"x", "v"})
+        with rejected("W contains vertices outside the quotient: ['w', 'x']; "
+                      "W vertices without index one in the quotient: ['v']"):
+            make_triple(edge, h={"w"}, w={"v", "w", "x"})
+        c = Cycle.from_path(make_path(loop, ["e"]))
+        with rejected("cycle-function domain [['e'], ['e']] differs from the cycles "
+                      "inside W [['e']]; cycle value 0 is not a positive integer or inf; "
+                      "cycle value 2.5 is not a positive integer or inf"):
+            make_triple(loop, w={"v"}, f=[(c, 0), (c, 2.5)])
 
 
 class TestReduceModH:
@@ -186,7 +201,7 @@ class TestEquivGeneral:
     def test_agrees_with_brute_force_closure(self, acyclic_graph):
         g = acyclic_graph
         s = materialize(g)
-        for t in enumerate_triples(g).triples:
+        for t in enumerate_triples(g):
             rho = congruence_closure(s, triple_generators(g, t))
             for i, x in enumerate(s.elements):
                 for j, y in enumerate(s.elements):
@@ -279,6 +294,15 @@ class TestVertexClassMembers:
         with pytest.raises(ValueError):
             vertex_class_members(edge, t, "w", 2)
 
+    def test_rejects_negative_length_bound(self, loop):
+        # a negative bound once read as 0: all_paths(loop, -1) == [@v]
+        t = loop_triple(loop, 2)
+        for bounded in (lambda: all_paths(loop, -1), lambda: bounded_elements(loop, -1),
+                        lambda: vertex_class_members(loop, t, "v", -1)):
+            with pytest.raises(ValueError, match="^length bound -1 is negative$"):
+                bounded()
+        assert vertex_class_members(loop, t, "v", 0) == [vertex_element("v")]
+
     def test_members_match_bounded_scan(self, corpus_graph):
         g = corpus_graph
         pool = bounded_elements(g, 3)
@@ -320,26 +344,25 @@ class TestTripleOrder:
 
 class TestEnumeration:
     def test_edge_graph_has_four(self, edge):
-        enumeration = enumerate_triples(edge)
-        assert len(enumeration.triples) == 4
-        assert not enumeration.unbounded
-        ws = {(tuple(sorted(t.h)), tuple(sorted(t.w))) for t in enumeration.triples}
+        triples = enumerate_triples(edge)
+        assert len(triples) == 4
+        assert not any(t.f for t in triples)
+        ws = {(tuple(sorted(t.h)), tuple(sorted(t.w))) for t in triples}
         assert ws == {((), ()), ((), ("v",)), (("w",), ()), (("v", "w"), ())}
 
     def test_single_vertex_has_two(self):
-        assert len(enumerate_triples(CORPUS["single_vertex"]).triples) == 2
+        assert len(enumerate_triples(CORPUS["single_vertex"])) == 2
 
     def test_loop_cap_two(self, loop):
-        enumeration = enumerate_triples(loop, f_cap=2)
-        assert len(enumeration.triples) == 5
-        assert enumeration.unbounded
-        fs = [t.f[0][1] for t in enumeration.triples if t.f]
+        triples = enumerate_triples(loop, f_cap=2)
+        assert len(triples) == 5
+        assert any(t.f for t in triples)
+        fs = [t.f[0][1] for t in triples if t.f]
         assert fs == [1, 2, INF]
 
     def test_everything_validates(self, corpus_graph):
-        for t in enumerate_triples(corpus_graph, f_cap=2).triples:
-            ok, problems = validate_triple(corpus_graph, t)
-            assert ok, problems
+        for t in enumerate_triples(corpus_graph, f_cap=2):
+            assert make_triple(corpus_graph, t.h, t.w, t.f) == t
 
     def test_deterministic(self, corpus_graph):
         a = enumerate_triples(corpus_graph, f_cap=2)
@@ -355,22 +378,24 @@ class TestEnumeration:
             2 ** len(index_one_vertices(quotient(g, h)))
             for h in enumerate_hereditary(g)
         )
-        assert len(enumerate_triples(g).triples) == expected
+        assert len(enumerate_triples(g)) == expected
 
 
 class TestEnumerationAgainstReference:
     """enumerate_triples against the loop it replaced, which built every
     triple through make_triple: same triples in the same order, the same
-    cycle index, each accepted by validate_triple."""
+    cycle index, each accepted by make_triple, and the infinite family
+    flagged by a listed cycle exactly when some W closes a cycle."""
 
     @staticmethod
     def check(g, f_cap=2):
-        enumeration = enumerate_triples(g, f_cap)
-        reference = per_triple_enumeration(g, f_cap)
-        assert enumeration == reference
-        for t, r in zip(enumeration.triples, reference.triples):
+        triples = enumerate_triples(g, f_cap)
+        reference, infinite = per_triple_enumeration(g, f_cap)
+        assert triples == reference
+        assert any(t.f for t in triples) == infinite
+        for t, r in zip(triples, reference):
             assert t.graph is g and t.cycle_at == r.cycle_at
-            assert validate_triple(g, t) == (True, [])
+            assert make_triple(g, t.h, t.w, t.f) == t
 
     def test_corpus(self, corpus_graph):
         self.check(corpus_graph)
@@ -415,10 +440,19 @@ class TestChains:
 
 
 class TestTripleJson:
+    @staticmethod
+    def round_trip(g):
+        for t in enumerate_triples(g, f_cap=2):
+            blob = json.dumps(triple_to_json(g, t))
+            assert triple_from_json(g, json.loads(blob)) == t
+
     def test_round_trip(self, corpus_graph):
-        for t in enumerate_triples(corpus_graph, f_cap=2).triples:
-            blob = json.dumps(triple_to_json(corpus_graph, t))
-            assert triple_from_json(corpus_graph, json.loads(blob)) == t
+        self.round_trip(corpus_graph)
+
+    def test_round_trip_seeded_multigraphs(self):
+        # loops and parallel edges: cycles written in their canonical rotation
+        for g in seeded_multigraphs(418, 60, max_vertices=5):
+            self.round_trip(g)
 
     def test_inf_spelling(self, loop):
         t = loop_triple(loop, INF)
@@ -544,7 +578,7 @@ class TestCycleLayerAgainstReference:
     def test_lap_power_on_closed_paths_up_to_six(self, name):
         g = CORPUS[name]
         closed = [p for p in all_paths(g, 6) if p.edges and p.is_closed]
-        for t in enumerate_triples(g, 3).triples:
+        for t in enumerate_triples(g, 3):
             for p in closed:
                 expected = self.reference_identified_power(t, p)
                 assert _identified_power(t, p) == expected, (t, p)
@@ -564,7 +598,7 @@ class TestCycleLayerAgainstReference:
     def test_trailing_run_on_paths_up_to_six(self, name):
         g = CORPUS[name]
         paths = all_paths(g, 6)
-        for t in enumerate_triples(g, 3).triples:
+        for t in enumerate_triples(g, 3):
             for p in paths:
                 if p.target in t.cycle_at:  # so p avoids H
                     c, _ = t.cycle_at[p.target]
@@ -686,3 +720,42 @@ class TestNormalFormAgainstEdgeByEdge:
                         pool += [Element(a, b), Element(b, a)]
                 for x in pool:
                     assert normal_form(g, t, x) == normal_form_by_edges(g, t, x), (t, x)
+
+
+class TestStructuralIdentities:
+    """Two identities of the congruence that are exact on cyclic graphs and
+    need no search bound, on the corpus and seeded multigraphs: a few
+    triples each, against a sample of the elements with paths <= 2."""
+
+    @staticmethod
+    def cases(seed):
+        rng = random.Random(seed)
+        graphs = [CORPUS[name] for name in sorted(CORPUS)]
+        for g in graphs + seeded_multigraphs(seed, 40, max_vertices=5):
+            triples = enumerate_triples(g, f_cap=2)
+            elements = bounded_elements(g, 2)
+            for t in rng.sample(triples, min(len(triples), 6)):
+                yield g, t, rng.sample(elements, min(len(elements), 20))
+
+    def test_kernel_trace(self):
+        """x ~ y iff x*x ~ y*y (trace) and x y* lies in the kernel, i.e.
+        x y* ~ (x y*)(x y*)* (Howie 1995, Thm 5.3.3)."""
+        for g, t, pool in self.cases(533):
+            for x in pool:
+                for y in pool:
+                    z = multiply(x, inverse(y))
+                    split = equiv(
+                        g, t, multiply(inverse(x), x), multiply(inverse(y), y)
+                    ) and equiv(g, t, z, multiply(z, inverse(z)))
+                    assert equiv(g, t, x, y) == split, (t, x, y)
+
+    def test_rees_reduction(self):
+        """On survivors of H, (H, W, f) over G relates what (∅, W, f)
+        relates over G∖H."""
+        for g, t, pool in self.cases(1207):
+            q = quotient(g, t.h)
+            tq = make_triple(q, (), t.w, t.f)
+            survivors = [x for x in pool if not x.is_zero and x.alpha.target not in t.h]
+            for x in survivors:
+                for y in survivors:
+                    assert equiv(g, t, x, y) == equiv(q, tq, x, y), (t, x, y)

@@ -459,10 +459,10 @@ class TestBuiltValuesAreValid:
                         assert_valid(g, y)
 
     def test_corpus(self, corpus_graph):
-        self.check(corpus_graph, 2, enumerate_triples(corpus_graph, f_cap=2).triples)
+        self.check(corpus_graph, 2, enumerate_triples(corpus_graph, f_cap=2))
 
     def test_seeded_multigraphs(self):
         rng = random.Random(13)
         for g in seeded_multigraphs(1972, 100, max_vertices=5):
-            triples = enumerate_triples(g, f_cap=3).triples
+            triples = enumerate_triples(g, f_cap=3)
             self.check(g, 2, rng.sample(triples, min(3, len(triples))))

@@ -215,7 +215,7 @@ class TestClosure:
     def test_closures_are_compatible(self, acyclic_graph):
         g = acyclic_graph
         s = materialize(g)
-        for t in enumerate_triples(g).triples:
+        for t in enumerate_triples(g):
             rho = congruence_closure(s, triple_generators(g, t))
             assert is_compatible(s, rho)
 
@@ -232,7 +232,7 @@ class TestEnumerateCongruences:
     def test_two_edge_path_matches_triples(self):
         g = two_edge_path()
         s = materialize(g)
-        assert len(enumerate_congruences(s)) == len(enumerate_triples(g).triples)
+        assert len(enumerate_congruences(s)) == len(enumerate_triples(g))
 
     def test_all_outputs_are_congruences(self, edge):
         s = materialize(edge)
@@ -268,7 +268,7 @@ class TestAgainstClosureReference:
     def test_triple_generator_closures(self):
         for g in acyclic_family():
             s = materialize(g)
-            for t in enumerate_triples(g).triples:
+            for t in enumerate_triples(g):
                 pairs = triple_generators(g, t)
                 assert congruence_closure(s, pairs) == closure_by_all_translations(s, pairs)
 
@@ -296,7 +296,7 @@ class TestBruteForce:
         assert not products
         monkeypatch.undo()
         s, congruences = brute_force(two_edge_path(), 15)
-        assert len(s) == 15 and len(congruences) == len(enumerate_triples(two_edge_path()).triples)
+        assert len(s) == 15 and len(congruences) == len(enumerate_triples(two_edge_path()))
 
     def test_refuses_a_cycle_before_any_product(self, loop, monkeypatch):
         products = []
@@ -330,7 +330,7 @@ class TestBijection:
         g = acyclic_graph
         s = materialize(g)
         congruences = enumerate_congruences(s)
-        triples = enumerate_triples(g).triples
+        triples = enumerate_triples(g)
         assert len(congruences) == len(triples)
         # closure of the recovered triple gives back the congruence
         for rho in congruences:
@@ -378,7 +378,7 @@ class TestTransitionOracle:
     def test_chain_steps_are_related(self, loop, two_cycle):
         for g, t in [
             (loop, loop_triple(loop, 2)),
-            (two_cycle, enumerate_triples(two_cycle, 2).triples[4]),
+            (two_cycle, enumerate_triples(two_cycle, 2)[4]),
         ]:
             oracle = TransitionOracle(g, t, 6)
             pool = bounded_elements(g, 3)
@@ -397,7 +397,7 @@ class TestTransitionOracle:
 
     def test_reached_implies_equiv(self, corpus_graph):
         g = corpus_graph
-        triples = enumerate_triples(g, f_cap=2).triples
+        triples = enumerate_triples(g, f_cap=2)
         for t in triples[:: max(1, len(triples) // 4)]:
             oracle = TransitionOracle(g, t, 4)
             pool = bounded_elements(g, 2)
@@ -415,7 +415,7 @@ class TestTransitionOracle:
         g = corpus_graph
         universe = bounded_elements(g, len_bound)
         elements = universe if len_bound < 3 else spread(universe[1:], 12)
-        for t in enumerate_triples(g, f_cap=2).triples:
+        for t in enumerate_triples(g, f_cap=2):
             o = TransitionOracle(g, t, len_bound)
             assert_neighbours_agree(
                 o, PrefixIndexOracle(g, t, len_bound), BruteNeighbors(o), elements
@@ -464,7 +464,7 @@ class TestTransitionOracle:
         elements."""
         g = corpus_graph
         pool = [ZERO] + spread(bounded_elements(g, len_bound)[1:], 10)
-        for t in enumerate_triples(g, f_cap=2).triples:
+        for t in enumerate_triples(g, f_cap=2):
             o = TransitionOracle(g, t, len_bound)
             ref = PrefixIndexOracle(g, t, len_bound)
             for x in pool:
@@ -523,7 +523,7 @@ class TestSiteNeighbours:
         rng = random.Random(2018)
         whole = 0
         for g in seeded_multigraphs(10, 200, max_vertices=5):
-            t = rng.choice(enumerate_triples(g, f_cap=2).triples)
+            t = rng.choice(enumerate_triples(g, f_cap=2))
             for len_bound in (1, 2):
                 o = TransitionOracle(g, t, len_bound)
                 ref = PrefixIndexOracle(g, t, len_bound)
@@ -546,7 +546,7 @@ class TestSiteNeighbours:
     def test_one_vertex_at_bound_six(self, name, count):
         g = CORPUS[name]
         elements = spread(bounded_elements(g, 6)[1:], count)
-        for t in enumerate_triples(g, f_cap=2).triples:
+        for t in enumerate_triples(g, f_cap=2):
             o = TransitionOracle(g, t, 6)
             assert_neighbours_agree(o, PrefixIndexOracle(g, t, 6), BruteNeighbors(o), elements)
 
@@ -569,7 +569,7 @@ class TestSiteNeighbours:
         for g in (loop, two_cycle, pendant):
             for len_bound in (1, 2):
                 universe = bounded_elements(g, len_bound)
-                for t in enumerate_triples(g, f_cap=1).triples:
+                for t in enumerate_triples(g, f_cap=1):
                     if not t.f:
                         continue
                     (c, _), = t.f
@@ -652,7 +652,7 @@ print([format_element(x) for x in oracle.neighbors(parse_element(g, "@w|@w"))])
 class TestVertexClassFormTest:
     def test_agrees_with_equiv_on_vertex_targets(self, loop, pendant):
         for g in (loop, pendant):
-            for t in enumerate_triples(g, f_cap=2).triples:
+            for t in enumerate_triples(g, f_cap=2):
                 pool = bounded_elements(g, 4)
                 for v in g.vertices:
                     if v in t.h:

@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from types import ModuleType
 
 import pytest
 
@@ -51,9 +52,17 @@ def test_script_runs(script, args, expected):
         ("class_atlas.py", ["--f-cap", "0"], "--f-cap"),
         ("noetherian_chains.py", ["--f-cap", "0"], "--f-cap"),
         ("noetherian_chains.py", ["--chains", "0"], "--chains"),
+        # bounds that once printed answers outside them, or passed vacuously
+        ("class_atlas.py", ["--len-bound", "-1"], "--len-bound"),
+        ("verify_bijection.py", ["--max-vertices", "-1"], "--max-vertices"),
+        ("verify_bijection.py", ["--max-vertices", "0"], "--max-vertices"),
+        ("verify_bijection.py", ["--max-edges", "-1"], "--max-edges"),
+        ("noetherian_chains.py", ["--length", "0"], "--length"),
     ],
     ids=["verify_bijection-max-elements", "class_atlas-triple-index", "class_atlas-f-cap",
-         "noetherian_chains-f-cap", "noetherian_chains-chains"],
+         "noetherian_chains-f-cap", "noetherian_chains-chains", "class_atlas-len-bound",
+         "verify_bijection-max-vertices", "verify_bijection-no-vertices",
+         "verify_bijection-max-edges", "noetherian_chains-length"],
 )
 def test_script_error_is_one_line(script, args, names):
     proc = subprocess.run(
@@ -64,6 +73,23 @@ def test_script_error_is_one_line(script, args, names):
     assert proc.returncode == 1
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ") and names in lines[0], proc.stderr
+
+
+def test_readme_lists_the_package_root_exports():
+    """The README's export sentence names exactly the public names bound
+    in the package root, submodules aside, and counts them."""
+    import graphinverse
+
+    exported = sorted(
+        name for name, value in vars(graphinverse).items()
+        if not name.startswith("_") and not isinstance(value, ModuleType)
+    )
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    match = re.search(r"The package root exports (\d+) names: (.*?)\. Every", readme, re.S)
+    assert match, "README has no 'The package root exports N names: ...' sentence"
+    listed = re.findall(r"`(\w+)`", match.group(2))
+    assert sorted(listed) == exported
+    assert int(match.group(1)) == len(exported)
 
 
 def _used_names(tree: ast.AST, strings: bool = False) -> set[str]:
