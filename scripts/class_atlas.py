@@ -9,6 +9,7 @@ rewrite-chain certificate for one nontrivial identification.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from collections import defaultdict
 
@@ -90,4 +91,10 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+        sys.stdout.flush()  # a reader that closed early fails here, not at exit
+    except BrokenPipeError as exc:
+        # stdout still holds the unwritten text: devnull takes it at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(f"error: {exc}")

@@ -9,6 +9,7 @@ and reports how quickly they do.
 from __future__ import annotations
 
 import argparse
+import os
 import random
 import sys
 from collections import Counter
@@ -63,4 +64,10 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+        sys.stdout.flush()  # a reader that closed early fails here, not at exit
+    except BrokenPipeError as exc:
+        # stdout still holds the unwritten text: devnull takes it at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(f"error: {exc}")

@@ -12,6 +12,7 @@ one-line error and exit code 1.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 
@@ -60,4 +61,10 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+        sys.stdout.flush()  # a reader that closed early fails here, not at exit
+    except BrokenPipeError as exc:
+        # stdout still holds the unwritten text: devnull takes it at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(f"error: {exc}")

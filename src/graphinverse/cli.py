@@ -7,6 +7,9 @@ triple listing, in full or as JSON lines, optionally checked against
 brute force), and ``oracle`` (materialize an acyclic instance and
 enumerate its congruences).
 
+``--format json`` prints one compact JSON document on one line;
+``python -m json.tool`` indents it.
+
 Exit codes: 0 success, 1 invalid input (usage errors included), 2 a
 pair decided equivalent but no certificate found within bounds.
 """
@@ -14,7 +17,9 @@ pair decided equivalent but no certificate found within bounds.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
+import os
 import sys
 from collections import Counter
 from typing import Iterable, NoReturn
@@ -61,7 +66,7 @@ def _check_bounds(args: argparse.Namespace) -> None:
 
 def _emit(args: argparse.Namespace, payload: dict, text_lines: Iterable[str]) -> None:
     if args.format == "json":
-        print(json.dumps(payload, indent=2))
+        print(json.dumps(payload))
     else:
         for line in text_lines:
             print(line)
@@ -194,14 +199,15 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
         s, congruences = brute_force(g, args.max_elements)
     triples, payload = _listing(g, args.f_cap)
-    lines = [
+    # a generator: JSON mode never formats the per-triple lines
+    lines = (
         f"H={_vset(g, t.h)} W={_vset(g, t.w)} f={{"
         + ", ".join(f"{'.'.join(c.path.edges)}->{'inf' if v == INF else v}" for c, v in t.f)
         + "}"
         for t in triples
-    ]
+    )
     capped = f" (finite f-values capped at {args.f_cap}; the full family is infinite)"
-    lines.append(f"{len(triples)} triples" + (capped if payload["infinite_family"] else ""))
+    tail = [f"{len(triples)} triples" + (capped if payload["infinite_family"] else "")]
     code = 0
     if args.brute:
         # the triples read off the congruences are the listed ones, each once
@@ -211,12 +217,12 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
             "congruences": len(congruences),
             "bijection_verified": bijection,
         }
-        lines.append(
+        tail.append(
             f"brute force: {len(s)} elements, {len(congruences)} congruences; "
             f"bijection {'verified' if bijection else 'FAILED'}"
         )
         code = 0 if bijection else 1
-    _emit(args, payload, lines)
+    _emit(args, payload, itertools.chain(lines, tail))
     return code
 
 
@@ -327,8 +333,13 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         _check_bounds(args)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader that closed early fails here, not at exit
+        return code
     except (ValueError, KeyError, OSError, OverflowError) as exc:
+        if isinstance(exc, BrokenPipeError):
+            # stdout still holds the unwritten text: devnull takes it at exit
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         # str() quotes a KeyError's message; an OSError's args are (errno, text)
         print(f"error: {exc.args[0] if isinstance(exc, KeyError) else exc}", file=sys.stderr)
         return 1

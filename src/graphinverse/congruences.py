@@ -395,23 +395,29 @@ def enumerate_triples(g: Graph, f_cap: int = 4) -> tuple[CongruenceTriple, ...]:
 
     Ordered lexicographically: hereditary sets in subset-bitmask order,
     then W in bitmask order over the index-one vertices of G∖H, then
-    cycle values (1, .., f_cap, inf) per cycle. Uncapped, the family is
-    infinite exactly when some W closes a cycle, that is when
-    ``any(t.f for t in triples)``.
+    cycle values (1, .., f_cap, inf) per cycle. The W sets of one H are
+    built by doubling, which lists each at the index of its bitmask, and
+    a W that closes no cycle is listed once with the empty f. Uncapped,
+    the family is infinite exactly when some W closes a cycle, that is
+    when ``any(t.f for t in triples)``.
     """
     if f_cap < 1:
         raise ValueError("f_cap must be a positive integer")
     triples: list[CongruenceTriple] = []
     for h in enumerate_hereditary(g):
         bar_edges = index_one_edges(g, h)
-        bar = tuple(bar_edges)
         # the cycles inside W are the cycles inside bar that lie in W
         bar_cycles = [(c, c.vertex_set) for c in cycles_in(g, bar_edges)]
-        for mask in range(1 << len(bar)):
-            w = frozenset(v for i, v in enumerate(bar) if mask >> i & 1)
+        ws = [frozenset()]
+        for v in bar_edges:
+            ws += [w | {v} for w in ws]
+        for w in ws:
             cycles = [c for c, vs in bar_cycles if vs <= w]
+            if not cycles:
+                triples.append(_compile(g, CongruenceTriple(h, w, ())))
+                continue
             # build the value range only for a W with a cycle to take it
-            values = (*range(1, f_cap + 1), INF) if cycles else ()
+            values = (*range(1, f_cap + 1), INF)
             ranked = sorted(enumerate(cycles), key=lambda ic: ic[1].path.edges)
             for combo in itertools.product(values, repeat=len(cycles)):
                 f = tuple((c, combo[i]) for i, c in ranked)

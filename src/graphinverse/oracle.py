@@ -190,8 +190,11 @@ def congruence_closure(
         parent[rj] = ri
         row_i, row_j = table[i], table[j]
         for z in generators:
-            work.append((table[z][i], table[z][j]))
-            work.append((row_i[z], row_j[z]))
+            row_z = table[z]
+            if row_z[i] != row_z[j]:
+                work.append((row_z[i], row_z[j]))
+            if row_i[z] != row_j[z]:
+                work.append((row_i[z], row_j[z]))
     return ExplicitCongruence.from_class_map([_find(parent, i) for i in range(n)])
 
 

@@ -14,7 +14,13 @@ import pytest
 from graphinverse import cli, graphs, oracle
 from graphinverse.graphs import Graph, graph_to_json
 from graphinverse.cli import main
-from graphinverse.congruences import enumerate_triples, make_triple, triple_to_json
+from graphinverse.congruences import (
+    enumerate_triples,
+    equiv,
+    make_triple,
+    normal_form,
+    triple_to_json,
+)
 from graphinverse.corpus import (
     CORPUS,
     double_loop,
@@ -27,6 +33,7 @@ from graphinverse.elements import format_element
 from graphinverse.oracle import bounded_elements
 from reference import rees_only_condition
 from test_congruences import loop_triple
+from test_scripts import run_into_closed_pipe
 
 
 @pytest.fixture
@@ -489,6 +496,122 @@ class TestOracleCommand:
         assert code == 0
         data = json.loads(out)
         assert len(data["congruences"]) == 4
+
+
+class TestJsonOutput:
+    """--format json prints one line, which parses to the payload each
+    subcommand documents, rebuilt here from library calls."""
+
+    @staticmethod
+    def files(tmp_path, g):
+        triples = enumerate_triples(g, 2)
+        t = triples[len(triples) // 2]
+        graph, triple = tmp_path / "g.json", tmp_path / "t.json"
+        graph.write_text(json.dumps(graph_to_json(g)))
+        triple.write_text(json.dumps(triple_to_json(g, t)))
+        return t, str(graph), str(triple)
+
+    @staticmethod
+    def one_line(capsys, argv):
+        code, out, err = run(capsys, [*argv, "--format", "json"])
+        assert (code, err) == (0, "")
+        assert out.count("\n") == 1 and out.endswith("\n")
+        return json.loads(out)
+
+    @staticmethod
+    def listing(g):
+        triples = enumerate_triples(g, cli.DEFAULT_F_CAP)
+        return {
+            "f_cap": cli.DEFAULT_F_CAP,
+            "infinite_family": any(t.f for t in triples),
+            "triples": [triple_to_json(g, t) for t in triples],
+        }
+
+    def test_report(self, capsys, tmp_path, corpus_graph):
+        g = corpus_graph
+        _, graph, _ = self.files(tmp_path, g)
+        hereditary = graphs.enumerate_hereditary(g)
+        per_h = [(h, graphs.index_one_edges(g, h)) for h in hereditary]
+        assert self.one_line(capsys, ["report", graph]) == {
+            **graph_to_json(g),
+            "hereditary_subsets": [list(g.sort_vertices(h)) for h in hereditary],
+            "index_one_vertices": list(graphs.index_one_edges(g)),
+            "per_hereditary": [
+                {
+                    "H": list(g.sort_vertices(h)),
+                    "index_one": list(bar),
+                    "cycles": [list(c.path.edges) for c in graphs.cycles_in(g, bar)],
+                }
+                for h, bar in per_h
+            ],
+            "zero_simple": graphs.is_strongly_connected(g),
+            "rees_only": rees_only_condition(g),
+            "congruence_free": bool(g.vertices) and graphs.is_congruence_free_graph(g),
+        }
+
+    def test_listings(self, capsys, tmp_path, corpus_graph):
+        g = corpus_graph
+        _, graph, _ = self.files(tmp_path, g)
+        listing = self.listing(g)
+        assert self.one_line(capsys, ["triples", graph]) == listing
+        assert self.one_line(capsys, ["enumerate", graph]) == {
+            **listing, "count": len(listing["triples"]),
+        }
+
+    def test_brute_force(self, capsys, tmp_path, acyclic_graph):
+        g = acyclic_graph
+        _, graph, _ = self.files(tmp_path, g)
+        s, congruences = oracle.brute_force(g, 64)
+        listing = self.listing(g)
+        assert self.one_line(capsys, ["enumerate", graph, "--brute"]) == {
+            **listing,
+            "count": len(listing["triples"]),
+            "brute": {
+                "elements": len(s),
+                "congruences": len(congruences),
+                "bijection_verified": True,
+            },
+        }
+        assert self.one_line(capsys, ["oracle", graph]) == {
+            "elements": [format_element(x) for x in s.elements],
+            "congruences": [
+                {
+                    "classes": [[format_element(s.elements[i]) for i in cls]
+                                for cls in rho.classes],
+                    "triple": triple_to_json(g, t),
+                }
+                for rho, t in congruences
+            ],
+        }
+
+    def test_decisions(self, capsys, tmp_path, corpus_graph):
+        g = corpus_graph
+        t, graph, triple = self.files(tmp_path, g)
+        xs = bounded_elements(g, 1)[:4]
+        for x in xs:
+            literal = format_element(x)
+            assert self.one_line(capsys, ["nf", graph, triple, literal]) == {
+                "normal_form": format_element(normal_form(g, t, x)),
+            }
+            for y in xs:
+                argv = ["equiv", graph, triple, literal, format_element(y)]
+                assert self.one_line(capsys, argv) == {"equivalent": equiv(g, t, x, y)}
+
+
+class TestBrokenPipe:
+    """A reader that closes early ends a fresh CLI process in one error
+    line and exit code 1, whether the output fills the buffer or not."""
+
+    @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("many", [False, True], ids=["short", "long"])
+    def test_one_error_line(self, tmp_path, buffered, many):
+        vs = [f"v{i}" for i in range(10 if many else 1)]
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(graph_to_json(Graph.of(vs, [
+            (f"e{i}", vs[i], vs[i + 1]) for i in range(len(vs) - 1)
+        ]))))
+        argv = ["-m", "graphinverse", "enumerate", str(path)]
+        assert run_into_closed_pipe(argv, buffered) == (1, "error: [Errno 32] Broken pipe\n")
 
 
 class TestLazyOracleImport:

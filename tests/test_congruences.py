@@ -408,6 +408,19 @@ class TestEnumerationAgainstReference:
         for g in seeded_multigraphs(2018, 150):
             self.check(g)
 
+    def test_trees_feeding_two_rings(self):
+        # nine index-one vertices: over H = {} W takes 2^9 bitmasks, and a
+        # W holding both rings takes every pair of their cycle values
+        rings = [("a0", "a1"), ("b0", "b1", "b2")]
+        trees = [("x1", "a0"), ("x2", "x1"), ("y1", "b0"), ("y2", "b1")]
+        arcs = [(r[i], r[(i + 1) % len(r)]) for r in rings for i in range(len(r))] + trees
+        g = Graph.of(
+            [v for r in rings for v in r] + [src for src, _ in trees],
+            [(f"e{src}", src, dst) for src, dst in arcs],
+        )
+        assert len(enumerate_triples(g, 2)) > 1 << 9
+        self.check(g, f_cap=2)
+
     def test_huge_f_cap_builds_no_value_range(self, acyclic_graph):
         # an acyclic graph has no cycle to take a value, so the cap is unused
         assert enumerate_triples(acyclic_graph, 10**12) == enumerate_triples(acyclic_graph, 1)

@@ -75,6 +75,40 @@ def test_script_error_is_one_line(script, args, names):
     assert len(lines) == 1 and lines[0].startswith("error: ") and names in lines[0], proc.stderr
 
 
+@pytest.mark.parametrize(
+    "script, args",
+    [
+        ("class_atlas.py", ["--graph", "loop", "--len-bound", "1"]),
+        ("verify_bijection.py", ["--max-vertices", "1", "--max-edges", "1"]),
+        ("noetherian_chains.py", ["--chains", "3", "--length", "1"]),
+    ],
+    ids=["class_atlas", "verify_bijection", "noetherian_chains"],
+)
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+def test_script_broken_pipe_is_one_line(script, args, buffered):
+    assert run_into_closed_pipe([str(ROOT / "scripts" / script), *args], buffered) == (
+        1, "error: [Errno 32] Broken pipe\n"
+    )
+
+
+def run_into_closed_pipe(argv: list[str], buffered: bool) -> tuple[int, str]:
+    """Exit code and stderr of a fresh interpreter whose stdout reader is
+    gone before it prints. Buffered, a short output fails only when
+    stdout is flushed at the end."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(ROOT / "src")
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, *argv], stdout=write_end,
+                              stderr=subprocess.PIPE, text=True, timeout=120, env=env)
+    finally:
+        os.close(write_end)
+    return proc.returncode, proc.stderr
+
+
 def test_readme_lists_the_package_root_exports():
     """The README's export sentence names exactly the public names bound
     in the package root, submodules aside, and counts them."""
