@@ -8,8 +8,7 @@ rewrite-chain certificate for one nontrivial identification.
 
 from __future__ import annotations
 
-import argparse
-import os
+import json
 import sys
 from collections import defaultdict
 
@@ -22,32 +21,27 @@ from graphinverse import (
     triple_to_json,
     vertex_class_members,
 )
+from graphinverse.cli import Parser, run
 from graphinverse.corpus import CORPUS
 from graphinverse.oracle import TransitionOracle, bounded_elements
 
-import json
-
 
 def main() -> None:
-    ap = argparse.ArgumentParser(description=__doc__)
+    ap = Parser(description=__doc__)
     ap.add_argument("--graph", choices=sorted(CORPUS), default="pendant_cycle")
     ap.add_argument("--triple-index", type=int, default=None,
                     help="index into the triple enumeration (default: last "
                          "one with a finite cycle value, else the last)")
-    ap.add_argument("--f-cap", type=int, default=3)
-    ap.add_argument("--len-bound", type=int, default=4)
+    ap.add_argument("--f-cap", least=1, default=3)
+    ap.add_argument("--len-bound", least=0, default=4)
     args = ap.parse_args()
 
-    if args.f_cap < 1:
-        sys.exit("error: --f-cap must be a positive integer")
-    if args.len_bound < 0:
-        sys.exit("error: --len-bound must be nonnegative")
     g = CORPUS[args.graph]
     triples = enumerate_triples(g, f_cap=args.f_cap)
     if args.triple_index is not None:
         if not -len(triples) <= args.triple_index < len(triples):
-            sys.exit(f"error: --triple-index {args.triple_index} is out of range: "
-                     f"{args.graph} has {len(triples)} triples under --f-cap {args.f_cap}")
+            raise ValueError(f"--triple-index {args.triple_index} is out of range: {args.graph} "
+                             f"has {len(triples)} triples under --f-cap {args.f_cap}")
         t = triples[args.triple_index]
     else:
         finite = [t for t in triples if any(v != INF for _, v in t.f)]
@@ -91,10 +85,4 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    try:
-        main()
-        sys.stdout.flush()  # a reader that closed early fails here, not at exit
-    except BrokenPipeError as exc:
-        # stdout still holds the unwritten text: devnull takes it at exit
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        sys.exit(f"error: {exc}")
+    sys.exit(run(main))

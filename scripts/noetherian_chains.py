@@ -8,13 +8,12 @@ and reports how quickly they do.
 
 from __future__ import annotations
 
-import argparse
-import os
 import random
 import sys
 from collections import Counter
 
 from graphinverse import chain_stabilizes, enumerate_triples, triple_leq
+from graphinverse.cli import Parser, run
 from graphinverse.corpus import CORPUS
 
 
@@ -37,16 +36,12 @@ def random_chain(rng, g, triples, length):
 
 
 def main() -> None:
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--chains", type=int, default=100)
-    ap.add_argument("--length", type=int, default=50)
-    ap.add_argument("--f-cap", type=int, default=6)
+    ap = Parser(description=__doc__)
+    ap.add_argument("--chains", least=1, default=100)
+    ap.add_argument("--length", least=1, default=50)
+    ap.add_argument("--f-cap", least=1, default=6)
     ap.add_argument("--seed", type=int, default=97)
     args = ap.parse_args()
-    for flag, value in (("--chains", args.chains), ("--length", args.length),
-                        ("--f-cap", args.f_cap)):
-        if value < 1:
-            sys.exit(f"error: {flag} must be a positive integer")
 
     rng = random.Random(args.seed)
     for name, g in sorted(CORPUS.items()):
@@ -64,10 +59,4 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    try:
-        main()
-        sys.stdout.flush()  # a reader that closed early fails here, not at exit
-    except BrokenPipeError as exc:
-        # stdout still holds the unwritten text: devnull takes it at exit
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        sys.exit(f"error: {exc}")
+    sys.exit(run(main))

@@ -11,27 +11,22 @@ one-line error and exit code 1.
 
 from __future__ import annotations
 
-import argparse
-import os
 import sys
 import time
 
 from graphinverse import enumerate_triples, triple_generators
+from graphinverse.cli import Parser, run
 from graphinverse.corpus import all_acyclic_graphs
 from graphinverse.oracle import brute_force, congruence_closure
 
 
 def main() -> None:
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--max-vertices", type=int, default=3)
-    ap.add_argument("--max-edges", type=int, default=3)
-    ap.add_argument("--max-elements", type=int, default=64)
+    ap = Parser(description=__doc__)
+    # below its least value, either of these two would list no graph and pass vacuously
+    ap.add_argument("--max-vertices", least=1, default=3)
+    ap.add_argument("--max-edges", least=0, default=3)
+    ap.add_argument("--max-elements", least=0, default=64)
     args = ap.parse_args()
-    # a bound below these would list no graph and pass vacuously
-    if args.max_vertices < 1:
-        sys.exit("error: --max-vertices must be a positive integer")
-    if args.max_edges < 0:
-        sys.exit("error: --max-edges must be nonnegative")
 
     graphs = all_acyclic_graphs(args.max_vertices, args.max_edges)
     started = time.monotonic()
@@ -40,7 +35,7 @@ def main() -> None:
         try:
             s, congruences = brute_force(g, args.max_elements)
         except ValueError as exc:  # above --max-elements
-            sys.exit(f"error: {exc} set by --max-elements")
+            raise ValueError(f"{exc} set by --max-elements")
         triples = enumerate_triples(g)
         # the triples read off are the listed ones, each once, and each
         # generates the congruence it was read off
@@ -61,10 +56,4 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    try:
-        main()
-        sys.stdout.flush()  # a reader that closed early fails here, not at exit
-    except BrokenPipeError as exc:
-        # stdout still holds the unwritten text: devnull takes it at exit
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        sys.exit(f"error: {exc}")
+    sys.exit(run(main))

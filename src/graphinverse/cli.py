@@ -12,6 +12,8 @@ enumerate its congruences).
 
 Exit codes: 0 success, 1 invalid input (usage errors included), 2 a
 pair decided equivalent but no certificate found within bounds.
+The scripts in ``scripts/`` share this front end: the parser
+:class:`Parser` and the exit path :func:`run`.
 """
 
 from __future__ import annotations
@@ -22,10 +24,10 @@ import json
 import os
 import sys
 from collections import Counter
-from typing import Iterable, NoReturn
+from functools import partial
+from typing import Callable, Iterable, NoReturn
 
 from .congruences import (
-    INF,
     enumerate_triples,
     equiv,
     load_triple,
@@ -45,25 +47,6 @@ from .graphs import (
     load_graph,
 )
 
-# conservative defaults: the semigroup is usually infinite, so every
-# search the CLI runs is explicitly truncated
-DEFAULT_F_CAP = 4
-DEFAULT_LEN_BOUND = 8
-DEFAULT_STEP_BOUND = 100_000
-
-
-def _check_bounds(args: argparse.Namespace) -> None:
-    """Reject out-of-range bound flags before any file is read."""
-    if getattr(args, "f_cap", 1) < 1:
-        raise ValueError("--f-cap must be a positive integer")
-    if getattr(args, "len_bound", 0) < 0:
-        raise ValueError("--len-bound must be nonnegative")
-    if getattr(args, "steps", 0) < 0:
-        raise ValueError("--steps must be nonnegative")
-    if getattr(args, "max_elements", 0) < 0:
-        raise ValueError("--max-elements must be nonnegative")
-
-
 def _emit(args: argparse.Namespace, payload: dict, text_lines: Iterable[str]) -> None:
     if args.format == "json":
         print(json.dumps(payload))
@@ -72,9 +55,8 @@ def _emit(args: argparse.Namespace, payload: dict, text_lines: Iterable[str]) ->
             print(line)
 
 
-def _vset(g: Graph, vs) -> str:
-    inner = ", ".join(g.sort_vertices(vs))
-    return "{" + inner + "}"
+def _braces(items: Iterable[str]) -> str:
+    return "{" + ", ".join(items) + "}"
 
 
 def cmd_report(args: argparse.Namespace) -> int:
@@ -82,62 +64,39 @@ def cmd_report(args: argparse.Namespace) -> int:
     if args.dot:
         print(graph_to_dot(g))
         return 0
-    hereditary = enumerate_hereditary(g)
-    bar_v = index_one_edges(g)
     per_h = []
-    for h in hereditary:
+    for h in enumerate_hereditary(g):
         bar_h = index_one_edges(g, h)
-        per_h.append((h, bar_h, cycles_in(g, bar_h)))
-    zero_simple = is_strongly_connected(g)
-    rees_only = not any(bar_h for _, bar_h, _ in per_h)
-    cong_free = is_congruence_free_graph(g) if g.vertices else False
-
+        per_h.append({"H": list(g.sort_vertices(h)), "index_one": list(bar_h),
+                      "cycles": [list(c.path.edges) for c in cycles_in(g, bar_h)]})
     payload = {
         **graph_to_json(g),
-        "hereditary_subsets": [list(g.sort_vertices(h)) for h in hereditary],
-        "index_one_vertices": list(bar_v),
-        "per_hereditary": [
-            {
-                "H": list(g.sort_vertices(h)),
-                "index_one": list(q_bar),
-                "cycles": [list(c.path.edges) for c in cycles],
-            }
-            for h, q_bar, cycles in per_h
-        ],
-        "zero_simple": zero_simple,
-        "rees_only": rees_only,
-        "congruence_free": cong_free,
+        "hereditary_subsets": [d["H"] for d in per_h],
+        "index_one_vertices": list(index_one_edges(g)),
+        "per_hereditary": per_h,
+        "zero_simple": is_strongly_connected(g),
+        "rees_only": not any(d["index_one"] for d in per_h),
+        "congruence_free": is_congruence_free_graph(g) if g.vertices else False,
     }
     lines = [
-        f"vertices: {', '.join(g.vertices)}",
-        f"edges: {', '.join(f'{e.id}:{e.src}->{e.dst}' for e in g.edges)}",
-        f"hereditary subsets ({len(hereditary)}): "
-        + "  ".join(_vset(g, h) for h in hereditary),
-        f"index-one vertices: {_vset(g, bar_v)}",
+        f"vertices: {', '.join(payload['vertices'])}",
+        "edges: " + ", ".join("{id}:{src}->{dst}".format_map(e) for e in payload["edges"]),
+        f"hereditary subsets ({len(per_h)}): "
+        + "  ".join(map(_braces, payload["hereditary_subsets"])),
+        f"index-one vertices: {_braces(payload['index_one_vertices'])}",
     ]
-    for h, q_bar, cycles in per_h:
-        cyc = (
-            "  cycles: " + " ".join(".".join(c.path.edges) for c in cycles)
-            if cycles
-            else ""
-        )
-        lines.append(f"  H={_vset(g, h)}: index-one {_vset(g, q_bar)}{cyc}")
-    lines += [
-        f"0-simple (strongly connected): {'yes' if zero_simple else 'no'}"
-        + ("" if zero_simple else "  [a proper nonempty hereditary subset exists]"),
-        f"Rees congruences only: {'yes' if rees_only else 'no'}"
-        + (
-            ""
-            if rees_only
-            else "  [some quotient keeps an index-one vertex]"
-        ),
-        f"congruence-free: {'yes' if cong_free else 'no'}"
-        + (
-            ""
-            if cong_free
-            else "  [needs strong connectivity and no index-one vertex]"
-        ),
-    ]
+    for d in payload["per_hereditary"]:
+        cycles = " ".join(".".join(c) for c in d["cycles"])
+        lines.append(f"  H={_braces(d['H'])}: index-one {_braces(d['index_one'])}"
+                     + (f"  cycles: {cycles}" if cycles else ""))
+    for key, label, reason in (
+        ("zero_simple", "0-simple (strongly connected)",
+         "a proper nonempty hereditary subset exists"),
+        ("rees_only", "Rees congruences only", "some quotient keeps an index-one vertex"),
+        ("congruence_free", "congruence-free",
+         "needs strong connectivity and no index-one vertex"),
+    ):
+        lines.append(f"{label}: yes" if payload[key] else f"{label}: no  [{reason}]")
     _emit(args, payload, lines)
     return 0
 
@@ -201,10 +160,9 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     triples, payload = _listing(g, args.f_cap)
     # a generator: JSON mode never formats the per-triple lines
     lines = (
-        f"H={_vset(g, t.h)} W={_vset(g, t.w)} f={{"
-        + ", ".join(f"{'.'.join(c.path.edges)}->{'inf' if v == INF else v}" for c, v in t.f)
-        + "}"
-        for t in triples
+        f"H={_braces(d['H'])} W={_braces(d['W'])} f="
+        + _braces(f"{'.'.join(e['cycle'])}->{e['value']}" for e in d["f"])
+        for d in payload["triples"]
     )
     capped = f" (finite f-values capped at {args.f_cap}; the full family is infinite)"
     tail = [f"{len(triples)} triples" + (capped if payload["infinite_family"] else "")]
@@ -256,21 +214,50 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         f"{len(congruences)} congruences:",
     ]
     for entry in entries:
-        classes = " ".join("{" + ", ".join(cls) + "}" for cls in entry["classes"])
+        classes = " ".join(map(_braces, entry["classes"]))
         lines.append(f"  {json.dumps(entry['triple'])}  {classes}")
     _emit(args, payload, lines)
     return 0
 
 
-class _Parser(argparse.ArgumentParser):
-    """Usage errors are invalid input: one error line and exit code 1."""
+class Parser(argparse.ArgumentParser):
+    """The parser of every entry point. A usage error is invalid input:
+    one error line and exit code 1.
+
+    An int flag declared with ``least=`` states its least value there.
+    Once the whole command line has parsed, a smaller value raises
+    ValueError naming the flag, which :func:`run` prints as one line.
+    """
+
+    def __init__(self, *args, bounds: dict[str, tuple[int, str]] | None = None, **kwargs):
+        # dest -> (least value, message); the subcommands share one table
+        self.bounds = {} if bounds is None else bounds
+        super().__init__(*args, **kwargs)
 
     def error(self, message: str) -> NoReturn:
         self.exit(1, f"error: {message}\n")
 
+    def add_subparsers(self, **kwargs):
+        return super().add_subparsers(parser_class=partial(Parser, bounds=self.bounds), **kwargs)
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
+    def add_argument(self, *args, least: int | None = None, **kwargs):
+        if least is None:
+            return super().add_argument(*args, **kwargs)
+        action = super().add_argument(*args, type=int, **kwargs)
+        rule = {0: "nonnegative", 1: "a positive integer"}[least]
+        self.bounds[action.dest] = (least, f"{args[0]} must be {rule}")
+        return action
+
+    def parse_args(self, args=None, namespace=None):
+        parsed = super().parse_args(args, namespace)
+        for dest, (least, message) in self.bounds.items():
+            if dest in vars(parsed) and vars(parsed)[dest] < least:
+                raise ValueError(message)
+        return parsed
+
+
+def build_parser() -> Parser:
+    parser = Parser(
         prog="graphinverse",
         description="Graph inverse semigroups and their congruence triples.",
     )
@@ -285,6 +272,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=cmd_report)
 
+    # conservative defaults: the semigroup is usually infinite, so every
+    # search the CLI runs is explicitly truncated
     p = sub.add_parser("equiv", help="decide whether a triple relates two elements")
     p.add_argument("graph")
     p.add_argument("triple", help="triple JSON file")
@@ -292,9 +281,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("y")
     p.add_argument("--certify", action="store_true",
                    help="also search for a rewrite-chain certificate")
-    p.add_argument("--len-bound", dest="len_bound", type=int,
-                   default=DEFAULT_LEN_BOUND)
-    p.add_argument("--steps", type=int, default=DEFAULT_STEP_BOUND)
+    p.add_argument("--len-bound", dest="len_bound", least=0, default=8)
+    p.add_argument("--steps", least=0, default=100_000)
     common(p)
     p.set_defaults(func=cmd_equiv)
 
@@ -307,35 +295,36 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="list congruence triples")
     p.add_argument("graph")
-    p.add_argument("--f-cap", dest="f_cap", type=int, default=DEFAULT_F_CAP)
+    p.add_argument("--f-cap", dest="f_cap", least=1, default=4)
     p.add_argument("--brute", action="store_true",
                    help="cross-check against brute-force congruence enumeration")
-    p.add_argument("--max-elements", dest="max_elements", type=int, default=64)
+    p.add_argument("--max-elements", dest="max_elements", least=0, default=64)
     common(p)
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("triples", help="machine-readable triple listing")
     p.add_argument("graph")
-    p.add_argument("--f-cap", dest="f_cap", type=int, default=DEFAULT_F_CAP)
+    p.add_argument("--f-cap", dest="f_cap", least=1, default=4)
     common(p)
     p.set_defaults(func=cmd_triples)
 
     p = sub.add_parser("oracle", help="materialize an acyclic instance")
     p.add_argument("graph")
-    p.add_argument("--max-elements", dest="max_elements", type=int, default=64)
+    p.add_argument("--max-elements", dest="max_elements", least=0, default=64)
     common(p)
     p.set_defaults(func=cmd_oracle)
 
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+def run(body: Callable[[], int | None]) -> int:
+    """Run an entry point's body and flush stdout; the exit code is the
+    body's, 0 for None. Invalid input, a failed read and a closed stdout
+    end in one error line on stderr and exit code 1."""
     try:
-        _check_bounds(args)
-        code = args.func(args)
+        code = body()
         sys.stdout.flush()  # a reader that closed early fails here, not at exit
-        return code
+        return code or 0
     except (ValueError, KeyError, OSError, OverflowError) as exc:
         if isinstance(exc, BrokenPipeError):
             # stdout still holds the unwritten text: devnull takes it at exit
@@ -343,6 +332,14 @@ def main(argv: list[str] | None = None) -> int:
         # str() quotes a KeyError's message; an OSError's args are (errno, text)
         print(f"error: {exc.args[0] if isinstance(exc, KeyError) else exc}", file=sys.stderr)
         return 1
+
+
+def main(argv: list[str] | None = None) -> int:
+    def body() -> int:
+        args = build_parser().parse_args(argv)
+        return args.func(args)
+
+    return run(body)
 
 
 def entry() -> None:

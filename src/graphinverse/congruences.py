@@ -319,7 +319,14 @@ def vertex_class_members(
     g: Graph, t: CongruenceTriple, v: str, len_bound: int
 ) -> list[Element]:
     """All elements with both paths of length <= len_bound in the class
-    of the vertex v; v must lie outside H."""
+    of the vertex v; v must lie outside H.
+
+    The class is γγ* for each path γ from v that leaves every vertex
+    through its W-edge, and (γ c^{kf}) γ* and its inverse for k >= 1 when
+    γ ends on a cycle c with finite value f. Those γ are the prefixes of
+    the one walk from v along W-edges, so no two are equal, and the two
+    paths of a cycle element differ in length: each member is listed once.
+    """
     if len_bound < 0:
         raise ValueError(f"length bound {len_bound} is negative")
     if v in t.h:
@@ -327,19 +334,10 @@ def vertex_class_members(
     t = t.over(g)
     g._require_vertex(v)
     members: list[Element] = []
-    seen: set[Element] = set()
-
-    def emit(x: Element) -> None:
-        if x not in seen and equiv(g, t, x, vertex_element(v)):
-            seen.add(x)
-            members.append(x)
-
-    # the paths from v with every edge source in W are the prefixes of
-    # the one walk that follows the W-edge of each vertex it reaches
     w_edges = index_one_edges(g, t.h)
     gamma = vertex_path(v)
     while True:
-        emit(_element(gamma, gamma))
+        members.append(_element(gamma, gamma))
         c, val = t.cycle_at.get(gamma.target, (None, INF))
         if val != INF:
             loop = c.based_at(gamma.target)
@@ -347,8 +345,7 @@ def vertex_class_members(
             k = 1
             while len(gamma) + k * step <= len_bound:
                 squiggle = concat(gamma, cycle_power(loop, k * int(val)))
-                emit(_element(squiggle, gamma))
-                emit(_element(gamma, squiggle))
+                members += [_element(squiggle, gamma), _element(gamma, squiggle)]
                 k += 1
         if len(gamma) >= len_bound or gamma.target not in t.w:
             break

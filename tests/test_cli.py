@@ -520,9 +520,9 @@ class TestJsonOutput:
 
     @staticmethod
     def listing(g):
-        triples = enumerate_triples(g, cli.DEFAULT_F_CAP)
+        triples = enumerate_triples(g, 4)  # the default --f-cap
         return {
-            "f_cap": cli.DEFAULT_F_CAP,
+            "f_cap": 4,
             "infinite_family": any(t.f for t in triples),
             "triples": [triple_to_json(g, t) for t in triples],
         }
@@ -700,10 +700,11 @@ class TestFlags:
 
     def test_bad_f_cap(self, capsys, loop_files):
         graph, _ = loop_files
-        code, _, err = run(capsys, ["enumerate", graph, "--f-cap", "0"])
-        assert code == 1 and "f-cap" in err
+        for command in ("enumerate", "triples"):
+            code, out, err = run(capsys, [command, graph, "--f-cap", "0"])
+            assert (code, out, err) == (1, "", "error: --f-cap must be a positive integer\n")
 
-    @pytest.mark.parametrize("command", [["oracle"], ["enumerate", "--brute"]])
+    @pytest.mark.parametrize("command", [["oracle"], ["enumerate", "--brute"], ["enumerate"]])
     def test_negative_max_elements(self, capsys, edge_files, command):
         graph, _ = edge_files
         argv = [command[0], graph, *command[1:], "--max-elements", "-5"]

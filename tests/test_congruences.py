@@ -303,17 +303,23 @@ class TestVertexClassMembers:
                 bounded()
         assert vertex_class_members(loop, t, "v", 0) == [vertex_element("v")]
 
-    def test_members_match_bounded_scan(self, corpus_graph):
-        g = corpus_graph
-        pool = bounded_elements(g, 3)
-        for t in sample_triples(g, limit=3):
-            for v in g.vertices:
-                if v in t.h:
-                    continue
-                expected = {
-                    x for x in pool if x != ZERO and equiv(g, t, x, vertex_element(v))
-                }
-                assert set(vertex_class_members(g, t, v, 3)) == expected
+    @pytest.mark.parametrize("name", [*sorted(CORPUS), "seeded"])
+    def test_members_match_bounded_scan(self, name):
+        """The walk lists exactly the class, each member once: it keeps no
+        equiv filter of its own, so this scan is its only check."""
+        graphs = (seeded_multigraphs(2018, 40) + seeded_multigraphs(4242, 60, max_vertices=6)
+                  if name == "seeded" else [CORPUS[name]])
+        for g in graphs:
+            pool = bounded_elements(g, 3)
+            for t in sample_triples(g, limit=3):
+                for v in g.vertices:
+                    if v in t.h:
+                        continue
+                    expected = {
+                        x for x in pool if x != ZERO and equiv(g, t, x, vertex_element(v))
+                    }
+                    members = vertex_class_members(g, t, v, 3)
+                    assert set(members) == expected and len(members) == len(expected)
 
 
 class TestTripleOrder:

@@ -58,11 +58,21 @@ def test_script_runs(script, args, expected):
         ("verify_bijection.py", ["--max-vertices", "0"], "--max-vertices"),
         ("verify_bijection.py", ["--max-edges", "-1"], "--max-edges"),
         ("noetherian_chains.py", ["--length", "0"], "--length"),
+        ("verify_bijection.py", ["--max-elements", "-1"], "--max-elements must be nonnegative"),
+        # usage errors, which the scripts share with the CLI
+        ("noetherian_chains.py", ["--chains", "abc"], "--chains"),
+        ("class_atlas.py", ["--graph", "nope"], "--graph"),
+        ("class_atlas.py", ["--what"], "--what"),
+        ("verify_bijection.py", ["--what"], "--what"),
+        ("noetherian_chains.py", ["--what"], "--what"),
     ],
     ids=["verify_bijection-max-elements", "class_atlas-triple-index", "class_atlas-f-cap",
          "noetherian_chains-f-cap", "noetherian_chains-chains", "class_atlas-len-bound",
          "verify_bijection-max-vertices", "verify_bijection-no-vertices",
-         "verify_bijection-max-edges", "noetherian_chains-length"],
+         "verify_bijection-max-edges", "noetherian_chains-length",
+         "verify_bijection-negative-max-elements", "noetherian_chains-not-an-integer",
+         "class_atlas-bad-choice", "class_atlas-unknown-flag", "verify_bijection-unknown-flag",
+         "noetherian_chains-unknown-flag"],
 )
 def test_script_error_is_one_line(script, args, names):
     proc = subprocess.run(
@@ -73,6 +83,17 @@ def test_script_error_is_one_line(script, args, names):
     assert proc.returncode == 1
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ") and names in lines[0], proc.stderr
+
+
+@pytest.mark.parametrize("script", ["class_atlas.py", "verify_bijection.py",
+                                    "noetherian_chains.py"])
+def test_script_help_exits_zero(script):
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script), "--help"],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+    assert (proc.returncode, proc.stderr) == (0, "") and proc.stdout.startswith("usage: ")
 
 
 @pytest.mark.parametrize(
