@@ -37,7 +37,7 @@ def main() -> None:
     args = ap.parse_args()
 
     g = CORPUS[args.graph]
-    triples = enumerate_triples(g, f_cap=args.f_cap)
+    triples = tuple(enumerate_triples(g, f_cap=args.f_cap))
     if args.triple_index is not None:
         if not -len(triples) <= args.triple_index < len(triples):
             raise ValueError(f"--triple-index {args.triple_index} is out of range: {args.graph} "

@@ -45,7 +45,7 @@ def main() -> None:
 
     rng = random.Random(args.seed)
     for name, g in sorted(CORPUS.items()):
-        triples = enumerate_triples(g, f_cap=args.f_cap)
+        triples = tuple(enumerate_triples(g, f_cap=args.f_cap))
         indices = Counter()
         for _ in range(args.chains):
             chain = random_chain(rng, g, triples, args.length)

@@ -8,7 +8,11 @@ brute force), and ``oracle`` (materialize an acyclic instance and
 enumerate its congruences).
 
 ``--format json`` prints one compact JSON document on one line;
-``python -m json.tool`` indents it.
+``python -m json.tool`` indents it. The listings are written while the
+triples are made, in chunks, so memory stays flat however many there
+are; their count and infinite-family flag come first, from
+:func:`~graphinverse.congruences.count_triples`, and every input error is
+raised before the first byte.
 
 Exit codes: 0 success, 1 invalid input (usage errors included), 2 a
 pair decided equivalent but no certificate found within bounds.
@@ -28,6 +32,7 @@ from functools import partial
 from typing import Callable, Iterable, NoReturn
 
 from .congruences import (
+    count_triples,
     enumerate_triples,
     equiv,
     load_triple,
@@ -36,7 +41,6 @@ from .congruences import (
 )
 from .elements import format_element, parse_element
 from .graphs import (
-    Graph,
     cycles_in,
     enumerate_hereditary,
     graph_to_dot,
@@ -139,16 +143,34 @@ def cmd_nf(args: argparse.Namespace) -> int:
     return 0
 
 
-def _listing(g: Graph, f_cap: int) -> tuple[tuple, dict]:
-    """The capped triples of g, and the JSON payload that lists them."""
-    triples = enumerate_triples(g, f_cap)
-    return triples, {
-        "f_cap": f_cap,
-        "count": len(triples),
-        # with f_cap >= 1, the uncapped family grows exactly when a W closes a cycle
-        "infinite_family": any(t.f for t in triples),
-        "triples": [triple_to_json(g, t) for t in triples],
-    }
+LISTING_CHUNK = 256  # triples per write: an unbuffered stdout makes each write a syscall
+
+
+def _emit_listing(args: argparse.Namespace, payload: dict, docs: Iterable[dict],
+                  line: Callable[[dict], str], tail: list[str]) -> None:
+    """Write a triple listing while it is made, LISTING_CHUNK triples per write.
+
+    JSON mode writes the bytes of json.dumps(payload) with the docs in
+    place of payload's empty "triples" list, encoding each chunk in one
+    call; text mode writes line(doc) for each doc, then the tail lines.
+    """
+    docs = iter(docs)
+    chunks = iter(lambda: list(itertools.islice(docs, LISTING_CHUNK)), [])
+    if args.format == "json":
+        head, _, end = json.dumps(payload).partition('"triples": []')
+        sys.stdout.write(head + '"triples": [')
+        for i, chunk in enumerate(chunks):
+            sys.stdout.write((", " if i else "") + json.dumps(chunk)[1:-1])
+        sys.stdout.write("]" + end + "\n")
+    else:
+        for chunk in chunks:
+            sys.stdout.write("".join(line(d) + "\n" for d in chunk))
+        sys.stdout.write("".join(t + "\n" for t in tail))
+
+
+def _triple_line(d: dict) -> str:
+    return (f"H={_braces(d['H'])} W={_braces(d['W'])} f="
+            + _braces(f"{'.'.join(e['cycle'])}->{e['value']}" for e in d["f"]))
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
@@ -157,17 +179,14 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         from .oracle import brute_force
 
         s, congruences = brute_force(g, args.max_elements)
-    triples, payload = _listing(g, args.f_cap)
-    # a generator: JSON mode never formats the per-triple lines
-    lines = (
-        f"H={_braces(d['H'])} W={_braces(d['W'])} f="
-        + _braces(f"{'.'.join(e['cycle'])}->{e['value']}" for e in d["f"])
-        for d in payload["triples"]
-    )
+    triples = enumerate_triples(g, args.f_cap)
+    count, infinite = count_triples(g, args.f_cap)
+    payload = {"f_cap": args.f_cap, "count": count, "infinite_family": infinite, "triples": []}
     capped = f" (finite f-values capped at {args.f_cap}; the full family is infinite)"
-    tail = [f"{len(triples)} triples" + (capped if payload["infinite_family"] else "")]
+    tail = [f"{count} triples" + (capped if infinite else "")]
     code = 0
     if args.brute:
+        triples = tuple(triples)
         # the triples read off the congruences are the listed ones, each once
         bijection = Counter(t for _, t in congruences) == Counter(triples)
         payload["brute"] = {
@@ -180,16 +199,16 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
             f"bijection {'verified' if bijection else 'FAILED'}"
         )
         code = 0 if bijection else 1
-    _emit(args, payload, itertools.chain(lines, tail))
+    _emit_listing(args, payload, (triple_to_json(g, t) for t in triples), _triple_line, tail)
     return code
 
 
 def cmd_triples(args: argparse.Namespace) -> int:
     g = load_graph(args.graph)
-    _, payload = _listing(g, args.f_cap)
-    del payload["count"]
-    # a generator: JSON mode never formats the text lines
-    _emit(args, payload, (json.dumps(d) for d in payload["triples"]))
+    triples = enumerate_triples(g, args.f_cap)
+    payload = {"f_cap": args.f_cap, "infinite_family": count_triples(g, args.f_cap)[1],
+               "triples": []}
+    _emit_listing(args, payload, (triple_to_json(g, t) for t in triples), json.dumps, [])
     return 0
 
 

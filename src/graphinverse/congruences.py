@@ -10,8 +10,9 @@ pair (x, y) is decided directly, since the semigroup is usually infinite.
 problem it finds in one :class:`TripleFormatError`, and it compiles the
 triple once, so the result remembers the graph it was validated over and
 indexes each cycle vertex's (cycle, f-value). :func:`enumerate_triples`
-returns a tuple of triples compiled the same way, without validating what
-it built valid; whether the uncapped family is infinite is read off them.
+yields triples compiled the same way, one at a time and without
+validating what it built valid; :func:`count_triples` counts them in
+closed form and says whether the uncapped family is infinite.
 Every operation taking ``(g, t)`` reads the index through
 :meth:`CongruenceTriple.over`, which validates anew only a triple not
 compiled over g.
@@ -24,12 +25,11 @@ f(c).
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .elements import (
     ZERO,
@@ -387,39 +387,93 @@ def triple_leq(g: Graph, t1: CongruenceTriple, t2: CongruenceTriple) -> bool:
     return True
 
 
-def enumerate_triples(g: Graph, f_cap: int = 4) -> tuple[CongruenceTriple, ...]:
-    """All triples of g whose finite cycle values are <= f_cap, compiled.
+def enumerate_triples(g: Graph, f_cap: int = 4) -> Iterator[CongruenceTriple]:
+    """All triples of g whose finite cycle values are <= f_cap, compiled,
+    yielded one at a time; f_cap is checked at the call.
 
     Ordered lexicographically: hereditary sets in subset-bitmask order,
-    then W in bitmask order over the index-one vertices of G∖H, then
-    cycle values (1, .., f_cap, inf) per cycle. The W sets of one H are
-    built by doubling, which lists each at the index of its bitmask, and
-    a W that closes no cycle is listed once with the empty f. Uncapped,
-    the family is infinite exactly when some W closes a cycle, that is
-    when ``any(t.f for t in triples)``.
+    then W in bitmask order over the index-one vertices of G∖H in graph
+    order, then cycle values (1, .., f_cap, inf) per cycle, the cycle
+    listed last turning fastest. A W that closes no cycle is listed once
+    with the empty f. Memory stays flat however many triples there are;
+    :func:`count_triples` gives their number without listing them.
     """
     if f_cap < 1:
         raise ValueError("f_cap must be a positive integer")
-    triples: list[CongruenceTriple] = []
+    return _triples(g, f_cap)
+
+
+def _triples(g: Graph, f_cap: int) -> Iterator[CongruenceTriple]:
     for h in enumerate_hereditary(g):
         bar_edges = index_one_edges(g, h)
-        # the cycles inside W are the cycles inside bar that lie in W
-        bar_cycles = [(c, c.vertex_set) for c in cycles_in(g, bar_edges)]
-        ws = [frozenset()]
-        for v in bar_edges:
-            ws += [w | {v} for w in ws]
-        for w in ws:
-            cycles = [c for c, vs in bar_cycles if vs <= w]
+        bit = {v: 1 << i for i, v in enumerate(bar_edges)}
+        # the cycles inside W are the cycles inside bar whose vertex bits W holds
+        bar_cycles = [(c, sum(bit[v] for v in c.vertex_set)) for c in cycles_in(g, bar_edges)]
+        for mask, w in enumerate(_subsets(list(bar_edges))):
+            cycles = [c for c, bits in bar_cycles if mask & bits == bits]
             if not cycles:
-                triples.append(_compile(g, CongruenceTriple(h, w, ())))
+                yield _compile(g, CongruenceTriple(h, w, ()))
                 continue
-            # build the value range only for a W with a cycle to take it
-            values = (*range(1, f_cap + 1), INF)
             ranked = sorted(enumerate(cycles), key=lambda ic: ic[1].path.edges)
-            for combo in itertools.product(values, repeat=len(cycles)):
+            for combo in _odometer(len(cycles), f_cap):
                 f = tuple((c, combo[i]) for i, c in ranked)
-                triples.append(_compile(g, CongruenceTriple(h, w, f)))
-    return tuple(triples)
+                yield _compile(g, CongruenceTriple(h, w, f))
+
+
+def _subsets(vs: list[str]) -> Iterator[frozenset[str]]:
+    """The subsets of vs in bitmask order, bit i standing for vs[i]. The
+    subsets of the first 8 vertices are built once, by doubling, and
+    joined to each subset of the rest in turn: at most 256 sets per 8
+    vertices are held, however long vs is."""
+    low = [frozenset()]
+    for v in vs[:8]:
+        low += [w | {v} for w in low]
+    if len(vs) <= 8:
+        yield from low
+        return
+    for high in _subsets(vs[8:]):
+        for w in low:
+            yield w | high
+
+
+def _odometer(k: int, f_cap: int) -> Iterator[list[FValue]]:
+    """The values of k >= 1 cycles in itertools.product order over
+    (1, .., f_cap, inf), stepped in place so that no range of f_cap
+    values is built. The one list yielded changes at the next step."""
+    combo: list[FValue] = [1] * k
+    while True:
+        yield combo
+        i = k - 1
+        while combo[i] == INF:
+            combo[i] = 1
+            i -= 1
+            if i < 0:
+                return
+        combo[i] = INF if combo[i] == f_cap else combo[i] + 1
+
+
+def count_triples(g: Graph, f_cap: int = 4) -> tuple[int, bool]:
+    """The number of triples enumerate_triples(g, f_cap) lists, and
+    whether the uncapped family is infinite, without listing them.
+
+    Over H, let B be the index-one vertices of G∖H. The cycles inside B
+    are disjoint. W meets a cycle c in one of 2^|c| sets; the whole of c
+    puts c in f's domain with f_cap + 1 values, and each other set leaves
+    it out, so c gives 2^|c| + f_cap choices and each vertex of B on no
+    cycle gives 2. The family is infinite exactly when some c exists.
+    """
+    if f_cap < 1:
+        raise ValueError("f_cap must be a positive integer")
+    count, infinite = 0, False
+    for h in enumerate_hereditary(g):
+        bar_edges = index_one_edges(g, h)
+        cycles = cycles_in(g, bar_edges)
+        n = 1 << (len(bar_edges) - sum(len(c) for c in cycles))
+        for c in cycles:
+            n *= (1 << len(c)) + f_cap
+        count += n
+        infinite = infinite or bool(cycles)
+    return count, infinite
 
 
 def chain_stabilizes(g: Graph, chain: list[CongruenceTriple]) -> int:

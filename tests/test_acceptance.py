@@ -87,7 +87,7 @@ def test_criterion_1_bijection_on_small_acyclic_graphs():
         for g in graphs:
             s = materialize(g)
             congruences = enumerate_congruences(s)
-            triples = enumerate_triples(g)
+            triples = tuple(enumerate_triples(g))
             expected = sum(
                 2 ** len(index_one_vertices(quotient(g, h)))
                 for h in enumerate_hereditary(g)
@@ -237,7 +237,7 @@ def test_criterion_5_congruence_axioms_sampled():
         rng = random.Random(20260810)
         for name, g in sorted(CORPUS.items()):
             pool = bounded_elements(g, 3)
-            triples = spread(enumerate_triples(g, f_cap=3), 4)
+            triples = spread(tuple(enumerate_triples(g, f_cap=3)), 4)
             per_triple = 10_000 // len(triples) + 1
             for t in triples:
                 q = quotient(g, t.h)
@@ -262,7 +262,7 @@ def test_criterion_6_normal_form_complete():
                       "exhaustively for path lengths <= 4"):
         for name, g in sorted(CORPUS.items()):
             pool = bounded_elements(g, 4)
-            triples = spread(enumerate_triples(g, f_cap=3), 6)
+            triples = spread(tuple(enumerate_triples(g, f_cap=3)), 6)
             for t in triples:
                 forms = {x: normal_form(g, t, x) for x in pool}
                 for x in pool:
@@ -382,7 +382,7 @@ def test_criterion_9_noetherian_demo():
         from graphinverse.graphs import is_acyclic
 
         for name, g in sorted(CORPUS.items()):
-            triples = enumerate_triples(g, f_cap=6)
+            triples = tuple(enumerate_triples(g, f_cap=6))
             for _ in range(100):
                 # grow through random strict upper bounds for a while, then
                 # stay put: a random weakly increasing chain of length 50

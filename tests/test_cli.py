@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import os
 import random
+import select
 import subprocess
 import sys
 import time
@@ -33,6 +34,7 @@ from graphinverse.elements import format_element
 from graphinverse.oracle import bounded_elements
 from reference import rees_only_condition
 from test_congruences import loop_triple
+from test_graphs import path_graph
 from test_scripts import run_into_closed_pipe
 
 
@@ -504,7 +506,7 @@ class TestJsonOutput:
 
     @staticmethod
     def files(tmp_path, g):
-        triples = enumerate_triples(g, 2)
+        triples = tuple(enumerate_triples(g, 2))
         t = triples[len(triples) // 2]
         graph, triple = tmp_path / "g.json", tmp_path / "t.json"
         graph.write_text(json.dumps(graph_to_json(g)))
@@ -519,13 +521,21 @@ class TestJsonOutput:
         return json.loads(out)
 
     @staticmethod
-    def listing(g):
-        triples = enumerate_triples(g, 4)  # the default --f-cap
+    def listing(g, counted):
+        triples = tuple(enumerate_triples(g, 4))  # the default --f-cap
         return {
             "f_cap": 4,
+            **({"count": len(triples)} if counted else {}),
             "infinite_family": any(t.f for t in triples),
             "triples": [triple_to_json(g, t) for t in triples],
         }
+
+    @staticmethod
+    def exact(capsys, argv, payload):
+        """The listings write json.dumps(payload) and a newline, byte for byte."""
+        code, out, err = run(capsys, [*argv, "--format", "json"])
+        assert (code, err) == (0, "")
+        assert out == json.dumps(payload) + "\n"
 
     def test_report(self, capsys, tmp_path, corpus_graph):
         g = corpus_graph
@@ -552,26 +562,32 @@ class TestJsonOutput:
     def test_listings(self, capsys, tmp_path, corpus_graph):
         g = corpus_graph
         _, graph, _ = self.files(tmp_path, g)
-        listing = self.listing(g)
-        assert self.one_line(capsys, ["triples", graph]) == listing
-        assert self.one_line(capsys, ["enumerate", graph]) == {
-            **listing, "count": len(listing["triples"]),
-        }
+        self.exact(capsys, ["triples", graph], self.listing(g, counted=False))
+        self.exact(capsys, ["enumerate", graph], self.listing(g, counted=True))
+
+    def test_listings_over_several_chunks(self, capsys, tmp_path):
+        g = path_graph(10)  # 1024 triples, four chunks
+        _, graph, _ = self.files(tmp_path, g)
+        listing = self.listing(g, counted=False)
+        assert len(listing["triples"]) == 4 * cli.LISTING_CHUNK
+        self.exact(capsys, ["triples", graph], listing)
+        self.exact(capsys, ["enumerate", graph], self.listing(g, counted=True))
+        code, out, err = run(capsys, ["triples", graph])
+        assert (code, err) == (0, "")
+        assert out == "".join(json.dumps(d) + "\n" for d in listing["triples"])
 
     def test_brute_force(self, capsys, tmp_path, acyclic_graph):
         g = acyclic_graph
         _, graph, _ = self.files(tmp_path, g)
         s, congruences = oracle.brute_force(g, 64)
-        listing = self.listing(g)
-        assert self.one_line(capsys, ["enumerate", graph, "--brute"]) == {
-            **listing,
-            "count": len(listing["triples"]),
+        self.exact(capsys, ["enumerate", graph, "--brute"], {
+            **self.listing(g, counted=True),
             "brute": {
                 "elements": len(s),
                 "congruences": len(congruences),
                 "bijection_verified": True,
             },
-        }
+        })
         assert self.one_line(capsys, ["oracle", graph]) == {
             "elements": [format_element(x) for x in s.elements],
             "congruences": [
@@ -612,6 +628,45 @@ class TestBrokenPipe:
         ]))))
         argv = ["-m", "graphinverse", "enumerate", str(path)]
         assert run_into_closed_pipe(argv, buffered) == (1, "error: [Errno 32] Broken pipe\n")
+
+
+class TestHugeFCap:
+    """A cap of 10^9 on a loop's cycle value builds no range of 10^9
+    values: inside a 1.5 GB address space the listing starts at once, and
+    a reader that closes ends it in the one broken-pipe line."""
+
+    @staticmethod
+    def limit_memory():
+        import resource
+
+        resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000, 1_500_000_000))
+
+    @staticmethod
+    def argv(loop_files):
+        return ["-m", "graphinverse", "enumerate", loop_files[0], "--f-cap", "1000000000"]
+
+    def test_first_lines_come_promptly(self, loop_files):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        proc = subprocess.Popen(
+            [sys.executable, *self.argv(loop_files)], stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE, text=True, env={**os.environ, "PYTHONPATH": src},
+            preexec_fn=self.limit_memory,
+        )
+        try:
+            assert select.select([proc.stdout], [], [], 60)[0], "no output within 60 s"
+            first = [proc.stdout.readline() for _ in range(3)]
+        finally:
+            proc.stdout.close()
+            proc.wait(timeout=60)
+        assert first == ["H={} W={} f={}\n", "H={} W={v} f={e->1}\n", "H={} W={v} f={e->2}\n"]
+        assert (proc.returncode, proc.stderr.read()) == (1, "error: [Errno 32] Broken pipe\n")
+        proc.stderr.close()
+
+    @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+    def test_closed_reader(self, loop_files, buffered):
+        assert run_into_closed_pipe(self.argv(loop_files), buffered, self.limit_memory) == (
+            1, "error: [Errno 32] Broken pipe\n"
+        )
 
 
 class TestLazyOracleImport:
@@ -747,7 +802,7 @@ class TestNoGraphPerHereditarySet:
     @pytest.mark.parametrize("name", sorted(CORPUS))
     def test_library_calls(self, built, name):
         g = CORPUS[name]
-        triples = enumerate_triples(g, 2)
+        triples = tuple(enumerate_triples(g, 2))
         for t in triples:
             make_triple(g, t.h, t.w, t.f)
         assert triples and built == []
@@ -844,7 +899,7 @@ class TestFuzz:
         for case in range(self.CASES):
             g = rng.choice(self.GRAPHS)()
             graph = graph_to_json(g)
-            triple = triple_to_json(g, rng.choice(enumerate_triples(g, 2)))
+            triple = triple_to_json(g, rng.choice(tuple(enumerate_triples(g, 2))))
             x, y = rng.sample([format_element(z) for z in bounded_elements(g, 2)], 2)
             # one input is malformed or mutated, or none
             target = rng.choice(["graph", "graph text", "triple", "triple", "literal", "none"])

@@ -5,6 +5,7 @@ import itertools
 import json
 import random
 import re
+import tracemalloc
 
 import pytest
 
@@ -24,6 +25,7 @@ from graphinverse.congruences import (
     _identified_power,
     _trailing_run,
     chain_stabilizes,
+    count_triples,
     divides,
     enumerate_triples,
     equiv,
@@ -47,7 +49,7 @@ from reference import (
     trailing_run,
 )
 from test_elements import as_cycle_power
-from test_graphs import seeded_multigraphs
+from test_graphs import path_graph, ring, seeded_multigraphs
 
 
 def elem(g, literal):
@@ -62,7 +64,7 @@ def loop_triple(g, m):
 def sample_triples(g, f_cap=2, limit=8):
     """A spread of triples for property tests: identity, universal, and a
     few in between."""
-    all_triples = enumerate_triples(g, f_cap)
+    all_triples = tuple(enumerate_triples(g, f_cap))
     if len(all_triples) <= limit:
         return list(all_triples)
     step = max(1, len(all_triples) // limit)
@@ -350,17 +352,17 @@ class TestTripleOrder:
 
 class TestEnumeration:
     def test_edge_graph_has_four(self, edge):
-        triples = enumerate_triples(edge)
+        triples = tuple(enumerate_triples(edge))
         assert len(triples) == 4
         assert not any(t.f for t in triples)
         ws = {(tuple(sorted(t.h)), tuple(sorted(t.w))) for t in triples}
         assert ws == {((), ()), ((), ("v",)), (("w",), ()), (("v", "w"), ())}
 
     def test_single_vertex_has_two(self):
-        assert len(enumerate_triples(CORPUS["single_vertex"])) == 2
+        assert len(tuple(enumerate_triples(CORPUS["single_vertex"]))) == 2
 
     def test_loop_cap_two(self, loop):
-        triples = enumerate_triples(loop, f_cap=2)
+        triples = tuple(enumerate_triples(loop, f_cap=2))
         assert len(triples) == 5
         assert any(t.f for t in triples)
         fs = [t.f[0][1] for t in triples if t.f]
@@ -371,8 +373,8 @@ class TestEnumeration:
             assert make_triple(corpus_graph, t.h, t.w, t.f) == t
 
     def test_deterministic(self, corpus_graph):
-        a = enumerate_triples(corpus_graph, f_cap=2)
-        b = enumerate_triples(corpus_graph, f_cap=2)
+        a = tuple(enumerate_triples(corpus_graph, f_cap=2))
+        b = tuple(enumerate_triples(corpus_graph, f_cap=2))
         assert a == b
 
     def test_acyclic_count_formula(self, acyclic_graph):
@@ -384,35 +386,68 @@ class TestEnumeration:
             2 ** len(index_one_vertices(quotient(g, h)))
             for h in enumerate_hereditary(g)
         )
-        assert len(enumerate_triples(g)) == expected
+        assert len(tuple(enumerate_triples(g))) == expected
 
 
 class TestEnumerationAgainstReference:
     """enumerate_triples against the loop it replaced, which built every
     triple through make_triple: same triples in the same order, the same
     cycle index, each accepted by make_triple, and the infinite family
-    flagged by a listed cycle exactly when some W closes a cycle."""
+    flagged by a listed cycle exactly when some W closes a cycle;
+    count_triples gives the listing's length and that flag."""
 
     @staticmethod
     def check(g, f_cap=2):
-        triples = enumerate_triples(g, f_cap)
+        triples = tuple(enumerate_triples(g, f_cap))
         reference, infinite = per_triple_enumeration(g, f_cap)
         assert triples == reference
         assert any(t.f for t in triples) == infinite
+        assert count_triples(g, f_cap) == (len(triples), infinite)
         for t, r in zip(triples, reference):
             assert t.graph is g and t.cycle_at == r.cycle_at
             assert make_triple(g, t.h, t.w, t.f) == t
 
     def test_corpus(self, corpus_graph):
-        self.check(corpus_graph)
+        for f_cap in (1, 2, 4):
+            self.check(corpus_graph, f_cap)
 
     def test_all_small_acyclic_graphs(self):
         for g in corpus.all_acyclic_graphs(3, 3):
-            self.check(g)
+            for f_cap in (1, 2, 4):
+                self.check(g, f_cap)
 
     def test_seeded_multigraphs(self):
         for g in seeded_multigraphs(2018, 150):
             self.check(g)
+        for g in seeded_multigraphs(4242, 300, max_vertices=6):
+            for f_cap in (1, 2, 4):
+                self.check(g, f_cap)
+
+    def test_long_ring_counted_without_listing(self):
+        # H = {} lets W hold the whole ring, with its 2^40 - 1 proper
+        # subsets and five values, and H = V adds the universal triple
+        g = ring(random.Random(40), 40)
+        assert count_triples(g, 4) == (1_099_511_627_781, True)
+
+    def test_bad_cap_raises_at_the_call(self, loop):
+        for call in (enumerate_triples, count_triples):
+            with pytest.raises(ValueError, match="^f_cap must be a positive integer$"):
+                call(loop, 0)
+
+    def test_listing_memory_stays_flat(self):
+        """Draining the listing holds one triple at a time: the peak of
+        traced allocations does not grow with the number of triples."""
+        peaks = []
+        for n in (10, 14):  # 1024 and 16384 triples
+            g = path_graph(n)
+            tracemalloc.start()
+            try:
+                drained = sum(1 for _ in enumerate_triples(g))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert drained == 1 << n
+        assert peaks[1] < 2 * peaks[0], peaks
 
     def test_trees_feeding_two_rings(self):
         # nine index-one vertices: over H = {} W takes 2^9 bitmasks, and a
@@ -424,12 +459,12 @@ class TestEnumerationAgainstReference:
             [v for r in rings for v in r] + [src for src, _ in trees],
             [(f"e{src}", src, dst) for src, dst in arcs],
         )
-        assert len(enumerate_triples(g, 2)) > 1 << 9
+        assert len(tuple(enumerate_triples(g, 2))) > 1 << 9
         self.check(g, f_cap=2)
 
     def test_huge_f_cap_builds_no_value_range(self, acyclic_graph):
         # an acyclic graph has no cycle to take a value, so the cap is unused
-        assert enumerate_triples(acyclic_graph, 10**12) == enumerate_triples(acyclic_graph, 1)
+        assert tuple(enumerate_triples(acyclic_graph, 10**12)) == tuple(enumerate_triples(acyclic_graph, 1))
 
 
 class TestChains:
@@ -751,7 +786,7 @@ class TestStructuralIdentities:
         rng = random.Random(seed)
         graphs = [CORPUS[name] for name in sorted(CORPUS)]
         for g in graphs + seeded_multigraphs(seed, 40, max_vertices=5):
-            triples = enumerate_triples(g, f_cap=2)
+            triples = tuple(enumerate_triples(g, f_cap=2))
             elements = bounded_elements(g, 2)
             for t in rng.sample(triples, min(len(triples), 6)):
                 yield g, t, rng.sample(elements, min(len(elements), 20))

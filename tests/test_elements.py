@@ -464,5 +464,5 @@ class TestBuiltValuesAreValid:
     def test_seeded_multigraphs(self):
         rng = random.Random(13)
         for g in seeded_multigraphs(1972, 100, max_vertices=5):
-            triples = enumerate_triples(g, f_cap=3)
+            triples = tuple(enumerate_triples(g, f_cap=3))
             self.check(g, 2, rng.sample(triples, min(3, len(triples))))

@@ -85,6 +85,27 @@ def test_script_error_is_one_line(script, args, names):
     assert len(lines) == 1 and lines[0].startswith("error: ") and names in lines[0], proc.stderr
 
 
+def test_verify_bijection_failure_survives_optimize():
+    """A listing that drops its first triple fails verify_bijection.py in
+    one line naming the graph, under python -O too."""
+    script = str(ROOT / "scripts" / "verify_bijection.py")
+    code = (
+        "import itertools, runpy, sys\n"
+        "import graphinverse\n"
+        "listing = graphinverse.enumerate_triples\n"
+        "graphinverse.enumerate_triples = lambda *a: itertools.islice(listing(*a), 1, None)\n"
+        f"sys.argv = [{script!r}, '--max-vertices', '2', '--max-edges', '1']\n"
+        f"runpy.run_path({script!r}, run_name='__main__')\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == ("error: graph 1 (edges: (none)): the 2 congruences do not read off "
+                           "the 1 listed triples\n")
+
+
 @pytest.mark.parametrize("script", ["class_atlas.py", "verify_bijection.py",
                                     "noetherian_chains.py"])
 def test_script_help_exits_zero(script):
@@ -112,10 +133,11 @@ def test_script_broken_pipe_is_one_line(script, args, buffered):
     )
 
 
-def run_into_closed_pipe(argv: list[str], buffered: bool) -> tuple[int, str]:
+def run_into_closed_pipe(argv: list[str], buffered: bool, preexec_fn=None) -> tuple[int, str]:
     """Exit code and stderr of a fresh interpreter whose stdout reader is
     gone before it prints. Buffered, a short output fails only when
-    stdout is flushed at the end."""
+    stdout is flushed at the end. preexec_fn runs in the child before
+    the interpreter starts."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = str(ROOT / "src")
     if not buffered:
@@ -124,7 +146,8 @@ def run_into_closed_pipe(argv: list[str], buffered: bool) -> tuple[int, str]:
     os.close(read_end)
     try:
         proc = subprocess.run([sys.executable, *argv], stdout=write_end,
-                              stderr=subprocess.PIPE, text=True, timeout=120, env=env)
+                              stderr=subprocess.PIPE, text=True, timeout=120, env=env,
+                              preexec_fn=preexec_fn)
     finally:
         os.close(write_end)
     return proc.returncode, proc.stderr
