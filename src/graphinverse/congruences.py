@@ -549,12 +549,7 @@ def triple_from_json(g: Graph, data: object) -> CongruenceTriple:
         if cyc in fmap:
             raise TripleFormatError(f"duplicate cycle {cycle!r}")
         fmap[cyc] = value
-    try:
-        return make_triple(g, h, w, fmap)
-    except TripleFormatError:
-        raise
-    except (ValueError, KeyError) as exc:
-        raise TripleFormatError(exc.args[0]) from None
+    return make_triple(g, h, w, fmap)
 
 
 def load_triple(g: Graph, path: str) -> CongruenceTriple:

@@ -460,24 +460,19 @@ def is_strongly_connected(g: Graph) -> bool:
     return len(_strong_components(g)[1]) <= 1
 
 
-def topological_order(g: Graph) -> list[str]:
-    """Kahn's algorithm: every vertex neither on a cycle nor reachable
-    from one, sources first."""
-    indegree = {v: 0 for v in g.vertices}
-    for e in g.edges:
-        indegree[e.dst] += 1
-    order = [v for v in g.vertices if indegree[v] == 0]
-    for v in order:
-        for e in g.out_edges(v):
-            indegree[e.dst] -= 1
-            if indegree[e.dst] == 0:
-                order.append(e.dst)
-    return order
+def topological_order(g: Graph) -> list[str] | None:
+    """The vertices with every edge running forward, read off the
+    condensation; None when g has a directed cycle, that is a strong
+    component of two or more vertices or a loop."""
+    succ, components = _strong_components(g)
+    if any(len(c) > 1 or c[0] in succ[c[0]] for c in components):
+        return None
+    return [g.vertices[c[0]] for c in reversed(components)]
 
 
 def is_acyclic(g: Graph) -> bool:
     """No directed cycle (so the path set, and hence I(G), is finite)."""
-    return len(topological_order(g)) == len(g.vertices)
+    return topological_order(g) is not None
 
 
 def is_congruence_free_graph(g: Graph) -> bool:

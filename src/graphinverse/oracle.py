@@ -110,7 +110,7 @@ def materialize(g: Graph, max_elements: int | None = None) -> FiniteSemigroup:
     is refused before any product is taken.
     """
     order = topological_order(g)
-    if len(order) != len(g.vertices):
+    if order is None:
         raise ValueError("only acyclic graphs have finitely many elements")
     if max_elements is not None:
         # |I(G)| = 1 + sum over v of N(v)^2, N(v) = number of paths ending at v

@@ -35,12 +35,9 @@ from graphinverse.congruences import make_triple
 from graphinverse.corpus import (
     CORPUS,
     all_acyclic_graphs,
-    cycle_with_exit,
     double_loop,
     edge_graph,
-    fork,
     loop_graph,
-    pendant_cycle,
     parallel_pair,
     parallel_two_cycle,
     single_vertex,
@@ -460,11 +457,18 @@ class TestPredicates:
 
     def test_topological_order(self):
         assert topological_order(path_graph(4)) == ["v0", "v1", "v2", "v3"]
-        assert topological_order(fork()) == ["u", "v", "w"]
-        # v and w lie on a cycle, which u feeds
-        assert topological_order(pendant_cycle()) == ["u"]
-        # the exit leads from the cycle to u
-        assert topological_order(cycle_with_exit()) == []
+        for g in all_acyclic_graphs(3, 3):
+            order = topological_order(g)
+            assert sorted(order) == sorted(g.vertices)
+            assert all(order.index(e.src) < order.index(e.dst) for e in g.edges)
+        # G has a cycle exactly when some edge's source is reachable from its target
+        graphs = [*CORPUS.values(), *all_acyclic_graphs(3, 3)]
+        graphs += [Graph.of(g.vertices, [*g.edges, ("back", e.dst, e.src)])
+                   for g in all_acyclic_graphs(3, 2) for e in g.edges[:1]]
+        for g in graphs:
+            cyclic = any(e.src in reachable(g, e.dst) for e in g.edges)
+            assert is_acyclic(g) is not cyclic
+            assert (topological_order(g) is None) is cyclic
 
 
 class TestCyclePower:
