@@ -324,8 +324,8 @@ def build_parser() -> Parser:
 
 def run(body: Callable[[], int | None]) -> int:
     """Run an entry point's body and flush stdout; the exit code is the
-    body's, 0 for None. Invalid input, a failed read and a closed stdout
-    end in one error line on stderr and exit code 1."""
+    body's, 0 for None. Invalid input, a failed read, a closed stdout and
+    running out of memory end in one error line on stderr and exit code 1."""
     try:
         code = body()
         sys.stdout.flush()  # a reader that closed early fails here, not at exit
@@ -336,6 +336,9 @@ def run(body: Callable[[], int | None]) -> int:
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         # str() quotes a KeyError's message; an OSError's args are (errno, text)
         print(f"error: {exc.args[0] if isinstance(exc, KeyError) else exc}", file=sys.stderr)
+        return 1
+    except MemoryError:  # its message is empty
+        print("error: out of memory", file=sys.stderr)
         return 1
 
 

@@ -12,10 +12,10 @@ inconclusive by design.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .congruences import CongruenceTriple, make_triple, triple_generators
+from .congruences import INF, CongruenceTriple, make_triple
 from .elements import (
     ZERO,
     Element,
@@ -30,22 +30,16 @@ from .graphs import (
     Path,
     _path,
     concat,
-    cycles_in,
     index_one_edges,
-    is_acyclic,
     topological_order,
     vertex_path,
 )
 
 
-def all_paths(g: Graph, max_len: int | None = None) -> list[Path]:
-    """Every path of g up to the length bound, ordered by length then by
-    discovery; unbounded only for acyclic graphs."""
-    if max_len is None:
-        if not is_acyclic(g):
-            raise ValueError("unbounded path enumeration needs an acyclic graph")
-        max_len = len(g.edges)
-    elif max_len < 0:
+def all_paths(g: Graph, max_len: int) -> list[Path]:
+    """Every path of g with at most max_len edges, ordered by length then
+    by discovery; on an acyclic graph, a bound of len(g.edges) gives all."""
+    if max_len < 0:
         raise ValueError(f"length bound {max_len} is negative")
     out: list[Path] = [vertex_path(v) for v in g.vertices]
     frontier = list(out)
@@ -61,9 +55,8 @@ def all_paths(g: Graph, max_len: int | None = None) -> list[Path]:
     return out
 
 
-def bounded_elements(g: Graph, len_bound: int | None = None) -> list[Element]:
-    """Zero plus every element whose two paths have length <= len_bound;
-    with no bound, all of I(G) for an acyclic graph."""
+def bounded_elements(g: Graph, len_bound: int) -> list[Element]:
+    """Zero plus every element whose two paths have length <= len_bound."""
     paths = all_paths(g, len_bound)
     out = [ZERO]
     for a in paths:
@@ -80,25 +73,20 @@ class FiniteSemigroup:
     ``elements[0]`` is zero; ``table[i][j]`` indexes the product of
     elements i and j. ``generators`` indexes the vertices, the edges
     e|@r(e) and the ghosts @r(e)|e, of which every nonzero element is a
-    product.
+    product. ``index`` maps each element to its position.
     """
 
-    graph: Graph
     elements: tuple[Element, ...]
     table: tuple[tuple[int, ...], ...]
     generators: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "_index", {x: i for i, x in enumerate(self.elements)}
-        )
+    index: dict[Element, int] = field(compare=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.elements)
 
     def index_of(self, x: Element) -> int:
         try:
-            return self._index[x]  # type: ignore[attr-defined]
+            return self.index[x]
         except KeyError:
             raise KeyError(f"element {x!r} is not in the materialized semigroup") from None
 
@@ -121,7 +109,7 @@ def materialize(g: Graph, max_elements: int | None = None) -> FiniteSemigroup:
         size = 1 + sum(n * n for n in ending.values())
         if size > max_elements:
             raise ValueError(f"semigroup has {size} elements, above the bound {max_elements}")
-    elements = bounded_elements(g)
+    elements = bounded_elements(g, len(g.edges))
     index = {x: i for i, x in enumerate(elements)}
     table = tuple(
         tuple(index[multiply(x, y)] for y in elements) for x in elements
@@ -130,7 +118,7 @@ def materialize(g: Graph, max_elements: int | None = None) -> FiniteSemigroup:
     for e in g.edges:
         p = _path((e.src, e.dst), (e.id,))
         generators += [path_element(p), _element(vertex_path(e.dst), p)]
-    return FiniteSemigroup(g, tuple(elements), table, tuple(index[x] for x in generators))
+    return FiniteSemigroup(tuple(elements), table, tuple(index[x] for x in generators), index)
 
 
 @dataclass(frozen=True)
@@ -237,10 +225,9 @@ def triple_of_congruence(
 ) -> CongruenceTriple:
     """Read (H, W, f) off an explicit congruence.
 
-    H collects the vertices in the zero class, W the edge sources kept by
-    G∖H whose edge idempotent falls to the vertex, and f the
-    minimal lap exponent identified with each cycle base (vacuous here:
-    acyclic graphs have no cycles).
+    H collects the vertices in the zero class and W the edge sources kept
+    by G∖H whose edge idempotent falls to the vertex. f is empty:
+    ``materialize`` admits only acyclic graphs, which have no cycles.
     """
     zero = s.index_of(ZERO)
     h = frozenset(
@@ -253,16 +240,7 @@ def triple_of_congruence(
         ee = idempotent_element(Path((e.src, e.dst), (e.id,)))
         if rho.together(s.index_of(ee), s.index_of(vertex_element(e.src))):
             w.add(e.src)
-    fmap = {}
-    for c in cycles_in(g, {v: e for v, e in index_one_edges(g, h).items() if v in w}):
-        for m in range(1, len(s) + 2):
-            power_elem = Element(c.power(m), vertex_path(c.base))
-            if rho.together(s.index_of(power_elem), s.index_of(vertex_element(c.base))):
-                fmap[c] = m
-                break
-        else:
-            raise RuntimeError(f"no identified power for cycle {c!r}")
-    return make_triple(g, h, frozenset(w), fmap)
+    return make_triple(g, h, frozenset(w))
 
 
 def brute_force(
@@ -326,8 +304,8 @@ class TransitionOracle:
     """
 
     def __init__(self, g: Graph, t: CongruenceTriple, len_bound: int):
+        t = t.over(g)
         self.graph = g
-        self.triple = t
         self.len_bound = len_bound
         self._turns: list[Path] = []  # the W-edges e of the pairs (e e*, s(e))
         # per pair (P, s): the length of P's cycle and, for each cycle vertex
@@ -339,31 +317,32 @@ class TransitionOracle:
         fixed: list[tuple[str, int]] = []
         doomed: list[tuple[str, int]] = []
         gens = []
-        for a, b in triple_generators(g, t):
-            p = a.alpha
-            if b.is_zero:
-                doomed.append((p.source, 0))
-            elif a == idempotent_element(p):
+        for v in g.sort_vertices(t.h):
+            doomed.append((v, 0))
+            gens.append((vertex_element(v), ZERO))
+        for v, e in index_one_edges(g, t.h).items():
+            if v in t.w:
+                p = _path((v, e.dst), (e.id,))
                 self._turns.append(p)
-                fixed.append((p.target, 1))
-                doomed.extend((f.dst, 1) for f in g.out_edges(p.source) if f.id != p.edges[0])
-            else:
-                k = p.vertices.index(p.source, 1)
-                if len(p) > 2 * len_bound:
-                    laps = 2 * len_bound // k + 1
-                    p = _path(p.vertices[:1] + p.vertices[1 : k + 1] * laps, p.edges[:k] * laps)
-                    a = path_element(p)
-                rotations = {}
-                for d in range(k):
-                    if d <= len_bound or k - d <= len_bound:
-                        rotations[p.vertices[d]] = (d, _path(
-                            p.vertices[d:] + p.vertices[1 : d + 1], p.edges[d:] + p.edges[:d]
-                        ))
-                    doomed.extend(
-                        (f.dst, d + 1) for f in g.out_edges(p.vertices[d]) if f.id != p.edges[d]
-                    )
-                self._laps.append((k, rotations))
-            gens.append((a, b))
+                fixed.append((e.dst, 1))
+                doomed.extend((f.dst, 1) for f in g.out_edges(v) if f.id != e.id)
+                gens.append((idempotent_element(p), vertex_element(v)))
+        for c, val in t.f:
+            if val == INF:
+                continue
+            k = len(c)
+            p = c.power(val if val * k <= 2 * len_bound else 2 * len_bound // k + 1)
+            rotations = {}
+            for d in range(k):
+                if d <= len_bound or k - d <= len_bound:
+                    rotations[p.vertices[d]] = (d, _path(
+                        p.vertices[d:] + p.vertices[1 : d + 1], p.edges[d:] + p.edges[:d]
+                    ))
+                doomed.extend(
+                    (f.dst, d + 1) for f in g.out_edges(p.vertices[d]) if f.id != p.edges[d]
+                )
+            self._laps.append((k, rotations))
+            gens.append((path_element(p), vertex_element(c.base)))
         self.directed = gens + [(b, a) for a, b in gens]
         self._fixed = _reach(g, fixed, len_bound)
         self._doomed = _reach(g, doomed, len_bound)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import os
 import random
+import resource
 import select
 import subprocess
 import sys
@@ -636,6 +637,16 @@ class TestJsonOutput:
                 assert self.one_line(capsys, argv) == {"equivalent": equiv(g, t, x, y)}
 
 
+class TestOutOfMemory:
+    def test_one_error_line(self, capsys, loop_files, monkeypatch):
+        """str(MemoryError()) is empty, so the line names the error itself."""
+        def exhausted(args):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "cmd_nf", exhausted)
+        assert run(capsys, ["nf", *loop_files, "@v|e"]) == (1, "", "error: out of memory\n")
+
+
 class TestBrokenPipe:
     """A reader that closes early ends a fresh CLI process in one error
     line and exit code 1, whether the output fills the buffer or not."""
@@ -725,18 +736,52 @@ class TestLazyOracleImport:
 
 
 class TestHugeCycleValue:
-    """A finite f-value past the index range ends in one error line:
-    the normal form of @v|e is e^(f-1)|@v, and --certify builds the
-    generator (e^f, v)."""
+    """A finite f-value far past any length bound, on the loop with
+    W = {v}. The normal form of @v|e is e^(f-1)|@v, which cannot be
+    built: at f = 10^30 its length overflows an index, and at f = 10^9
+    it runs out of memory; either ends in one error line. --certify
+    builds only a power of e cut to about 2 * len_bound edges, so it
+    answers. The f = 10^9 cases run in a child under a 1 GB address-space
+    limit: without one, e^(f-1) takes the machine's memory."""
 
-    @pytest.mark.parametrize("command", [["nf", "@v|e"], ["equiv", "@v|e", "e|@v", "--certify"]])
-    def test_one_error_line(self, capsys, tmp_path, command):
+    @staticmethod
+    def files(tmp_path, f):
         gpath, tpath = tmp_path / "g.json", tmp_path / "t.json"
         gpath.write_text(json.dumps(graph_to_json(loop_graph())))
-        tpath.write_text(json.dumps({"H": [], "W": ["v"], "f": [{"cycle": ["e"], "value": 10**30}]}))
-        code, out, err = run(capsys, [command[0], str(gpath), str(tpath), *command[1:]])
+        tpath.write_text(json.dumps({"H": [], "W": ["v"], "f": [{"cycle": ["e"], "value": f}]}))
+        return [str(gpath), str(tpath)]
+
+    @pytest.mark.parametrize("command", [["nf", "@v|e"]])
+    def test_one_error_line(self, capsys, tmp_path, command):
+        files = self.files(tmp_path, 10**30)
+        code, out, err = run(capsys, [command[0], *files, *command[1:]])
         assert code == 1 and out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+    def test_certify_answers(self, capsys, tmp_path):
+        files = self.files(tmp_path, 10**30)
+        code, out, err = run(capsys, ["equiv", *files, "@v|e", "e|@v", "--certify",
+                                      "--format", "json"])
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {"equivalent": False, "certificate": None}
+
+    @pytest.mark.parametrize("command, expected", [
+        (["nf", "@v|e"], (1, "", "error: out of memory\n")),
+        (["equiv", "e|@v", "@v|@v", "--certify", "--format", "json"],
+         (0, '{"equivalent": false, "certificate": null}\n', "")),
+    ], ids=["nf", "certify"])
+    def test_billion_laps_under_a_memory_limit(self, tmp_path, command, expected):
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        proc = subprocess.run(
+            [sys.executable, "-m", "graphinverse", command[0], *self.files(tmp_path, 10**9),
+             *command[1:]],
+            capture_output=True, text=True, timeout=60, preexec_fn=limit,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == expected
 
 
 class TestFlags:

@@ -8,6 +8,8 @@ import re
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphinverse.graphs import Cycle, Graph, Path, concat, cycle_power, cycles_in, make_path
 from graphinverse.elements import (
@@ -49,7 +51,7 @@ from reference import (
     trailing_run,
 )
 from test_elements import as_cycle_power
-from test_graphs import path_graph, ring, seeded_multigraphs
+from test_graphs import path_graph, ring, seeded_multigraphs, small_graphs
 
 
 def elem(g, literal):
@@ -266,6 +268,24 @@ class TestNormalForm:
             for x in pool:
                 for y in pool:
                     assert (forms[x] == forms[y]) == equiv(g, t, x, y), (t, x, y)
+
+
+class TestDrawnMultigraphs:
+    """Properties of one triple and two elements on drawn multigraphs of
+    up to 5 vertices: the triple from enumerate_triples at f_cap 2, the
+    elements from bounded_elements at length bound 2."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_graphs(max_vertices=5), st.data())
+    def test_normal_form_decides_equiv(self, g, data):
+        t = data.draw(st.sampled_from(tuple(enumerate_triples(g, 2))))
+        elements = bounded_elements(g, 2)
+        x, y = data.draw(st.sampled_from(elements)), data.draw(st.sampled_from(elements))
+        nx, ny = normal_form(g, t, x), normal_form(g, t, y)
+        assert normal_form(g, t, nx) == nx
+        assert equiv(g, t, x, nx)
+        assert (nx == ny) == equiv(g, t, x, y)
+        assert triple_from_json(g, triple_to_json(g, t)) == t
 
 
 class TestVertexClassMembers:

@@ -78,8 +78,10 @@ def seeded_multigraphs(seed: int, count: int, max_vertices: int = 8) -> list[Gra
 
 
 @st.composite
-def small_graphs(draw):
-    n = draw(st.integers(min_value=1, max_value=4))
+def small_graphs(draw, max_vertices: int = 4):
+    """Multigraphs with 1..max_vertices vertices and up to 5 edges,
+    loops, parallel edges and cycles allowed."""
+    n = draw(st.integers(min_value=1, max_value=max_vertices))
     vertices = [f"v{i}" for i in range(n)]
     m = draw(st.integers(min_value=0, max_value=5))
     pairs = draw(

@@ -13,8 +13,16 @@ import pytest
 
 import graphinverse
 from graphinverse import oracle
-from graphinverse.elements import ZERO, Element, multiply, parse_element, vertex_element
+from graphinverse.elements import (
+    ZERO,
+    Element,
+    multiply,
+    parse_element,
+    path_element,
+    vertex_element,
+)
 from graphinverse.congruences import (
+    INF,
     enumerate_triples,
     equiv,
     make_triple,
@@ -446,6 +454,24 @@ class TestTransitionOracle:
         assert o.neighbors(x) == {ZERO}
         assert o.search(x, y, 1) == TransitionResult(False, None, 1)
         assert o.search(x, y, 2) == TransitionResult(True, (x, ZERO, y), 2)
+
+    def test_pairs_are_the_triple_generators(self):
+        """The directed pairs are triple_generators' pairs in order, then
+        their reverses, with each cycle power longer than 2 * len_bound
+        edges cut to the least power of its cycle that is."""
+        for g in [*CORPUS.values(), *seeded_multigraphs(2018, 60)]:
+            for t in enumerate_triples(g, f_cap=3):
+                gens = triple_generators(g, t)
+                cycles = [c for c, val in t.f if val != INF]
+                head = len(gens) - len(cycles)
+                for len_bound in (0, 1, 2, 3, 5):
+                    cut = 2 * len_bound
+                    pairs = gens[:head] + [
+                        (a if len(a.alpha) <= cut else path_element(c.power(cut // len(c) + 1)), b)
+                        for c, (a, b) in zip(cycles, gens[head:])
+                    ]
+                    o = TransitionOracle(g, t, len_bound)
+                    assert o.directed == pairs + [(b, a) for a, b in pairs], (g, t, len_bound)
 
     def test_zero_is_never_expanded(self, loop):
         o = TransitionOracle(loop, loop_triple(loop, 2), 2)
