@@ -160,7 +160,9 @@ def make_triple(
 def _compile(g: Graph, t: CongruenceTriple) -> CongruenceTriple:
     """Stamp a triple known to be valid over g with g and its cycle index."""
     object.__setattr__(t, "graph", g)
-    object.__setattr__(t, "cycle_at", {v: (c, val) for c, val in t.f for v in c.vertex_set})
+    object.__setattr__(t, "cycle_at", {})
+    for c, val in t.f:  # one (cycle, value) pair shared by the cycle's vertices
+        t.cycle_at.update(dict.fromkeys(c.path.vertices, (c, val)))
     return t
 
 
@@ -177,11 +179,12 @@ def _identified_power(t: CongruenceTriple, p: Path) -> bool:
     it avoids H; the length and edge checks keep the test exact for any
     other closed path.
     """
-    c, val = t.cycle_at.get(p.source, (None, INF))
-    if val == INF or len(p) % len(c):
+    verts, edges = p
+    c, val = t.cycle_at.get(verts[0], (None, INF))
+    if val == INF:
         return False
-    m = len(p) // len(c)
-    return m % int(val) == 0 and p.edges == c.based_at(p.source).edges * m
+    m, rest = divmod(len(edges), len(c.path.edges))
+    return not rest and m % int(val) == 0 and edges == c.based_at(verts[0]).edges * m
 
 
 def triple_generators(g: Graph, t: CongruenceTriple) -> list[tuple[Element, Element]]:
@@ -219,7 +222,7 @@ def equiv(g: Graph, t: CongruenceTriple, x: Element, y: Element) -> bool:
         return True
     a, b = x
     p, q = y
-    if len(a) > len(p):
+    if len(a.edges) > len(p.edges):
         a, b, p, q = p, q, a, b
     p1 = remainder(a, p)
     if p1 is None:
@@ -241,11 +244,11 @@ def _vertex_class_test(t: CongruenceTriple, p: Path, q: Path) -> bool:
     to its base.
     """
     if p == q:
-        return p.vertex_set <= t.w
-    if len(p) < len(q):
+        return t.w.issuperset(p.vertices[:-1])
+    if len(p.edges) < len(q.edges):
         p, q = q, p
     tail = remainder(q, p)
-    return tail is not None and q.vertex_set <= t.w and _identified_power(t, tail)
+    return tail is not None and t.w.issuperset(q.vertices[:-1]) and _identified_power(t, tail)
 
 
 def normal_form(g: Graph, t: CongruenceTriple, x: Element) -> Element:

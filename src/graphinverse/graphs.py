@@ -33,6 +33,8 @@ def _check_id(kind: str, ident: object) -> str:
         raise GraphFormatError(
             f"{kind} id {ident!r} uses reserved characters {sorted(bad)}"
         )
+    if ident != ident.strip():  # element literals are read stripped
+        raise GraphFormatError(f"{kind} id {ident!r} has leading or trailing whitespace")
     return ident
 
 
@@ -203,12 +205,13 @@ def concat(p: Path, q: Path) -> Path:
 
 
 def remainder(p: Path, q: Path) -> Path | None:
-    """The rest of q after its prefix p, or None when p is not a prefix of q."""
+    """The rest of q after its prefix p, or None when p is not a prefix of
+    q; q itself, uncopied, when p has length 0."""
     (p_verts, p_edges), (q_verts, q_edges) = p, q
     n = len(p_edges)
     if p_verts[0] != q_verts[0] or q_edges[:n] != p_edges:
         return None
-    return _path(q_verts[n:], q_edges[n:])
+    return _path(q_verts[n:], q_edges[n:]) if n else q
 
 
 @dataclass(frozen=True)
@@ -338,9 +341,15 @@ def index_one_edges(g: Graph, h: Iterable[str] = ()) -> dict[str, Edge]:
     w_edges: dict[str, Edge] = {}
     for v, out in g._out.items():  # type: ignore[attr-defined]
         if v not in hs:
-            kept = [e for e in out if e.dst not in hs]
-            if len(kept) == 1:
-                w_edges[v] = kept[0]
+            kept = None
+            for e in out:
+                if e.dst not in hs:
+                    if kept is not None:
+                        break  # a second kept edge: index two or more
+                    kept = e
+            else:
+                if kept is not None:
+                    w_edges[v] = kept
     return w_edges
 
 
@@ -352,25 +361,25 @@ def cycles_in(g: Graph, w_edges: Mapping[str, Edge]) -> list[Cycle]:
     :func:`index_one_edges` gives it restricted to W; the cycles found
     are then pairwise disjoint and no-exit in G∖H. Each vertex of W has
     one successor, so one walk from each vertex no earlier walk reached
-    visits every vertex of W once.
+    visits every vertex of W once; a cycle's vertices and edges are read
+    off only when a walk closes it.
     """
     pos = g._vpos  # type: ignore[attr-defined]
     walk_of: dict[str, str] = {}
     found: list[tuple[int, Cycle]] = []
     for start in w_edges:
-        verts: list[str] = []
-        edges: list[str] = []
+        if start in walk_of:
+            continue
         u = start
         while u in w_edges and u not in walk_of:
             walk_of[u] = start
-            verts.append(u)
-            e = w_edges[u]
-            edges.append(e.id)
-            u = e.dst
+            u = w_edges[u].dst
         if walk_of.get(u) == start:  # this walk closed a new cycle at u
-            k = verts.index(u)
-            c = Cycle.from_path(_path(tuple(verts[k:]) + (u,), tuple(edges[k:])))
-            found.append((min(map(pos.__getitem__, verts[k:])), c))
+            verts, v = [u], u
+            while (v := w_edges[v].dst) != u:
+                verts.append(v)
+            c = Cycle.from_path(_path(tuple(verts) + (u,), tuple([w_edges[v].id for v in verts])))
+            found.append((min(map(pos.__getitem__, verts)), c))
     found.sort(key=lambda rc: rc[0])
     return [c for _, c in found]
 

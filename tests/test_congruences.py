@@ -11,7 +11,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphinverse.graphs import Cycle, Graph, Path, concat, cycle_power, cycles_in, make_path
+from graphinverse.graphs import (
+    Cycle,
+    Graph,
+    Path,
+    concat,
+    cycle_power,
+    cycles_in,
+    make_path,
+    vertex_path,
+)
 from graphinverse.elements import (
     ZERO,
     Element,
@@ -286,6 +295,30 @@ class TestDrawnMultigraphs:
         assert equiv(g, t, x, nx)
         assert (nx == ny) == equiv(g, t, x, y)
         assert triple_from_json(g, triple_to_json(g, t)) == t
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_graphs(max_vertices=5), st.data())
+    def test_equiv_is_a_congruence(self, g, data):
+        t = data.draw(st.sampled_from(tuple(enumerate_triples(g, 2))))
+        elements = bounded_elements(g, 2)
+        y = data.draw(st.sampled_from(elements))
+        # z, and x half of the time, come from the class of y, so that
+        # transitivity and compatibility meet related pairs
+        related = [z for z in elements if equiv(g, t, y, z)]
+        x = data.draw(st.sampled_from(related) | st.sampled_from(elements))
+        z = data.draw(st.sampled_from(related))
+        assert equiv(g, t, x, x)
+        assert equiv(g, t, x, y) == equiv(g, t, y, x)
+        assert equiv(g, t, z, y)
+        if equiv(g, t, x, y):
+            assert equiv(g, t, x, z)
+        edges = [make_path(g, [e.id]) for e in g.edges]
+        units = [vertex_element(v) for v in g.vertices]
+        units += [path_element(e) for e in edges]
+        units += [Element(vertex_path(e.target), e) for e in edges]  # ghosts
+        for s in units:
+            assert equiv(g, t, multiply(s, y), multiply(s, z)), (s, y, z)
+            assert equiv(g, t, multiply(y, s), multiply(z, s)), (y, z, s)
 
 
 class TestVertexClassMembers:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from graphinverse.graphs import (
     Cycle,
+    Graph,
     Path,
     concat,
     cycle_power,
@@ -303,6 +304,13 @@ class TestLiterals:
     def test_round_trip_exhaustive(self, corpus_graph):
         for x in bounded_elements(corpus_graph, 3):
             assert parse_element(corpus_graph, format_element(x)) == x
+
+    def test_round_trip_inner_spaces(self):
+        # only a padded id is refused: stripping a literal leaves these whole
+        g = Graph.of(["a b", "w"], [("e f", "a b", "w"), ("g", "w", "a b")])
+        for x in bounded_elements(g, 3):
+            assert parse_element(g, format_element(x)) == x
+        assert format_element(parse_element(g, " @a b|@a b ")) == "@a b|@a b"
 
     @pytest.mark.parametrize(
         "bad",

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import random
 import re
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from graphinverse.graphs import (
     _reach_masks,
     Cycle,
+    Edge,
     Graph,
     GraphFormatError,
     Path,
@@ -111,6 +113,18 @@ class TestConstruction:
     def test_reserved_characters_rejected(self, bad):
         with pytest.raises(GraphFormatError):
             Graph.of([bad], [])
+
+    @pytest.mark.parametrize("vertices, edges, message", [
+        (["v "], [], "vertex id 'v ' has leading or trailing whitespace"),
+        (["\tv"], [], "vertex id '\\tv' has leading or trailing whitespace"),
+        (["v"], [(" e", "v", "v")], "edge id ' e' has leading or trailing whitespace"),
+        (["v"], [("e\n", "v", "v")], "edge id 'e\\n' has leading or trailing whitespace"),
+    ])
+    def test_padded_ids_rejected(self, vertices, edges, message):
+        # parse_element strips a literal, so a padded id could not round-trip
+        with pytest.raises(GraphFormatError) as info:
+            Graph.of(vertices, edges)
+        assert str(info.value) == message
 
     def test_vertex_and_edge_may_share_an_id(self):
         g = Graph.of(["x"], [("x", "x", "x")])
@@ -305,13 +319,14 @@ def subsets(vs):
             for mask in range(1 << len(vs))]
 
 
-def shuffled_functional_graph(rng: random.Random, n: int) -> Graph:
+def shuffled_functional_graph(rng: random.Random, n: int, second: float = 0.2) -> Graph:
     """n vertices in shuffled graph order, each with one edge to a random
-    vertex, edges named in shuffled order; a few vertices get a second edge."""
+    vertex, edges named in shuffled order; each vertex gets a second edge
+    with probability second."""
     names = [f"v{i}" for i in rng.sample(range(n), n)]
     edge_names = iter(f"e{i}" for i in rng.sample(range(2 * n), 2 * n))
     edges = [(next(edge_names), v, rng.choice(names)) for v in names]
-    edges += [(next(edge_names), v, rng.choice(names)) for v in names if rng.random() < 0.2]
+    edges += [(next(edge_names), v, rng.choice(names)) for v in names if rng.random() < second]
     return Graph.of(names, edges)
 
 
@@ -386,12 +401,17 @@ class TestCycleLayerAgainstReference:
 
     def test_cycles_in_seeded_functional_graphs(self):
         rng = random.Random(20180)
-        for _ in range(200):
-            g = shuffled_functional_graph(rng, rng.randint(1, 12))
+        small = ((rng.randint(1, 12), 0.2) for _ in range(200))  # drawn lazily
+        # and large draws with few second edges: long tails into the
+        # cycles, and most starts already reached by an earlier walk
+        large = [(n, 0.02) for n in (50, 90, 160, 300)]
+        for n, second in chain(small, large):
+            g = shuffled_functional_graph(rng, n, second)
             bar = index_one_edges(g)
             for _ in range(4):
                 w_edges = {v: e for v, e in sorted(bar.items()) if rng.random() < 0.8}
                 assert [c.path for c in cycles_in(g, w_edges)] == reference_cycles_in(g, w_edges)
+            assert [c.path for c in cycles_in(g, bar)] == reference_cycles_in(g, bar)
 
     def test_from_path_every_corpus_rotation(self):
         for g in CORPUS.values():
@@ -605,9 +625,9 @@ class TestIndexOneEdgesAgainstReference:
         for h in enumerate_hereditary(g):
             q = quotient(g, h)
             w_edges = index_one_edges(g, h)
-            assert tuple(w_edges) == q.sort_vertices(index_one_vertices(q))
+            assert tuple(w_edges) == g.sort_vertices(index_one_vertices(q))
             for v, e in w_edges.items():
-                assert q.out_edges(v) == (e,)
+                assert type(e) is Edge and q.out_edges(v) == (e,)
 
     def test_corpus(self, corpus_graph):
         self.check(corpus_graph)
@@ -618,4 +638,8 @@ class TestIndexOneEdgesAgainstReference:
 
     def test_seeded_multigraphs(self):
         for g in seeded_multigraphs(2015, 250):
+            self.check(g)
+
+    def test_seeded_multigraphs_with_loops_and_parallel_edges(self):
+        for g in seeded_multigraphs(4242, 300, max_vertices=6):
             self.check(g)
