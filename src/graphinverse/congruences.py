@@ -43,6 +43,7 @@ from .graphs import (
     Cycle,
     Graph,
     Path,
+    _is_prefix,
     _path,
     concat,
     cycle_power,
@@ -51,7 +52,6 @@ from .graphs import (
     index_one_edges,
     is_hereditary,
     make_path,
-    remainder,
     vertex_path,
 )
 
@@ -141,7 +141,7 @@ def make_triple(
             f"W vertices without index one in the quotient: {sorted(bad_index)}"
         )
     if not problems:
-        expected = cycles_in(g, {v: e for v, e in w_edges.items() if v in t.w})
+        expected = cycles_in(g, w_edges, t.w)
         domain = [c for c, _ in t.f]
         if sorted(c.path.edges for c in domain) != sorted(c.path.edges for c in expected):
             problems.append(
@@ -171,20 +171,26 @@ def _compile(g: Graph, t: CongruenceTriple) -> CongruenceTriple:
 # ---------------------------------------------------------------------------
 
 
-def _identified_power(t: CongruenceTriple, p: Path) -> bool:
-    """Is the closed path p a lap power c^m collapsing to its base,
-    i.e. with c inside W, f(c) finite and f(c) | m? t must be compiled.
+def _identified_power(t: CongruenceTriple, p: Path, k: int = 0) -> bool:
+    """Is the closed rest of p from its k-th vertex a lap power c^m
+    collapsing to its base, with c inside W and finite f(c) | m? t must
+    be compiled.
 
     A closed path of g at a vertex of c is always a lap power of c, since
     it avoids H; the length and edge checks keep the test exact for any
-    other closed path.
+    other closed path: it reads p's edges from k against m copies of c's
+    edges rotated to that vertex, the one rotated power it builds.
     """
     verts, edges = p
-    c, val = t.cycle_at.get(verts[0], (None, INF))
+    c, val = t.cycle_at.get(verts[k], (None, INF))
     if val == INF:
         return False
-    m, rest = divmod(len(edges), len(c.path.edges))
-    return not rest and m % int(val) == 0 and edges == c.based_at(verts[0]).edges * m
+    lap = c.path.edges
+    m, rest = divmod(len(edges) - k, len(lap))
+    if rest or m % int(val):
+        return False
+    i = c.path.vertices.index(verts[k])
+    return edges[k:] == (lap[i:] + lap[:i]) * m
 
 
 def triple_generators(g: Graph, t: CongruenceTriple) -> list[tuple[Element, Element]]:
@@ -209,7 +215,9 @@ def equiv(g: Graph, t: CongruenceTriple, x: Element, y: Element) -> bool:
     relatedness forces p = a p1, and then either q extends b by some q1
     and the pair reduces to the class of the common range against p1 q1*,
     or b extends q by a nonempty b1 and the closed path p1 b1 must be a
-    lap power collapsing to its base.
+    lap power collapsing to its base. Each prefix question is answered
+    once, on offsets into the four paths: p1, q1 and b1 are never copied,
+    and only p1 b1 is built.
     """
     t = t.over(g)
     # a path meeting H ends in H (H is hereditary), so an element falls
@@ -218,37 +226,34 @@ def equiv(g: Graph, t: CongruenceTriple, x: Element, y: Element) -> bool:
     y_dead = y.is_zero or y.alpha.target in t.h
     if x_dead or y_dead:
         return x_dead and y_dead
-    if x == y:
-        return True
     a, b = x
     p, q = y
     if len(a.edges) > len(p.edges):
         a, b, p, q = p, q, a, b
-    p1 = remainder(a, p)
-    if p1 is None:
+    if not _is_prefix(a, p):
         return False
-    q1 = remainder(b, q)
-    if q1 is not None:
-        return _vertex_class_test(t, p1, q1)
-    b1 = remainder(q, b)
-    if b1 is not None:
-        return _identified_power(t, concat(p1, b1))
-    return False
+    n, kq = len(a.edges), len(q.edges)
+    if len(b.edges) <= kq:  # q must be b q1: a nonempty b1 needs b longer than q
+        return _is_prefix(b, q) and _vertex_class_test(t, p, n, q, len(b.edges))
+    return _is_prefix(q, b) and _identified_power(
+        t, _path(p.vertices[n:] + b.vertices[kq + 1 :], p.edges[n:] + b.edges[kq:])
+    )
 
 
-def _vertex_class_test(t: CongruenceTriple, p: Path, q: Path) -> bool:
-    """Does p q* lie in the class of its common source vertex?
+def _vertex_class_test(t: CongruenceTriple, p: Path, i: int, q: Path, j: int) -> bool:
+    """Does p1 q1* lie in the class of its common source vertex, for p1
+    and q1 the rests of p and q from their i-th and j-th vertices?
 
     The class members are exactly the idempotents r r* with every edge
     source of r in W, and r t r* / r t* r* with t a lap power collapsing
     to its base.
     """
-    if p == q:
-        return t.w.issuperset(p.vertices[:-1])
-    if len(p.edges) < len(q.edges):
-        p, q = q, p
-    tail = remainder(q, p)
-    return tail is not None and t.w.issuperset(q.vertices[:-1]) and _identified_power(t, tail)
+    if len(p.edges) - i < len(q.edges) - j:
+        p, i, q, j = q, j, p, i
+    k = i + len(q.edges) - j  # q1 must be p1 up to p's k-th vertex; a lap power follows
+    if p.vertices[i] != q.vertices[j] or p.edges[i:k] != q.edges[j:]:
+        return False
+    return t.w.issuperset(q.vertices[j:-1]) and (k == len(p.edges) or _identified_power(t, p, k))
 
 
 def normal_form(g: Graph, t: CongruenceTriple, x: Element) -> Element:
@@ -297,8 +302,9 @@ def normal_form(g: Graph, t: CongruenceTriple, x: Element) -> Element:
         if lb == 0 and la == d:
             return _element(a, b)
         a, b = _drop_last(a, la), _drop_last(b, lb)
-        laps = cycle_power(c.based_at(a.target), d // len(c) + 1)  # the d edges along c
-        a = _path(a.vertices + laps.vertices[1 : d + 1], a.edges + laps.edges[:d])
+        cv, ce = c.based_at(a.target)
+        m, r = divmod(d, len(c))  # the d edges along c: m laps, then r edges
+        a = _path(a.vertices + cv[1:] * m + cv[1 : r + 1], a.edges + ce * m + ce[:r])
 
 
 def _drop_last(p: Path, k: int) -> Path:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .graphs import Graph, Path, _path, make_path, remainder, vertex_path
+from .graphs import Graph, Path, _is_prefix, _path, make_path, vertex_path
 
 
 class ElementLiteralError(ValueError):
@@ -87,12 +87,13 @@ def multiply(x: Element, y: Element) -> Element:
     if x.is_zero or y.is_zero:
         return ZERO
     (a, b), (z, d) = x, y
-    xi = remainder(b, z)
-    if xi is not None:
-        return _element(_path(a.vertices + xi.vertices[1:], a.edges + xi.edges), d)
-    xi = remainder(z, b)
-    if xi is not None:
-        return _element(a, _path(d.vertices + xi.vertices[1:], d.edges + xi.edges))
+    n = len(b.edges)
+    if n <= len(z.edges):  # z = b xi gives a xi d*
+        if _is_prefix(b, z):
+            return _element(_path(a.vertices + z.vertices[n + 1 :], a.edges + z.edges[n:]), d)
+    elif _is_prefix(z, b):  # b = z xi gives a (d xi)*
+        n = len(z.edges)
+        return _element(a, _path(d.vertices + b.vertices[n + 1 :], d.edges + b.edges[n:]))
     return ZERO
 
 

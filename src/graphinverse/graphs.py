@@ -15,7 +15,7 @@ import json
 from collections import namedtuple
 from dataclasses import dataclass
 from itertools import compress, count
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Collection, Iterable, Iterator, Mapping, NamedTuple
 
 RESERVED_ID_CHARS = set(".|@*")
 _BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
@@ -204,14 +204,18 @@ def concat(p: Path, q: Path) -> Path:
     return _path(p.vertices + q.vertices[1:], p.edges + q.edges)
 
 
+def _is_prefix(p: Path, q: Path) -> bool:
+    """Is p a prefix of q? One comparison, over p's length."""
+    return p.vertices[0] == q.vertices[0] and q.edges[: len(p.edges)] == p.edges
+
+
 def remainder(p: Path, q: Path) -> Path | None:
     """The rest of q after its prefix p, or None when p is not a prefix of
     q; q itself, uncopied, when p has length 0."""
-    (p_verts, p_edges), (q_verts, q_edges) = p, q
-    n = len(p_edges)
-    if p_verts[0] != q_verts[0] or q_edges[:n] != p_edges:
+    if not _is_prefix(p, q):
         return None
-    return _path(q_verts[n:], q_edges[n:]) if n else q
+    n = len(p.edges)
+    return _path(q.vertices[n:], q.edges[n:]) if n else q
 
 
 @dataclass(frozen=True)
@@ -353,25 +357,26 @@ def index_one_edges(g: Graph, h: Iterable[str] = ()) -> dict[str, Edge]:
     return w_edges
 
 
-def cycles_in(g: Graph, w_edges: Mapping[str, Edge]) -> list[Cycle]:
+def cycles_in(g: Graph, w_edges: Mapping[str, Edge], w: Collection[str] | None = None) -> list[Cycle]:
     """Canonical representatives of the cycles that the edges of w_edges
-    close, ordered by each cycle's earliest vertex in graph order.
+    close inside W, ordered by each cycle's earliest vertex in graph order.
 
-    w_edges maps each vertex of a set W to its one edge in G∖H, as
-    :func:`index_one_edges` gives it restricted to W; the cycles found
-    are then pairwise disjoint and no-exit in G∖H. Each vertex of W has
-    one successor, so one walk from each vertex no earlier walk reached
-    visits every vertex of W once; a cycle's vertices and edges are read
-    off only when a walk closes it.
+    w_edges maps vertices to their one edge in G∖H, as
+    :func:`index_one_edges` gives it, and W is w, a subset of its keys,
+    or all of them; the cycles found are then pairwise disjoint and
+    no-exit in G∖H. Each vertex of W has one successor, so one walk from
+    each vertex no earlier walk reached visits every vertex of W once; a
+    cycle's vertices and edges are read off only when a walk closes it.
     """
     pos = g._vpos  # type: ignore[attr-defined]
+    within = w_edges if w is None else w
     walk_of: dict[str, str] = {}
     found: list[tuple[int, Cycle]] = []
-    for start in w_edges:
+    for start in within:
         if start in walk_of:
             continue
         u = start
-        while u in w_edges and u not in walk_of:
+        while u in within and u not in walk_of:
             walk_of[u] = start
             u = w_edges[u].dst
         if walk_of.get(u) == start:  # this walk closed a new cycle at u

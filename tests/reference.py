@@ -15,16 +15,18 @@ from graphinverse.congruences import (
     CongruenceTriple,
     make_triple,
 )
-from graphinverse.elements import ZERO, Element, multiply
+from graphinverse.elements import ZERO, Element, _element, multiply
 from graphinverse.graphs import (
     Cycle,
     Graph,
     Path,
+    _path,
     concat,
     cycle_power,
     cycles_in,
     enumerate_hereditary,
     is_hereditary,
+    remainder,
 )
 from graphinverse.oracle import (
     ExplicitCongruence,
@@ -280,6 +282,79 @@ def normal_form_by_edges(g: Graph, t: CongruenceTriple, x: Element) -> Element:
                 reduced = True
         if not (stripped or reduced):
             return Element(a, b)
+
+
+# ---------------------------------------------------------------------------
+# Prefix questions answered on copies: the rest of the longer path after the
+# shorter, as remainder gives it. equiv and multiply answer them in place.
+# ---------------------------------------------------------------------------
+
+
+def multiply_by_remainders(x: Element, y: Element) -> Element:
+    """The exact product, the rest of the longer middle path copied."""
+    if x.is_zero or y.is_zero:
+        return ZERO
+    (a, b), (z, d) = x, y
+    xi = remainder(b, z)
+    if xi is not None:
+        return _element(_path(a.vertices + xi.vertices[1:], a.edges + xi.edges), d)
+    xi = remainder(z, b)
+    if xi is not None:
+        return _element(a, _path(d.vertices + xi.vertices[1:], d.edges + xi.edges))
+    return ZERO
+
+
+def identified_power_by_rotation(t: CongruenceTriple, p: Path) -> bool:
+    """Is the closed path p a lap power c^m collapsing to its base? The
+    rotation of c at p's source is built as a path, then repeated."""
+    verts, edges = p
+    c, val = t.cycle_at.get(verts[0], (None, INF))
+    if val == INF:
+        return False
+    m, rest = divmod(len(edges), len(c.path.edges))
+    return not rest and m % int(val) == 0 and edges == c.based_at(verts[0]).edges * m
+
+
+def vertex_class_by_remainders(t: CongruenceTriple, p: Path, q: Path) -> bool:
+    """Does p q* lie in the class of its common source vertex?"""
+    if p == q:
+        return t.w.issuperset(p.vertices[:-1])
+    if len(p.edges) < len(q.edges):
+        p, q = q, p
+    tail = remainder(q, p)
+    return (
+        tail is not None
+        and t.w.issuperset(q.vertices[:-1])
+        and identified_power_by_rotation(t, tail)
+    )
+
+
+def equiv_by_remainders(g: Graph, t: CongruenceTriple, x: Element, y: Element) -> bool:
+    """The triple's congruence decided on copies: each rest of a path
+    that a prefix question leaves is built as a path before it is read."""
+    t = t.over(g)
+    # a path meeting H ends in H (H is hereditary), so an element falls
+    # into the ideal of H exactly when its common range lies in H
+    x_dead = x.is_zero or x.alpha.target in t.h
+    y_dead = y.is_zero or y.alpha.target in t.h
+    if x_dead or y_dead:
+        return x_dead and y_dead
+    if x == y:
+        return True
+    a, b = x
+    p, q = y
+    if len(a.edges) > len(p.edges):
+        a, b, p, q = p, q, a, b
+    p1 = remainder(a, p)
+    if p1 is None:
+        return False
+    q1 = remainder(b, q)
+    if q1 is not None:
+        return vertex_class_by_remainders(t, p1, q1)
+    b1 = remainder(q, b)
+    if b1 is not None:
+        return identified_power_by_rotation(t, concat(p1, b1))
+    return False
 
 
 def is_compatible(s: FiniteSemigroup, part: ExplicitCongruence) -> bool:

@@ -52,7 +52,9 @@ from graphinverse import corpus
 from graphinverse.corpus import ACYCLIC_CORPUS, CORPUS, CYCLIC_CORPUS
 from graphinverse.oracle import all_paths, bounded_elements, congruence_closure, materialize
 from reference import (
+    equiv_by_remainders,
     inverse,
+    multiply_by_remainders,
     normal_form_by_edges,
     per_triple_enumeration,
     quotient,
@@ -319,6 +321,57 @@ class TestDrawnMultigraphs:
         for s in units:
             assert equiv(g, t, multiply(s, y), multiply(s, z)), (s, y, z)
             assert equiv(g, t, multiply(y, s), multiply(z, s)), (y, z, s)
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_graphs(max_vertices=5), st.data())
+    def test_kernel_trace(self, g, data):
+        """TestStructuralIdentities' kernel–trace identity; y half of the
+        time comes from the class of x."""
+        t = data.draw(st.sampled_from(tuple(enumerate_triples(g, 2))))
+        elements = bounded_elements(g, 2)
+        x = data.draw(st.sampled_from(elements))
+        related = [y for y in elements if equiv(g, t, x, y)]
+        y = data.draw(st.sampled_from(related) | st.sampled_from(elements))
+        z = multiply(x, inverse(y))
+        split = equiv(g, t, multiply(inverse(x), x), multiply(inverse(y), y)) and equiv(
+            g, t, z, multiply(z, inverse(z))
+        )
+        assert equiv(g, t, x, y) == split, (t, x, y)
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_graphs(max_vertices=5), st.data())
+    def test_rees_reduction(self, g, data):
+        """TestStructuralIdentities' Rees-reduction identity on two
+        survivors of H; y half of the time comes from the class of x."""
+        t = data.draw(st.sampled_from(tuple(enumerate_triples(g, 2))))
+        survivors = [
+            x for x in bounded_elements(g, 2) if not x.is_zero and x.alpha.target not in t.h
+        ]
+        if not survivors:  # H holds every vertex
+            return
+        x = data.draw(st.sampled_from(survivors))
+        related = [y for y in survivors if equiv(g, t, x, y)]
+        y = data.draw(st.sampled_from(related) | st.sampled_from(survivors))
+        q = quotient(g, t.h)
+        assert equiv(g, t, x, y) == equiv(q, make_triple(q, (), t.w, t.f), x, y), (t, x, y)
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_graphs(max_vertices=5), small_graphs(max_vertices=5))
+    def test_counts_factor_over_disjoint_unions(self, g1, g2):
+        """count_triples(G1 ⊔ G2) is the product of the two counts, and
+        the union's family is infinite iff one of the two is."""
+
+        def apart(g, tag):
+            return Graph.of(
+                [tag + v for v in g.vertices],
+                [(tag + e.id, tag + e.src, tag + e.dst) for e in g.edges],
+            )
+
+        g1, g2 = apart(g1, "a"), apart(g2, "b")
+        union = Graph(g1.vertices + g2.vertices, g1.edges + g2.edges)
+        for cap in (1, 2, 4):
+            (n1, inf1), (n2, inf2) = count_triples(g1, cap), count_triples(g2, cap)
+            assert count_triples(union, cap) == (n1 * n2, inf1 or inf2)
 
 
 class TestVertexClassMembers:
@@ -731,6 +784,9 @@ class TestCycleLayerAgainstReference:
         assert calls == [n]
 
 
+FED_RING_SIZES = [1, 2, 3, 5, 17, 64, 131, 200]
+
+
 class TestNormalFormAgainstEdgeByEdge:
     """normal_form strips the common part of two lap runs in one step; the
     reference strips and measures edge by edge. Both build the same form."""
@@ -778,28 +834,38 @@ class TestNormalFormAgainstEdgeByEdge:
         body = c.path.vertices[:-1]
         return (body.index(v) - body.index(u)) % len(c)
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 5, 17, 64, 131, 200])
-    def test_fed_rings(self, n):
+    @classmethod
+    def fed_ring_cases(cls, n):
+        """Per f-value, a fed ring of n edges, a triple over it, and 25
+        pairs of walks to a common target: yields (g, t, elements), the
+        elements being each pair in both orders."""
         rng = random.Random(n)
         for val in (1, 2, 3, INF):
-            g, ring = self.fed_ring(rng, n)
+            g, ring = cls.fed_ring(rng, n)
             tails = [v for v in g.vertices if v not in ring]
             ring_w = ring if rng.random() < 0.8 else rng.sample(ring, rng.randint(0, n - 1))
             w = set(ring_w) | {v for v in tails if rng.random() < 0.5}
             cycles = cycles_in(g, {v: g.out_edges(v)[0] for v in w})
             t = make_triple(g, (), w, {c: val for c in cycles})
+            elements = []
             for _ in range(25):
                 target = rng.choice(g.vertices)
-                starts = [v for v in g.vertices if self.distance(g, v, target) is not None]
+                starts = [v for v in g.vertices if cls.distance(g, v, target) is not None]
                 sa, sb = rng.choice(starts), rng.choice(starts)
                 m1, m2 = rng.randint(0, 30), rng.randint(0, 30)
                 if rng.random() < 0.4:  # a common tail, behind runs that cancel mod f(c)
                     sb, m2 = sa, m1 + rng.choice([0, 6, 12])
                 laps = n * (target in ring)
-                a = self.walk(g, sa, self.distance(g, sa, target) + m1 * laps)
-                b = self.walk(g, sb, self.distance(g, sb, target) + m2 * laps)
-                for x in (Element(a, b), Element(b, a)):
-                    assert normal_form(g, t, x) == normal_form_by_edges(g, t, x), (t, x)
+                a = cls.walk(g, sa, cls.distance(g, sa, target) + m1 * laps)
+                b = cls.walk(g, sb, cls.distance(g, sb, target) + m2 * laps)
+                elements += [Element(a, b), Element(b, a)]
+            yield g, t, elements
+
+    @pytest.mark.parametrize("n", FED_RING_SIZES)
+    def test_fed_rings(self, n):
+        for g, t, elements in self.fed_ring_cases(n):
+            for x in elements:
+                assert normal_form(g, t, x) == normal_form_by_edges(g, t, x), (t, x)
 
     def test_runs_need_the_cycle_edges(self, two_cycle):
         # runs over the cycle's vertices on another edge, as from another graph
@@ -827,6 +893,86 @@ class TestNormalFormAgainstEdgeByEdge:
                         pool += [Element(a, b), Element(b, a)]
                 for x in pool:
                     assert normal_form(g, t, x) == normal_form_by_edges(g, t, x), (t, x)
+
+
+class TestPrefixesAgainstRemainders:
+    """equiv and multiply answer each prefix question on offsets into the
+    paths; the remainder-based code they replace copies each rest of a
+    path before reading it. Both give the same answers."""
+
+    @staticmethod
+    def check(g, triples, xs, ys):
+        for x in xs:
+            for y in ys:
+                assert multiply(x, y) == multiply_by_remainders(x, y), (x, y)
+        for t in triples:
+            for x in xs:
+                for y in ys:
+                    assert equiv(g, t, x, y) == equiv_by_remainders(g, t, x, y), (t, x, y)
+
+    def test_corpus(self, corpus_graph):
+        elements = bounded_elements(corpus_graph, 3)
+        self.check(corpus_graph, tuple(enumerate_triples(corpus_graph, 2)), elements, elements)
+
+    def test_seeded_multigraphs(self):
+        rng = random.Random(4242)
+        for g in seeded_multigraphs(4242, 300, max_vertices=6):
+            elements = bounded_elements(g, 2)
+            triples = sample_triples(g, 2, limit=2)
+            pool = rng.sample(elements, min(len(elements), 8))
+            # and the normal forms, so that related pairs meet
+            pool += [normal_form(g, t, x) for t in triples for x in pool]
+            self.check(g, triples, pool, pool)
+
+    @pytest.mark.parametrize("n", FED_RING_SIZES)
+    def test_fed_rings(self, n):
+        for g, t, elements in TestNormalFormAgainstEdgeByEdge.fed_ring_cases(n):
+            pool = elements[::5] + [normal_form(g, t, x) for x in elements[::5]]
+            self.check(g, [t], pool, pool)
+
+    def test_unchecked_closed_paths_off_the_laps(self, two_cycle):
+        # closed paths at v and w that are not laps of e1.e2, as from another graph
+        lap = make_path(two_cycle, ["e1", "e2"])
+        c = Cycle.from_path(lap)
+        t = make_triple(two_cycle, (), {"v", "w"}, {c: 1})
+        unchecked = [
+            Path(("v", "w", "v"), ("e1", "x")),
+            Path(("v", "v"), ("x",)),
+            Path(("v", "w", "v", "w", "v"), ("e1", "e2", "e1", "x")),
+            Path(("w", "v", "w"), ("e1", "e2")),
+        ]
+        for p in unchecked:
+            assert not equiv(two_cycle, t, path_element(p), vertex_element(p.source)), p
+        pool = [path_element(p) for p in unchecked]
+        pool += [Element(vertex_path(p.source), p) for p in unchecked]  # ghosts of them
+        pool += [path_element(concat(lap, p)) for p in unchecked[:3]]
+        pool += [vertex_element("v"), vertex_element("w"), path_element(lap), Element(lap, lap)]
+        pool += [path_element(cycle_power(lap, 2)), Element(vertex_path("v"), lap)]
+        # two paths with the same edges that part at a vertex, against e1 e1*
+        e1 = make_path(two_cycle, ["e1"])
+        pool += [Element(lap, Path(("v", "v", "v"), ("e1", "e2"))), Element(e1, e1)]
+        self.check(two_cycle, [t], pool, pool)
+
+    def test_lap_decision_peak_memory(self):
+        """equiv(pi c^20, pi) on a ring of 10^4 edges, with f = 4, holds
+        at its peak one rotated power and, for pi not a vertex, a copy of
+        the edges after pi: 8 bytes per edge each, nothing more."""
+        n = 10_000
+        vs = [f"v{i}" for i in range(n)]
+        g = Graph.of(vs, [(f"e{i}", vs[i], vs[(i + 1) % n]) for i in range(n)])
+        c = Cycle.from_path(make_path(g, [f"e{i}" for i in range(n)]))
+        t = make_triple(g, (), vs, {c: 4})
+        for k, bound in ((37, 2.5), (0, 1.5)):  # pi a partial lap, then a vertex
+            pi = make_path(g, [f"e{i}" for i in range(k)], source="v0")
+            x = path_element(concat(pi, cycle_power(c.based_at(pi.target), 20)))
+            y = path_element(pi)
+            tracemalloc.start()
+            try:
+                assert equiv(g, t, x, y)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < bound * 8 * len(x.alpha.edges), (k, peak / (8 * len(x.alpha.edges)))
 
 
 class TestStructuralIdentities:

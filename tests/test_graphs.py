@@ -398,6 +398,7 @@ class TestCycleLayerAgainstReference:
             for w in subsets(bar):
                 w_edges = {v: e for v, e in bar.items() if v in w}
                 assert [c.path for c in cycles_in(g, w_edges)] == reference_cycles_in(q, w)
+                assert cycles_in(g, bar, w) == cycles_in(g, w_edges)
 
     def test_cycles_in_seeded_functional_graphs(self):
         rng = random.Random(20180)
