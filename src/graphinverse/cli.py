@@ -78,9 +78,9 @@ def cmd_report(args: argparse.Namespace) -> int:
         "hereditary_subsets": [d["H"] for d in per_h],
         "index_one_vertices": list(index_one_edges(g)),
         "per_hereditary": per_h,
-        "zero_simple": is_strongly_connected(g),
+        "zero_simple": bool(g.vertices) and is_strongly_connected(g),  # I(∅) = {0}: not 0-simple
         "rees_only": not any(d["index_one"] for d in per_h),
-        "congruence_free": is_congruence_free_graph(g) if g.vertices else False,
+        "congruence_free": bool(g.vertices) and is_congruence_free_graph(g),
     }
     lines = [
         f"vertices: {', '.join(payload['vertices'])}",
@@ -100,6 +100,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         ("congruence_free", "congruence-free",
          "needs strong connectivity and no index-one vertex"),
     ):
+        reason = reason if g.vertices else "I(G) = {0}"
         lines.append(f"{label}: yes" if payload[key] else f"{label}: no  [{reason}]")
     _emit(args, payload, lines)
     return 0

@@ -9,10 +9,11 @@ pair (x, y) is decided directly, since the semigroup is usually infinite.
 :func:`make_triple` is the one validating constructor: it names every
 problem it finds in one :class:`TripleFormatError`, and it compiles the
 triple once, so the result remembers the graph it was validated over and
-indexes each cycle vertex's (cycle, f-value). :func:`enumerate_triples`
-yields triples compiled the same way, one at a time and without
-validating what it built valid; :func:`count_triples` counts them in
-closed form and says whether the uncapped family is infinite.
+indexes each cycle vertex's (cycle, f-value, offset on the cycle).
+:func:`enumerate_triples` yields triples compiled the same way, one at a
+time and without validating what it built valid; :func:`count_triples`
+counts them in closed form and says whether the uncapped family is
+infinite.
 Every operation taking ``(g, t)`` reads the index through
 :meth:`CongruenceTriple.over`, which validates anew only a triple not
 compiled over g.
@@ -29,6 +30,7 @@ import json
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import count, repeat
 from typing import Iterable, Iterator, Mapping
 
 from .elements import (
@@ -45,6 +47,7 @@ from .graphs import (
     Path,
     _is_prefix,
     _path,
+    _rotate,
     concat,
     cycle_power,
     cycles_in,
@@ -89,8 +92,9 @@ class CongruenceTriple:
 
     A triple from :func:`make_triple` or :func:`enumerate_triples` also
     carries ``graph``, the graph it was built over, and ``cycle_at``,
-    mapping each vertex of a cycle in f's domain to that (cycle, value);
-    the decision procedure reads a vertex off those cycles as (None, inf).
+    mapping each vertex v of a cycle c in f's domain to (c, f(c), i) with
+    ``c.path.vertices[i] == v``, so every rotation of c is read off it;
+    the decision procedure reads a vertex off those cycles as (None, inf, 0).
     Neither takes part in equality or hashing, and ``dataclasses.replace``
     copies come out without them.
     """
@@ -99,7 +103,7 @@ class CongruenceTriple:
     w: frozenset[str]
     f: tuple[tuple[Cycle, FValue], ...]
     graph: Graph | None = field(default=None, init=False, compare=False, repr=False)
-    cycle_at: Mapping[str, tuple[Cycle, FValue]] | None = field(
+    cycle_at: Mapping[str, tuple[Cycle, FValue, int]] | None = field(
         default=None, init=False, compare=False, repr=False
     )
 
@@ -161,8 +165,8 @@ def _compile(g: Graph, t: CongruenceTriple) -> CongruenceTriple:
     """Stamp a triple known to be valid over g with g and its cycle index."""
     object.__setattr__(t, "graph", g)
     object.__setattr__(t, "cycle_at", {})
-    for c, val in t.f:  # one (cycle, value) pair shared by the cycle's vertices
-        t.cycle_at.update(dict.fromkeys(c.path.vertices, (c, val)))
+    for c, val in t.f:  # each vertex of c to (c, f(c), its offset on c)
+        t.cycle_at.update(zip(c.path.vertices[:-1], zip(repeat(c), repeat(val), count())))
     return t
 
 
@@ -182,14 +186,13 @@ def _identified_power(t: CongruenceTriple, p: Path, k: int = 0) -> bool:
     edges rotated to that vertex, the one rotated power it builds.
     """
     verts, edges = p
-    c, val = t.cycle_at.get(verts[k], (None, INF))
+    c, val, i = t.cycle_at.get(verts[k], (None, INF, 0))
     if val == INF:
         return False
     lap = c.path.edges
     m, rest = divmod(len(edges) - k, len(lap))
     if rest or m % int(val):
         return False
-    i = c.path.vertices.index(verts[k])
     return edges[k:] == (lap[i:] + lap[:i]) * m
 
 
@@ -283,7 +286,7 @@ def normal_form(g: Graph, t: CongruenceTriple, x: Element) -> Element:
         return ZERO
     a, b = x
     while True:
-        c, val = t.cycle_at.get(a.target, (None, INF))
+        c, val, _ = t.cycle_at.get(a.target, (None, INF, 0))
         if c is not None:
             la, lb = _trailing_run(t, a), _trailing_run(t, b)
             k = min(la, lb)
@@ -302,7 +305,7 @@ def normal_form(g: Graph, t: CongruenceTriple, x: Element) -> Element:
         if lb == 0 and la == d:
             return _element(a, b)
         a, b = _drop_last(a, la), _drop_last(b, lb)
-        cv, ce = c.based_at(a.target)
+        cv, ce = _rotate(c.path, t.cycle_at[a.target][2])  # rotated to the run's start
         m, r = divmod(d, len(c))  # the d edges along c: m laps, then r edges
         a = _path(a.vertices + cv[1:] * m + cv[1 : r + 1], a.edges + ce * m + ce[:r])
 
@@ -347,9 +350,9 @@ def vertex_class_members(
     gamma = vertex_path(v)
     while True:
         members.append(_element(gamma, gamma))
-        c, val = t.cycle_at.get(gamma.target, (None, INF))
+        c, val, i = t.cycle_at.get(gamma.target, (None, INF, 0))
         if val != INF:
-            loop = c.based_at(gamma.target)
+            loop = _rotate(c.path, i)
             step = len(loop) * int(val)
             k = 1
             while len(gamma) + k * step <= len_bound:

@@ -209,15 +209,6 @@ def _is_prefix(p: Path, q: Path) -> bool:
     return p.vertices[0] == q.vertices[0] and q.edges[: len(p.edges)] == p.edges
 
 
-def remainder(p: Path, q: Path) -> Path | None:
-    """The rest of q after its prefix p, or None when p is not a prefix of
-    q; q itself, uncopied, when p has length 0."""
-    if not _is_prefix(p, q):
-        return None
-    n = len(p.edges)
-    return _path(q.vertices[n:], q.edges[n:]) if n else q
-
-
 @dataclass(frozen=True)
 class Cycle:
     """A cycle stored in its canonical rotation.
@@ -263,15 +254,6 @@ class Cycle:
 
     def __len__(self) -> int:
         return len(self.path)
-
-    def based_at(self, v: str) -> Path:
-        """The rotation of this cycle starting (and ending) at v."""
-        body = self.path.vertices[:-1]
-        try:
-            k = body.index(v)
-        except ValueError:
-            raise ValueError(f"vertex {v!r} does not lie on cycle {self.path!r}") from None
-        return _rotate(self.path, k)
 
     def power(self, m: int) -> Path:
         """The closed path tracing this cycle m times from its base."""

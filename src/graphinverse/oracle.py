@@ -29,6 +29,7 @@ from .graphs import (
     Graph,
     Path,
     _path,
+    _rotate,
     concat,
     index_one_edges,
     topological_order,
@@ -335,9 +336,7 @@ class TransitionOracle:
             rotations = {}
             for d in range(k):
                 if d <= len_bound or k - d <= len_bound:
-                    rotations[p.vertices[d]] = (d, _path(
-                        p.vertices[d:] + p.vertices[1 : d + 1], p.edges[d:] + p.edges[:d]
-                    ))
+                    rotations[p.vertices[d]] = (d, _rotate(p, d))
                 doomed.extend(
                     (f.dst, d + 1) for f in g.out_edges(p.vertices[d]) if f.id != p.edges[d]
                 )

@@ -20,13 +20,14 @@ from graphinverse.graphs import (
     Cycle,
     Graph,
     Path,
+    _is_prefix,
     _path,
+    _rotate,
     concat,
     cycle_power,
     cycles_in,
     enumerate_hereditary,
     is_hereditary,
-    remainder,
 )
 from graphinverse.oracle import (
     ExplicitCongruence,
@@ -53,6 +54,25 @@ def strip_prefix(p: Path, q: Path) -> Path:
         raise ValueError(f"{p!r} is not a prefix of {q!r}")
     n = len(p.edges)
     return Path(q.vertices[n:], q.edges[n:])
+
+
+def remainder(p: Path, q: Path) -> Path | None:
+    """The rest of q after its prefix p, or None when p is not a prefix of
+    q; q itself, uncopied, when p has length 0."""
+    if not _is_prefix(p, q):
+        return None
+    n = len(p.edges)
+    return _path(q.vertices[n:], q.edges[n:]) if n else q
+
+
+def based_at(c: Cycle, v: str) -> Path:
+    """The rotation of c starting (and ending) at v."""
+    body = c.path.vertices[:-1]
+    try:
+        k = body.index(v)
+    except ValueError:
+        raise ValueError(f"vertex {v!r} does not lie on cycle {c.path!r}") from None
+    return _rotate(c.path, k)
 
 
 def exits_of(g: Graph, p: Path) -> list[str]:
@@ -187,7 +207,7 @@ def conjugate_cycle(g: Graph, c: Cycle, a: Path) -> Path:
     _, tail = strip_cycle_prefix(c.path, a)
     if not is_prefix(tail, c.path):
         raise ValueError(f"path {a!r} leaves the cycle {c!r}")
-    return c.based_at(a.target)
+    return based_at(c, a.target)
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +297,7 @@ def normal_form_by_edges(g: Graph, t: CongruenceTriple, x: Element) -> Element:
             d = (la - lb) % (len(c) * int(val))
             if not (lb == 0 and la == d):
                 a, b = drop_last(a, la), drop_last(b, lb)
-                laps = cycle_power(c.based_at(a.target), d // len(c) + 1)
+                laps = cycle_power(based_at(c, a.target), d // len(c) + 1)
                 a = concat(a, Path(laps.vertices[: d + 1], laps.edges[:d]))
                 reduced = True
         if not (stripped or reduced):
@@ -308,11 +328,11 @@ def identified_power_by_rotation(t: CongruenceTriple, p: Path) -> bool:
     """Is the closed path p a lap power c^m collapsing to its base? The
     rotation of c at p's source is built as a path, then repeated."""
     verts, edges = p
-    c, val = t.cycle_at.get(verts[0], (None, INF))
+    c, val, _ = t.cycle_at.get(verts[0], (None, INF, 0))
     if val == INF:
         return False
     m, rest = divmod(len(edges), len(c.path.edges))
-    return not rest and m % int(val) == 0 and edges == c.based_at(verts[0]).edges * m
+    return not rest and m % int(val) == 0 and edges == based_at(c, verts[0]).edges * m
 
 
 def vertex_class_by_remainders(t: CongruenceTriple, p: Path, q: Path) -> bool:
@@ -456,7 +476,7 @@ def vertex_class_form_test(
     for c, val in t.f:
         if val == INF or tail.source not in c.vertex_set:
             continue
-        loop = c.based_at(tail.source)
+        loop = based_at(c, tail.source)
         m, rest = strip_cycle_prefix(loop, tail)
         if len(rest) == 0 and m >= 1 and m % int(val) == 0:
             return True

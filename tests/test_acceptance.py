@@ -52,6 +52,7 @@ from graphinverse.oracle import (
     triple_of_congruence,
 )
 from reference import (
+    based_at,
     exits_of,
     index_one_vertices,
     quotient,
@@ -220,7 +221,7 @@ def _class_mate(rng, g, t, quotient_graph, x):
         )
     for cyc, value in t.f:
         if value != INF and v in cyc.vertex_set:
-            lap = cyc.based_at(v)
+            lap = based_at(cyc, v)
             laps = vertex_path(v)
             for _ in range(int(value)):
                 laps = concat(laps, lap)

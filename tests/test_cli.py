@@ -94,6 +94,30 @@ class TestReport:
         assert data["zero_simple"] is True
         assert data["congruence_free"] is False
 
+    @pytest.fixture
+    def empty_graph(self, tmp_path):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(graph_to_json(Graph.of([], []))))
+        return str(path)
+
+    def test_empty_graph_text(self, capsys, empty_graph):
+        # I(∅) = {0}, and S² = {0} rules out 0-simple
+        code, out, _ = run(capsys, ["report", empty_graph])
+        assert code == 0
+        assert out.splitlines()[-3:] == [
+            "0-simple (strongly connected): no  [I(G) = {0}]",
+            "Rees congruences only: yes",
+            "congruence-free: no  [I(G) = {0}]",
+        ]
+
+    def test_empty_graph_json(self, capsys, empty_graph):
+        code, out, _ = run(capsys, ["report", empty_graph, "--format", "json"])
+        assert code == 0
+        data = json.loads(out)
+        assert (data["zero_simple"], data["rees_only"], data["congruence_free"]) == (
+            False, True, False
+        )
+
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, ["report", str(tmp_path / "nope.json")])
         assert code == 1 and "error" in err

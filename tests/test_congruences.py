@@ -52,6 +52,7 @@ from graphinverse import corpus
 from graphinverse.corpus import ACYCLIC_CORPUS, CORPUS, CYCLIC_CORPUS
 from graphinverse.oracle import all_paths, bounded_elements, congruence_closure, materialize
 from reference import (
+    based_at,
     equiv_by_remainders,
     inverse,
     multiply_by_remainders,
@@ -411,6 +412,17 @@ class TestVertexClassMembers:
                 bounded()
         assert vertex_class_members(loop, t, "v", 0) == [vertex_element("v")]
 
+    @staticmethod
+    def check(g, triples):
+        pool = bounded_elements(g, 3)
+        for t in triples:
+            for v in g.vertices:
+                if v in t.h:
+                    continue
+                expected = {x for x in pool if x != ZERO and equiv(g, t, x, vertex_element(v))}
+                members = vertex_class_members(g, t, v, 3)
+                assert set(members) == expected and len(members) == len(expected)
+
     @pytest.mark.parametrize("name", [*sorted(CORPUS), "seeded"])
     def test_members_match_bounded_scan(self, name):
         """The walk lists exactly the class, each member once: it keeps no
@@ -418,16 +430,12 @@ class TestVertexClassMembers:
         graphs = (seeded_multigraphs(2018, 40) + seeded_multigraphs(4242, 60, max_vertices=6)
                   if name == "seeded" else [CORPUS[name]])
         for g in graphs:
-            pool = bounded_elements(g, 3)
-            for t in sample_triples(g, limit=3):
-                for v in g.vertices:
-                    if v in t.h:
-                        continue
-                    expected = {
-                        x for x in pool if x != ZERO and equiv(g, t, x, vertex_element(v))
-                    }
-                    members = vertex_class_members(g, t, v, 3)
-                    assert set(members) == expected and len(members) == len(expected)
+            self.check(g, sample_triples(g, limit=3))
+
+    @pytest.mark.parametrize("name", sorted(CYCLIC_CORPUS))
+    def test_every_triple_of_a_cyclic_graph(self, name):
+        # every finite-valued cycle, entered at each vertex, rotated there
+        self.check(CORPUS[name], enumerate_triples(CORPUS[name], 2))
 
 
 class TestTripleOrder:
@@ -731,7 +739,7 @@ class TestCycleLayerAgainstReference:
         if cp is None:
             return False
         c, m = cp
-        at, val = t.cycle_at.get(c.base, (None, INF))
+        at, val, _ = t.cycle_at.get(c.base, (None, INF, 0))
         return at == c and val != INF and m % int(val) == 0
 
     @pytest.mark.parametrize("name", sorted(CYCLIC_CORPUS))
@@ -761,7 +769,7 @@ class TestCycleLayerAgainstReference:
         for t in enumerate_triples(g, 3):
             for p in paths:
                 if p.target in t.cycle_at:  # so p avoids H
-                    c, _ = t.cycle_at[p.target]
+                    c, _, _ = t.cycle_at[p.target]
                     assert _trailing_run(t, p) == trailing_run(c, p), (t, p)
 
     def test_make_triple_canonicalizes_a_long_ring_once(self, monkeypatch):
@@ -825,7 +833,7 @@ class TestNormalFormAgainstEdgeByEdge:
 
     @staticmethod
     def along(c, v, length):
-        laps = cycle_power(c.based_at(v), length // len(c) + 1)
+        laps = cycle_power(based_at(c, v), length // len(c) + 1)
         return Path(laps.vertices[: length + 1], laps.edges[:length])
 
     @staticmethod
@@ -893,6 +901,37 @@ class TestNormalFormAgainstEdgeByEdge:
                         pool += [Element(a, b), Element(b, a)]
                 for x in pool:
                     assert normal_form(g, t, x) == normal_form_by_edges(g, t, x), (t, x)
+
+
+class TestCycleIndex:
+    """The compiled index maps each vertex v of a cycle c in f's domain to
+    (c, f(c), i) with v the i-th vertex of c's path, and no other vertex,
+    for triples from enumerate_triples, make_triple and triple_from_json."""
+
+    @staticmethod
+    def check(g, t):
+        for u in (t, make_triple(g, t.h, t.w, t.f), triple_from_json(g, triple_to_json(g, t))):
+            assert u.cycle_at.keys() == {v for c, _ in t.f for v in c.vertex_set}, t
+            for c, val in t.f:
+                for v in c.vertex_set:
+                    at, value, i = u.cycle_at[v]
+                    assert at == c and value == val, (t, v)
+                    assert 0 <= i < len(c) and c.path.vertices[i] == v, (t, v, i)
+
+    def test_corpus(self, corpus_graph):
+        for t in enumerate_triples(corpus_graph, 3):
+            self.check(corpus_graph, t)
+
+    def test_seeded_multigraphs(self):
+        for g in seeded_multigraphs(4242, 300, max_vertices=6):
+            for t in enumerate_triples(g, 3):
+                self.check(g, t)
+
+    @pytest.mark.parametrize("n", FED_RING_SIZES)
+    def test_fed_rings(self, n):
+        # too many triples to enumerate: the fed ring's own, from make_triple
+        for g, t, _ in TestNormalFormAgainstEdgeByEdge.fed_ring_cases(n):
+            self.check(g, t)
 
 
 class TestPrefixesAgainstRemainders:
@@ -964,7 +1003,7 @@ class TestPrefixesAgainstRemainders:
         t = make_triple(g, (), vs, {c: 4})
         for k, bound in ((37, 2.5), (0, 1.5)):  # pi a partial lap, then a vertex
             pi = make_path(g, [f"e{i}" for i in range(k)], source="v0")
-            x = path_element(concat(pi, cycle_power(c.based_at(pi.target), 20)))
+            x = path_element(concat(pi, cycle_power(based_at(c, pi.target), 20)))
             y = path_element(pi)
             tracemalloc.start()
             try:

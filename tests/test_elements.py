@@ -14,7 +14,6 @@ from graphinverse.graphs import (
     concat,
     cycle_power,
     make_path,
-    remainder,
     vertex_path,
 )
 from graphinverse.congruences import enumerate_triples, normal_form
@@ -31,7 +30,14 @@ from graphinverse.elements import (
 )
 from graphinverse.corpus import CORPUS, double_loop, loop_graph, two_cycle
 from graphinverse.oracle import TransitionOracle, all_paths, bounded_elements
-from reference import conjugate_cycle, inverse, is_prefix, strip_cycle_prefix
+from reference import (
+    based_at,
+    conjugate_cycle,
+    inverse,
+    is_prefix,
+    remainder,
+    strip_cycle_prefix,
+)
 from test_graphs import seeded_multigraphs
 
 
@@ -458,7 +464,7 @@ class TestBuiltValuesAreValid:
         for t in triples:
             for c, _ in t.f:
                 for v in c.path.vertices:
-                    assert_valid(g, c.based_at(v))
+                    assert_valid(g, based_at(c, v))
             o = TransitionOracle(g, t, len_bound)
             for x in pool:
                 assert_valid(g, normal_form(g, t, x))

@@ -29,7 +29,6 @@ from graphinverse.graphs import (
     is_hereditary,
     is_strongly_connected,
     make_path,
-    remainder,
     topological_order,
     vertex_path,
 )
@@ -55,6 +54,7 @@ from reference import (
     quotient,
     reachable,
     rees_only_condition,
+    remainder,
     strip_prefix,
     strongly_connected_by_search,
     subset_scan_hereditary,
@@ -270,13 +270,6 @@ class TestCycles:
         for build in (Cycle.from_path, Cycle):
             with pytest.raises(ValueError, match="repeated source vertex"):
                 build(p)
-
-    def test_based_at(self, two_cycle):
-        c = Cycle.from_path(make_path(two_cycle, ["e1", "e2"]))
-        assert c.based_at("w").edges == ("e2", "e1")
-        assert c.based_at("v") == c.path
-        with pytest.raises(ValueError):
-            c.based_at("zzz")
 
 
 # Reference cycle layer: the algorithms cycles_in and Cycle.from_path used
