@@ -435,15 +435,15 @@ def _triples(g: Graph, f_cap: int) -> Iterator[CongruenceTriple]:
 def _subsets(vs: list[str]) -> Iterator[frozenset[str]]:
     """The subsets of vs in bitmask order, bit i standing for vs[i]. The
     subsets of the first 8 vertices are built once, by doubling, and
-    joined to each subset of the rest in turn: at most 256 sets per 8
-    vertices are held, however long vs is."""
+    joined in turn to each subset of the rest, read off the bits of a
+    counter: at most 256 sets are held, however long vs is."""
     low = [frozenset()]
     for v in vs[:8]:
         low += [w | {v} for w in low]
-    if len(vs) <= 8:
-        yield from low
-        return
-    for high in _subsets(vs[8:]):
+    yield from low
+    rest = vs[8:]
+    for mask in range(1, 1 << len(rest)):
+        high = frozenset(v for i, v in enumerate(rest[: mask.bit_length()]) if mask >> i & 1)
         for w in low:
             yield w | high
 

@@ -268,7 +268,9 @@ class TransitionResult:
 class TransitionOracle:
     """Breadth-first search over one-step rewrites u a w -> u b w.
 
-    (a, b) runs over the triple's generating pairs in both orientations;
+    (a, b) runs over the triple's generating pairs (v, 0) for v in H,
+    (e e*, s(e)) for each W-edge e and (c^f, s(c)) for each finite
+    f-value, in both orientations;
     u or w runs over the universe U of elements whose paths have at most
     ``len_bound`` edges, the other context over all of I(G), and the
     intermediate elements are capped at ``len_bound`` per path. A found
@@ -281,18 +283,24 @@ class TransitionOracle:
     exactly when rho has at most ``len_bound`` edges (x is within reach
     of s). So the neighbours of z are read off the sites of its walk:
 
-    - (v, 0) gives 0 when the walk meets a vertex within reach of v;
-    - (e e*, s) gives z itself when the walk meets a vertex within reach
-      of s through e, and 0 through another edge; otherwise it acts only
-      at the turn, where alpha meets beta: alpha beta* -> alpha e (beta e)*
-      when the turn is s, and alpha' e (beta' e)* -> alpha' beta'*;
+    - (v, 0) gives 0 when the walk meets a vertex within reach of v. H is
+      hereditary, so that vertex is in H, and so is the turn, where alpha
+      meets beta: 0 is a neighbour exactly when the turn lies in H;
+    - (e e*, s) gives 0 when the walk meets a vertex within reach of s
+      through an edge other than e, and z itself through e, which is no
+      neighbour. s has index one in G∖H, so that other edge ranges into H
+      and (v, 0) gives the same 0. Otherwise the pair acts only at the
+      turn: alpha beta* -> alpha e (beta e)* when the turn is s, and
+      alpha' e (beta' e)* -> alpha' beta'*;
     - (s, c^f) inserts c^f, rotated to start at x, into the walk at each
       cycle vertex x within reach of s along the cycle, and (c^f, s) its
-      inverse; an insertion may cancel to 0, and either pair gives 0 when
-      the walk meets a vertex within reach of s off the cycle.
+      inverse; an insertion may cancel to 0. Either pair gives 0 when the
+      walk meets a vertex within reach of s off the cycle, again through
+      an edge into H.
 
-    Whether z itself or 0 is a neighbour is a set lookup, and each other
-    site builds its rewrite once, after its path lengths pass the bound.
+    A vertex lies on at most one cycle of f's domain, so one pass over
+    the walk finds every cycle site, and each site builds its rewrite
+    once, after its path lengths pass the bound.
     A power longer than 2 * ``len_bound`` is stood in by the least power
     of its cycle that is: no nonzero insertion of either fits the bound,
     and whether one is zero depends on its first ``len_bound`` + 1 edges.
@@ -308,43 +316,22 @@ class TransitionOracle:
         t = t.over(g)
         self.graph = g
         self.len_bound = len_bound
-        self._turns: list[Path] = []  # the W-edges e of the pairs (e e*, s(e))
-        # per pair (P, s): the length of P's cycle and, for each cycle vertex
-        # x that a site can use, its distance from s along the cycle and P
-        # rotated to start at x
-        self._laps: list[tuple[int, dict[str, tuple[int, Path]]]] = []
-        # (vertex, edges taken) where the detours rho start whose rewrite is
-        # z itself, or 0
-        fixed: list[tuple[str, int]] = []
-        doomed: list[tuple[str, int]] = []
-        gens = []
-        for v in g.sort_vertices(t.h):
-            doomed.append((v, 0))
-            gens.append((vertex_element(v), ZERO))
-        for v, e in index_one_edges(g, t.h).items():
-            if v in t.w:
-                p = _path((v, e.dst), (e.id,))
-                self._turns.append(p)
-                fixed.append((e.dst, 1))
-                doomed.extend((f.dst, 1) for f in g.out_edges(v) if f.id != e.id)
-                gens.append((idempotent_element(p), vertex_element(v)))
+        self._h = t.h
+        self._turns = [  # the W-edges e of the pairs (e e*, s(e))
+            _path((v, e.dst), (e.id,)) for v, e in index_one_edges(g, t.h).items() if v in t.w
+        ]
+        # for each cycle vertex x that a site can use, on the cycle P of a pair
+        # (P, s): the length of P's cycle, x's distance from s along it, and P
+        # rotated to start at x; the cycles of f's domain share no vertex
+        self._laps: dict[str, tuple[int, int, Path]] = {}
         for c, val in t.f:
             if val == INF:
                 continue
             k = len(c)
             p = c.power(val if val * k <= 2 * len_bound else 2 * len_bound // k + 1)
-            rotations = {}
             for d in range(k):
                 if d <= len_bound or k - d <= len_bound:
-                    rotations[p.vertices[d]] = (d, _rotate(p, d))
-                doomed.extend(
-                    (f.dst, d + 1) for f in g.out_edges(p.vertices[d]) if f.id != p.edges[d]
-                )
-            self._laps.append((k, rotations))
-            gens.append((path_element(p), vertex_element(c.base)))
-        self.directed = gens + [(b, a) for a, b in gens]
-        self._fixed = _reach(g, fixed, len_bound)
-        self._doomed = _reach(g, doomed, len_bound)
+                    self._laps[p.vertices[d]] = (k, d, _rotate(p, d))
         self._adjacency: dict[Element, frozenset[Element]] = {}
 
     @property
@@ -359,9 +346,9 @@ class TransitionOracle:
         return len(x.alpha) <= self.len_bound and len(x.beta) <= self.len_bound
 
     def neighbors(self, z: Element) -> frozenset[Element]:
-        """Every u b w within the bounds with (a, b) a directed pair,
-        u a w = z, and u or w in the universe, for nonzero z within the
-        bounds."""
+        """Every u b w != z within the bounds with (a, b) a generating
+        pair in either orientation, u a w = z, and u or w in the universe,
+        for nonzero z within the bounds."""
         if z.is_zero:
             raise ValueError("0 is never expanded")
         if not self._within(z):
@@ -378,9 +365,7 @@ class TransitionOracle:
         n, m, bound = len(alpha), len(beta), self.len_bound
         walk = alpha.vertices + beta.vertices[-2::-1]  # the vertex at each site
         out: set[Element] = set()
-        if not self._fixed.isdisjoint(walk):
-            out.add(z)
-        if not self._doomed.isdisjoint(walk):
+        if alpha.target in self._h:
             out.add(ZERO)
         for e in self._turns:
             if alpha.target == e.source and n < bound and m < bound:
@@ -390,27 +375,26 @@ class TransitionOracle:
                     _path(alpha.vertices[:-1], alpha.edges[:-1]),
                     _path(beta.vertices[:-1], beta.edges[:-1]),
                 ))
-        for k, rotations in self._laps:
-            for p, x in enumerate(walk):
-                site = rotations.get(x)
-                if site is None:
-                    continue
-                d, r = site
-                if d <= bound and (y := _splice(alpha, beta, p, r, bound, False)) is not None:
-                    out.add(y)
-                # r* at p: past the turn when a detour of d edges fits; along
-                # alpha when it fits beside P or the rest of alpha, or when x
-                # is s or alpha runs on along the cycle back to s
-                if p > n:
-                    fits = d <= bound
-                else:
-                    fits = (
-                        d == 0
-                        or alpha.edges[p : p + k - d] == r.edges[: k - d]
-                        or d <= bound - min(len(r), n - p)
-                    )
-                if fits and (y := _splice(beta, alpha, n + m - p, r, bound, True)) is not None:
-                    out.add(y)
+        for p, x in enumerate(walk):
+            site = self._laps.get(x)
+            if site is None:
+                continue
+            k, d, r = site
+            if d <= bound and (y := _splice(alpha, beta, p, r, bound, False)) is not None:
+                out.add(y)
+            # r* at p: past the turn when a detour of d edges fits; along
+            # alpha when it fits beside P or the rest of alpha, or when x
+            # is s or alpha runs on along the cycle back to s
+            if p > n:
+                fits = d <= bound
+            else:
+                fits = (
+                    d == 0
+                    or alpha.edges[p : p + k - d] == r.edges[: k - d]
+                    or d <= bound - min(len(r), n - p)
+                )
+            if fits and (y := _splice(beta, alpha, n + m - p, r, bound, True)) is not None:
+                out.add(y)
         return out
 
     def search(
@@ -456,22 +440,6 @@ class TransitionOracle:
                     return tuple(reversed(chain)), expansions
                 queue.append(nxt)
         return None, expansions
-
-
-def _reach(g: Graph, starts: list[tuple[str, int]], limit: int) -> frozenset[str]:
-    """The ends of the paths of at most limit edges that continue a start
-    (v, k), a walk of k edges that has reached v; level by level, each
-    vertex at its least depth."""
-    reached: set[str] = set()
-    level: set[str] = set()
-    deepest = max((j for _, j in starts), default=0)
-    for k in range(limit + 1):
-        level = {e.dst for v in level for e in g.out_edges(v)} | {v for v, j in starts if j == k}
-        level -= reached
-        reached |= level
-        if not level and k >= deepest:  # nothing left to grow from
-            break
-    return frozenset(reached)
 
 
 def _splice(

@@ -14,8 +14,9 @@ from graphinverse.congruences import (
     INF,
     CongruenceTriple,
     make_triple,
+    triple_generators,
 )
-from graphinverse.elements import ZERO, Element, _element, multiply
+from graphinverse.elements import ZERO, Element, _element, multiply, path_element
 from graphinverse.graphs import (
     Cycle,
     Graph,
@@ -559,21 +560,36 @@ def left_pass(index: Contexts, z: Element) -> Iterator[Element]:
                 yield multiply(ub, w)
 
 
+def directed_pairs(
+    g: Graph, t: CongruenceTriple, len_bound: int
+) -> list[tuple[Element, Element]]:
+    """The pairs a rewrite search within len_bound uses: triple_generators'
+    pairs, each cycle power longer than 2 * len_bound edges cut to the
+    least power of its cycle that is, then their reverses."""
+    gens = triple_generators(g, t)
+    cycles = [c for c, val in t.over(g).f if val != INF]
+    head = len(gens) - len(cycles)
+    cut = 2 * len_bound
+    pairs = gens[:head] + [
+        (a if len(a.alpha) <= cut else path_element(c.power(cut // len(c) + 1)), b)
+        for c, (a, b) in zip(cycles, gens[head:])
+    ]
+    return pairs + [(b, a) for a, b in pairs]
+
+
 def zero_neighbors(
     directed: list[tuple[Element, Element]], universe: list[Element]
 ) -> list[Element]:
-    """The u b w in the universe with u a w = 0, (a, b) in directed and u,
-    w in the universe (universe[0] is zero).
+    """The nonzero u b w in the universe with u a w = 0, (a, b) in
+    directed and u, w in the universe (universe[0] is zero).
 
-    u = 0 puts zero itself in. A nonzero x = q w, q = u b, needs the
-    first path of q to be a prefix of x's, and w is then one of
-    solve_right(q, x). That w witnesses x when it lies in the universe
-    and u a w = 0, that is when its first path is comparable with q's
-    second path (always, as q w is nonzero) but not with the second path
-    of u a. Sets of universe positions are int bitmasks.
+    A nonzero x = q w, q = u b, needs the first path of q to be a prefix
+    of x's, and w is then one of solve_right(q, x). That w witnesses x
+    when it lies in the universe and u a w = 0, that is when its first
+    path is comparable with q's second path (always, as q w is nonzero)
+    but not with the second path of u a. Sets of universe positions are
+    int bitmasks.
     """
-    if not directed:
-        return []
     position = {x: i for i, x in enumerate(universe)}
     extending: dict[tuple, int] = {}  # positions whose first path extends the key
     equal: dict[tuple, int] = {}  # positions whose first path is the key
@@ -591,7 +607,7 @@ def zero_neighbors(
             mask |= equal.get(key, 0)
         return mask
 
-    found = 1  # universe[0] is zero, reached from u = 0
+    found = 0
     for a, b in directed:
         for u in universe:
             q = multiply(u, b)
@@ -623,11 +639,12 @@ class PrefixIndexOracle(TransitionOracle):
     (a*, b*) and contexts w*, looked up by z*, since u a w = z exactly
     when w* a* u* = z* and U is closed under inversion. Zero is expanded
     like any other element, by the scan of zero_neighbors, and the search
-    is one breadth-first search from x."""
+    is one breadth-first search from x. No element is its own neighbour."""
 
     def __init__(self, g: Graph, t: CongruenceTriple, len_bound: int):
         super().__init__(g, t, len_bound)
         self.elements = bounded_elements(g, len_bound)
+        self.directed = directed_pairs(g, t, len_bound)
         self._left = context_index(self.directed, self.elements)
         self._inverted = context_index(
             [(inverse(a), inverse(b)) for a, b in self.directed],
@@ -645,7 +662,7 @@ class PrefixIndexOracle(TransitionOracle):
     def _neighbors(self, z: Element) -> set[Element]:
         out = set(left_pass(self._left, z))
         out.update(inverse(x) for x in left_pass(self._inverted, inverse(z)))
-        return {x for x in out if self._within(x)}
+        return {x for x in out if self._within(x) and x != z}
 
     def search(self, x: Element, y: Element, step_bound: int = 100_000) -> TransitionResult:
         """BFS from x for y; ``step_bound`` caps node expansions."""

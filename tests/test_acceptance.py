@@ -10,8 +10,6 @@ import random
 import time
 from contextlib import contextmanager
 
-import pytest
-
 from graphinverse.congruences import (
     INF,
     chain_stabilizes,

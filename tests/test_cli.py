@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import random
@@ -35,7 +36,7 @@ from graphinverse.elements import format_element
 from graphinverse.oracle import bounded_elements
 from reference import rees_only_condition
 from test_congruences import loop_triple
-from test_graphs import path_graph
+from test_graphs import path_graph, ring
 from test_scripts import run_into_closed_pipe
 
 
@@ -724,6 +725,27 @@ class TestHugeFCap:
         assert run_into_closed_pipe(self.argv(loop_files), buffered, self.limit_memory) == (
             1, "error: [Errno 32] Broken pipe\n"
         )
+
+
+class TestLongRing:
+    """Every vertex of a ring of 10^4 vertices has index one, so the
+    listing runs W over 10^4 bits. It starts at once, with no recursion
+    overflow, and a reader that closes ends it in the one broken-pipe
+    line."""
+
+    @staticmethod
+    def graph():
+        return ring(random.Random(10_000), 10_000)
+
+    def test_first_triples(self):
+        first = itertools.islice(enumerate_triples(self.graph()), 4)
+        assert [sorted(t.w) for t in first] == [[], ["r0"], ["r1"], ["r0", "r1"]]
+
+    def test_closed_reader(self, tmp_path):
+        path = tmp_path / "ring.json"
+        path.write_text(json.dumps(graph_to_json(self.graph())))
+        argv = ["-m", "graphinverse", "enumerate", str(path)]
+        assert run_into_closed_pipe(argv, True) == (1, "error: [Errno 32] Broken pipe\n")
 
 
 class TestLazyOracleImport:

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import json
 import random
 import re
@@ -49,7 +48,7 @@ from graphinverse.congruences import (
     vertex_class_members,
 )
 from graphinverse import corpus
-from graphinverse.corpus import ACYCLIC_CORPUS, CORPUS, CYCLIC_CORPUS
+from graphinverse.corpus import CORPUS, CYCLIC_CORPUS
 from graphinverse.oracle import all_paths, bounded_elements, congruence_closure, materialize
 from reference import (
     based_at,

@@ -28,7 +28,7 @@ from graphinverse.elements import (
     path_element,
     vertex_element,
 )
-from graphinverse.corpus import CORPUS, double_loop, loop_graph, two_cycle
+from graphinverse.corpus import CORPUS, double_loop, two_cycle
 from graphinverse.oracle import TransitionOracle, all_paths, bounded_elements
 from reference import (
     based_at,

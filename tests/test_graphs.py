@@ -37,8 +37,6 @@ from graphinverse.corpus import (
     CORPUS,
     all_acyclic_graphs,
     double_loop,
-    edge_graph,
-    loop_graph,
     parallel_pair,
     parallel_two_cycle,
     single_vertex,

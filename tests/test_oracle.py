@@ -18,11 +18,9 @@ from graphinverse.elements import (
     Element,
     multiply,
     parse_element,
-    path_element,
     vertex_element,
 )
 from graphinverse.congruences import (
-    INF,
     enumerate_triples,
     equiv,
     make_triple,
@@ -45,6 +43,7 @@ from reference import (
     PrefixIndexOracle,
     closure_by_all_translations,
     congruences_by_closed_joins,
+    directed_pairs,
     is_compatible,
     is_prefix,
     solve_right,
@@ -65,11 +64,12 @@ class BruteNeighbors:
     _solve_right, every w of the universe with a w nonzero against the
     test's own _solve_left (so u or w lies in the universe, the other
     context is any), and for zero every pair (u, w) of the universe with
-    u a w = 0. ``directed`` replaces the oracle's directed pairs."""
+    u a w = 0, over the pairs ``directed``. No element is its own
+    neighbour."""
 
-    def __init__(self, o, directed=None):
+    def __init__(self, o, directed):
         self.oracle = o
-        self.directed = o.directed if directed is None else directed
+        self.directed = directed
         self.universe = bounded_elements(o.graph, o.len_bound)
         self.left = []
         self.right = []
@@ -88,7 +88,7 @@ class BruteNeighbors:
 
     def neighbors(self, z):
         o = self.oracle
-        return frozenset(x for x in self._neighbors(z) if o._within(x))
+        return frozenset(x for x in self._neighbors(z) if o._within(x) and x != z)
 
     def _neighbors(self, z):
         if z.is_zero:
@@ -425,9 +425,8 @@ class TestTransitionOracle:
         elements = universe if len_bound < 3 else spread(universe[1:], 12)
         for t in enumerate_triples(g, f_cap=2):
             o = TransitionOracle(g, t, len_bound)
-            assert_neighbours_agree(
-                o, PrefixIndexOracle(g, t, len_bound), BruteNeighbors(o), elements
-            )
+            brute = BruteNeighbors(o, directed_pairs(g, t, len_bound))
+            assert_neighbours_agree(t, o, PrefixIndexOracle(g, t, len_bound), brute, elements)
 
     def test_search_never_lists_the_universe(self, monkeypatch, double_loop):
         """Neither building the oracle nor searching, through 0 or not,
@@ -454,24 +453,6 @@ class TestTransitionOracle:
         assert o.neighbors(x) == {ZERO}
         assert o.search(x, y, 1) == TransitionResult(False, None, 1)
         assert o.search(x, y, 2) == TransitionResult(True, (x, ZERO, y), 2)
-
-    def test_pairs_are_the_triple_generators(self):
-        """The directed pairs are triple_generators' pairs in order, then
-        their reverses, with each cycle power longer than 2 * len_bound
-        edges cut to the least power of its cycle that is."""
-        for g in [*CORPUS.values(), *seeded_multigraphs(2018, 60)]:
-            for t in enumerate_triples(g, f_cap=3):
-                gens = triple_generators(g, t)
-                cycles = [c for c, val in t.f if val != INF]
-                head = len(gens) - len(cycles)
-                for len_bound in (0, 1, 2, 3, 5):
-                    cut = 2 * len_bound
-                    pairs = gens[:head] + [
-                        (a if len(a.alpha) <= cut else path_element(c.power(cut // len(c) + 1)), b)
-                        for c, (a, b) in zip(cycles, gens[head:])
-                    ]
-                    o = TransitionOracle(g, t, len_bound)
-                    assert o.directed == pairs + [(b, a) for a, b in pairs], (g, t, len_bound)
 
     def test_zero_is_never_expanded(self, loop):
         o = TransitionOracle(loop, loop_triple(loop, 2), 2)
@@ -510,22 +491,21 @@ class TestTransitionOracle:
             o.neighbors(elem(loop, "e.e.e|@v"))
 
 
-def assert_neighbours_agree(o, ref, brute, elements):
+def assert_neighbours_agree(t, o, ref, brute, elements):
+    """o, the reference oracle ref and the exhaustive scan brute, all
+    built for the triple t, give each element the same neighbours."""
     for z in elements:
         expected = brute.neighbors(z)
-        assert row(o, brute.universe, z) == expected, (o.triple, o.len_bound, z)
-        assert ref.neighbors(z) == expected, (o.triple, o.len_bound, z)
+        assert row(o, brute.universe, z) == expected, (t, o.len_bound, z)
+        assert ref.neighbors(z) == expected, (t, o.len_bound, z)
 
 
 def row(o, universe, z):
     """The neighbours of z. o never expands 0, so the row of 0 is read by
-    symmetry: the x != 0 of the universe with 0 a neighbour of x, and 0
-    itself when there are pairs (from the context u = 0)."""
+    symmetry: the x != 0 of the universe with 0 a neighbour of x."""
     if not z.is_zero:
         return o.neighbors(z)
-    return frozenset(x for x in universe[1:] if ZERO in o.neighbors(x)) | (
-        {ZERO} if o.directed else set()
-    )
+    return frozenset(x for x in universe[1:] if ZERO in o.neighbors(x))
 
 
 def spread(elements, count):
@@ -553,12 +533,12 @@ class TestSiteNeighbours:
             for len_bound in (1, 2):
                 o = TransitionOracle(g, t, len_bound)
                 ref = PrefixIndexOracle(g, t, len_bound)
-                brute = BruteNeighbors(o)
+                brute = BruteNeighbors(o, directed_pairs(g, t, len_bound))
                 universe = brute.universe
                 if len(universe) > 40:
-                    assert_neighbours_agree(o, ref, brute, spread(universe[1:], 6))
+                    assert_neighbours_agree(t, o, ref, brute, spread(universe[1:], 6))
                     continue
-                assert_neighbours_agree(o, ref, brute, universe)
+                assert_neighbours_agree(t, o, ref, brute, universe)
                 for x, y in [
                     (rng.choice(universe), rng.choice(universe)),
                     (rng.choice(universe), ZERO),
@@ -574,19 +554,21 @@ class TestSiteNeighbours:
         elements = spread(bounded_elements(g, 6)[1:], count)
         for t in enumerate_triples(g, f_cap=2):
             o = TransitionOracle(g, t, 6)
-            assert_neighbours_agree(o, PrefixIndexOracle(g, t, 6), BruteNeighbors(o), elements)
+            brute = BruteNeighbors(o, directed_pairs(g, t, 6))
+            assert_neighbours_agree(t, o, PrefixIndexOracle(g, t, 6), brute, elements)
 
     def test_outside_context(self, two_cycle):
         """A neighbour that only a context outside the universe gives."""
         g = two_cycle
         c = Cycle.from_path(make_path(g, ["e1", "e2"]))
-        o = TransitionOracle(g, make_triple(g, w={"v", "w"}, f={c: 1}), 1)
+        t = make_triple(g, w={"v", "w"}, f={c: 1})
+        o = TransitionOracle(g, t, 1)
         z, y = elem(g, "@v|e2"), elem(g, "e1|@w")
         assert y in o.neighbors(z)
         universe = bounded_elements(g, 1)
         assert not any(
             multiply(multiply(u, a), w) == z and multiply(multiply(u, b), w) == y
-            for a, b in o.directed for u in universe for w in universe
+            for a, b in directed_pairs(g, t, 1) for u in universe for w in universe
         )
 
     def test_long_powers_agree_with_the_true_pairs(self, loop, two_cycle, pendant):
@@ -604,7 +586,8 @@ class TestSiteNeighbours:
                         o = TransitionOracle(g, long, len_bound)
                         assert all(
                             len(x.alpha) <= 2 * len_bound + len(c.path)
-                            for pair in o.directed for x in pair if not x.is_zero
+                            for pair in directed_pairs(g, long, len_bound)
+                            for x in pair if not x.is_zero
                         )
                         gens = triple_generators(g, long)
                         brute = BruteNeighbors(o, gens + [(b, a) for a, b in gens])
@@ -613,8 +596,9 @@ class TestSiteNeighbours:
 
     def test_million_laps_search(self, loop):
         c = Cycle.from_path(make_path(loop, ["e"]))
-        o = TransitionOracle(loop, make_triple(loop, w={"v"}, f={c: 10**6}), 3)
-        assert max(len(a.alpha) for a, _ in o.directed) == 7
+        t = make_triple(loop, w={"v"}, f={c: 10**6})
+        o = TransitionOracle(loop, t, 3)
+        assert max(len(a.alpha) for a, _ in directed_pairs(loop, t, 3)) == 7
         assert o.search(elem(loop, "e|e"), vertex_element("v")).chain == (
             elem(loop, "e|e"), vertex_element("v"),
         )
@@ -624,7 +608,8 @@ class TestSiteNeighbours:
         """On the loop, where every path is a prefix of every longer one,
         expanding all of U takes products and element constructions in
         proportion to the walks' lengths times the pairs, not to |U|."""
-        o = TransitionOracle(loop, loop_triple(loop, 2), 12)
+        t = loop_triple(loop, 2)
+        o = TransitionOracle(loop, t, 12)
         universe = bounded_elements(loop, 12)
         work = []
         for name in ("multiply", "Element"):
@@ -635,7 +620,7 @@ class TestSiteNeighbours:
         found = sum(len(o.neighbors(z) - {z}) for z in universe[1:])
         walks = sum(len(z.alpha) + len(z.beta) for z in universe[1:])
         assert found == 1148
-        assert len(work) <= walks * len(o.directed)
+        assert len(work) <= walks * len(directed_pairs(loop, t, 12))
 
 
 class TestOrderAcrossProcesses:

@@ -1,5 +1,6 @@
-"""Each script in scripts/ runs to completion on a small input, and every
-public name in the package has a caller outside the tests."""
+"""Each script in scripts/ runs to completion on a small input, every
+public name in the package has a caller outside the tests, and no module
+imports a name it does not use."""
 
 from __future__ import annotations
 
@@ -211,23 +212,49 @@ def _definitions(module: ast.Module, module_name: str) -> list[tuple[str, set[st
     return defs
 
 
+def _public_self_stores(tree: ast.AST) -> set[str]:
+    """The public attribute names stored on self in tree."""
+    return {
+        node.attr for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+        and isinstance(node.value, ast.Name) and node.value.id == "self"
+        and not node.attr.startswith("_")
+    }
+
+
+def _loaded_attributes(tree: ast.AST) -> set[str]:
+    """The attribute names read in tree."""
+    return {
+        node.attr for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+
+
 def test_src_holds_no_test_only_code():
     """A public function, class or method of the package is used from
     module-level code in src/, from a function or method so used, or from
-    scripts/ or perfbench/. A README code span is no use: documentation
-    alone keeps no name alive."""
+    scripts/ or perfbench/. A public attribute that src/ stores on self
+    is read somewhere in src/, scripts/ or perfbench/; storing it is no
+    use. A README code span is no use either: documentation alone keeps
+    no name alive."""
     used: set[str] = set()
     defs: list[tuple[str, set[str]]] = []
+    stored: set[str] = set()
+    loaded: set[str] = set()
     for path in sorted((ROOT / "src" / "graphinverse").glob("*.py")):
         module = ast.parse(path.read_text(encoding="utf-8"))
         defs += _definitions(module, f"graphinverse.{path.stem}".removesuffix(".__init__"))
+        stored |= _public_self_stores(module)
+        loaded |= _loaded_attributes(module)
         for node in module.body:
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef,
                                      ast.Import, ast.ImportFrom)):
                 used |= _used_names(node)
     for folder in ("scripts", "perfbench"):
         for path in sorted((ROOT / folder).glob("*.py")):
-            used |= _used_names(ast.parse(path.read_text(encoding="utf-8")), strings=True)
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            used |= _used_names(tree, strings=True)
+            loaded |= _loaded_attributes(tree)
     grew = True
     while grew:
         before = len(used)
@@ -237,3 +264,34 @@ def test_src_holds_no_test_only_code():
         grew = len(used) > before
     unused = sorted({name for name, _ in defs if not name.startswith("_")} - used)
     assert not unused, f"public names with no caller outside tests: {unused}"
+    unread = sorted(stored - loaded)
+    assert not unread, f"public attributes stored on self and never read: {unread}"
+
+
+def _unused_imports(tree: ast.Module) -> list[str]:
+    """The names that tree's imports bind and its code never reads."""
+    bound: dict[str, int] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{name} (line {line})" for name, line in sorted(bound.items()) if name not in read]
+
+
+def test_no_unused_imports():
+    """Every name imported in src/, scripts/ or tests/ is used in its
+    module. A package's __init__.py imports to re-export, so it is left
+    out."""
+    found = {}
+    for folder in ("src/graphinverse", "scripts", "tests"):
+        for path in sorted((ROOT / folder).glob("*.py")):
+            if path.name == "__init__.py":
+                continue
+            unused = _unused_imports(ast.parse(path.read_text(encoding="utf-8")))
+            if unused:
+                found[f"{folder}/{path.name}"] = unused
+    assert not found, f"unused imports: {found}"
