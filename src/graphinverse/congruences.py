@@ -15,8 +15,8 @@ time and without validating what it built valid; :func:`count_triples`
 counts them in closed form and says whether the uncapped family is
 infinite.
 Every operation taking ``(g, t)`` reads the index through
-:meth:`CongruenceTriple.over`, which validates anew only a triple not
-compiled over g.
+:meth:`CongruenceTriple.over`, which refuses a triple not compiled over g
+or an equal graph; nothing is validated twice.
 
 The generated congruence is the one spanned by the pairs
 ``(v, 0)`` for v in H, ``(e_w e_w*, w)`` for w in W with e_w the unique
@@ -26,7 +26,6 @@ f(c).
 
 from __future__ import annotations
 
-import json
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
@@ -47,6 +46,7 @@ from .graphs import (
     Path,
     _is_prefix,
     _path,
+    _read_json,
     _rotate,
     concat,
     cycle_power,
@@ -95,8 +95,9 @@ class CongruenceTriple:
     mapping each vertex v of a cycle c in f's domain to (c, f(c), i) with
     ``c.path.vertices[i] == v``, so every rotation of c is read off it;
     the decision procedure reads a vertex off those cycles as (None, inf, 0).
-    Neither takes part in equality or hashing, and ``dataclasses.replace``
-    copies come out without them.
+    Neither takes part in equality or hashing. Only such a compiled triple
+    is usable: a raw ``CongruenceTriple(...)`` or a ``dataclasses.replace``
+    copy carries neither, and :meth:`over` refuses it.
     """
 
     h: frozenset[str]
@@ -108,11 +109,12 @@ class CongruenceTriple:
     )
 
     def over(self, g: Graph) -> CongruenceTriple:
-        """This triple compiled over g: itself when make_triple built it
-        over g (or an equal graph), else validated anew by make_triple."""
+        """This triple, when it was compiled over g or an equal graph."""
         if self.graph is g or self.graph == g:
             return self
-        return make_triple(g, self.h, self.w, self.f)
+        raise TripleFormatError(
+            "triple was not compiled over this graph; build it over this graph with make_triple"
+        )
 
 
 def make_triple(
@@ -145,14 +147,19 @@ def make_triple(
             f"W vertices without index one in the quotient: {sorted(bad_index)}"
         )
     if not problems:
-        expected = cycles_in(g, w_edges, t.w)
+        found = cycles_in(g, w_edges, t.w)
         domain = [c for c, _ in t.f]
-        if sorted(c.path.edges for c in domain) != sorted(c.path.edges for c in expected):
-            problems.append(
-                f"cycle-function domain {[list(c.path.edges) for c in domain]} "
-                f"differs from the cycles inside W "
-                f"{[list(c.path.edges) for c in expected]}"
-            )
+        if domain != sorted(found, key=lambda c: c.path.edges):
+            ours = {c.path.edges: c for c in found}
+            for c in domain:
+                if ours.get(c.path.edges, c) != c:  # g's edges fix a cycle's vertices
+                    problems.append(f"cycle {list(c.path.edges)} through "
+                                    f"{list(c.path.vertices[:-1])} is not a cycle of this graph")
+            if [c.path.edges for c in domain] != sorted(ours):
+                problems.append(
+                    f"cycle-function domain {[list(c.path.edges) for c in domain]} "
+                    f"differs from the cycles inside W {[list(e) for e in ours]}"
+                )
         for _, val in t.f:
             if not is_fvalue(val):
                 problems.append(f"cycle value {val!r} is not a positive integer or inf")
@@ -339,11 +346,11 @@ def vertex_class_members(
     the one walk from v along W-edges, so no two are equal, and the two
     paths of a cycle element differ in length: each member is listed once.
     """
+    t = t.over(g)
     if len_bound < 0:
         raise ValueError(f"length bound {len_bound} is negative")
     if v in t.h:
         raise ValueError(f"vertex {v!r} lies in H, its class is the zero class")
-    t = t.over(g)
     g._require_vertex(v)
     members: list[Element] = []
     w_edges = index_one_edges(g, t.h)
@@ -368,8 +375,6 @@ def vertex_class_members(
 
 
 def _element_sort_key(x: Element):
-    if x.is_zero:
-        return (-1, -1, (), (), "", "")
     return (
         len(x.alpha),
         len(x.beta),
@@ -547,7 +552,7 @@ def triple_from_json(g: Graph, data: object) -> CongruenceTriple:
             cyc = Cycle.from_path(make_path(g, cycle))
         except (ValueError, KeyError) as exc:
             raise TripleFormatError(f"bad cycle {cycle!r}: {exc.args[0]}") from None
-        if tuple(cycle) != cyc.path.edges:
+        if tuple(cycle) != cyc.path.edges:  # the file format asks for the least rotation
             raise TripleFormatError(
                 f"cycle {cycle!r} is not in canonical rotation; "
                 f"expected {list(cyc.path.edges)}"
@@ -565,9 +570,4 @@ def triple_from_json(g: Graph, data: object) -> CongruenceTriple:
 
 
 def load_triple(g: Graph, path: str) -> CongruenceTriple:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except (json.JSONDecodeError, RecursionError) as exc:
-            raise TripleFormatError(f"invalid JSON in {path}: {exc}") from None
-    return triple_from_json(g, data)
+    return triple_from_json(g, _read_json(path, TripleFormatError))

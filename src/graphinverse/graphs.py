@@ -83,12 +83,6 @@ class Graph:
     def has_vertex(self, v: str) -> bool:
         return v in self._vpos  # type: ignore[attr-defined]
 
-    def edge(self, edge_id: str) -> Edge:
-        try:
-            return self._edge_map[edge_id]  # type: ignore[attr-defined]
-        except KeyError:
-            raise KeyError(f"unknown edge id {edge_id!r}") from None
-
     def out_edges(self, v: str) -> tuple[Edge, ...]:
         try:
             return self._out[v]  # type: ignore[attr-defined]
@@ -211,7 +205,7 @@ def _is_prefix(p: Path, q: Path) -> bool:
 
 @dataclass(frozen=True)
 class Cycle:
-    """A cycle stored in its canonical rotation.
+    """A cycle, stored in its canonical rotation whichever rotation built it.
 
     The canonical rotation is the one whose edge-id sequence is
     lexicographically least, so two cycles are cyclic permutations of each
@@ -224,25 +218,18 @@ class Cycle:
     path: Path
 
     def __post_init__(self) -> None:
-        canonical = Cycle.from_path(self.path).path
-        if self.path != canonical:
-            raise ValueError(
-                f"cycle {self.path.edges} is not in canonical rotation; "
-                f"expected {canonical.edges}"
-            )
-
-    @classmethod
-    def from_path(cls, p: Path) -> Cycle:
-        """Canonicalize any rotation of a cycle."""
+        p = self.path
         if len(p) < 1 or not p.is_closed:
             raise ValueError(f"not a closed nonempty path: {p!r}")
         body = p.vertices[:-1]
         if len(set(body)) != len(body):
             raise ValueError(f"repeated source vertex in cycle candidate {p!r}")
-        best = p.edges.index(min(p.edges))
-        obj = object.__new__(cls)  # already canonical: skip __post_init__
-        object.__setattr__(obj, "path", _rotate(p, best))
-        return obj
+        object.__setattr__(self, "path", _rotate(p, p.edges.index(min(p.edges))))
+
+    @classmethod
+    def from_path(cls, p: Path) -> Cycle:
+        """The cycle of any rotation p: the same as ``Cycle(p)``."""
+        return cls(p)
 
     @property
     def base(self) -> str:
@@ -510,13 +497,17 @@ def graph_from_json(data: object) -> Graph:
     return Graph.of(vertices, triples)
 
 
-def load_graph(path: str) -> Graph:
+def _read_json(path: str, error: type[ValueError]) -> object:
+    """The JSON value in the file at path; invalid JSON raises error."""
     with open(path, encoding="utf-8") as fh:
         try:
-            data = json.load(fh)
+            return json.load(fh)
         except (json.JSONDecodeError, RecursionError) as exc:
-            raise GraphFormatError(f"invalid JSON in {path}: {exc}") from None
-    return graph_from_json(data)
+            raise error(f"invalid JSON in {path}: {exc}") from None
+
+
+def load_graph(path: str) -> Graph:
+    return graph_from_json(_read_json(path, GraphFormatError))
 
 
 def _dot_id(ident: str) -> str:

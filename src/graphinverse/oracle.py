@@ -124,33 +124,31 @@ def materialize(g: Graph, max_elements: int | None = None) -> FiniteSemigroup:
 
 @dataclass(frozen=True)
 class ExplicitCongruence:
-    """A compatible partition of a finite semigroup's element indices.
-
-    Classes are stored sorted, and sorted by their least member, so equal
-    partitions compare equal.
+    """A compatible partition of a finite semigroup's element indices,
+    stored as ``least``, the least member of each element's class, so
+    equal partitions compare equal.
     """
 
-    classes: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        class_of: dict[int, int] = {}
-        for k, cls in enumerate(self.classes):
-            for i in cls:
-                class_of[i] = k
-        object.__setattr__(self, "_class_of", class_of)
+    least: tuple[int, ...]
 
     @classmethod
     def from_class_map(cls, class_of: Sequence[int]) -> ExplicitCongruence:
+        least: dict[int, int] = {}
+        return cls(tuple(least.setdefault(k, i) for i, k in enumerate(class_of)))
+
+    @property
+    def classes(self) -> tuple[tuple[int, ...], ...]:
+        """The classes, each sorted, in the order of their least members."""
         groups: dict[int, list[int]] = {}
-        for i, k in enumerate(class_of):
-            groups.setdefault(k, []).append(i)
-        return cls(tuple(sorted(tuple(sorted(g)) for g in groups.values())))
+        for i, r in enumerate(self.least):
+            groups.setdefault(r, []).append(i)
+        return tuple(map(tuple, groups.values()))
 
     def together(self, i: int, j: int) -> bool:
-        return self._class_of[i] == self._class_of[j]  # type: ignore[attr-defined]
+        return self.least[i] == self.least[j]
 
     def generating_pairs(self) -> list[tuple[int, int]]:
-        return [(cls[0], i) for cls in self.classes for i in cls[1:]]
+        return [(r, i) for i, r in enumerate(self.least) if r != i]
 
 
 def _find(parent: list[int], i: int) -> int:
@@ -203,7 +201,7 @@ def enumerate_congruences(s: FiniteSemigroup) -> list[ExplicitCongruence]:
     """
     n = len(s)
     els = s.elements
-    identity = ExplicitCongruence(tuple((i,) for i in range(n)))
+    identity = ExplicitCongruence(tuple(range(n)))
     found = {identity}
     for i in range(n):
         for j in range(i + 1, n):

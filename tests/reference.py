@@ -425,7 +425,7 @@ def congruences_by_closed_joins(s: FiniteSemigroup) -> list[ExplicitCongruence]:
     join taken as the closure of both congruences' generating pairs."""
     n = len(s)
     els = s.elements
-    identity = ExplicitCongruence(tuple((i,) for i in range(n)))
+    identity = ExplicitCongruence(tuple(range(n)))
     found = {identity}
     for i in range(n):
         for j in range(i + 1, n):

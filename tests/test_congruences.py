@@ -49,7 +49,13 @@ from graphinverse.congruences import (
 )
 from graphinverse import corpus
 from graphinverse.corpus import CORPUS, CYCLIC_CORPUS
-from graphinverse.oracle import all_paths, bounded_elements, congruence_closure, materialize
+from graphinverse.oracle import (
+    TransitionOracle,
+    all_paths,
+    bounded_elements,
+    congruence_closure,
+    materialize,
+)
 from reference import (
     based_at,
     equiv_by_remainders,
@@ -671,8 +677,9 @@ class TestPairAlias:
 
 
 class TestCompiledTriple:
-    """make_triple compiles a triple over its graph; every other triple is
-    validated against the graph it is used with."""
+    """make_triple compiles a triple over its graph, and every operation
+    takes it over that graph or an equal one. Any other triple is refused:
+    nothing is validated a second time."""
 
     @staticmethod
     def pendant_triple(g):
@@ -684,6 +691,24 @@ class TestCompiledTriple:
         return ([equiv(g, t, x, y) for x in xs for y in xs],
                 [normal_form(g, t, x) for x in xs])
 
+    @staticmethod
+    def assert_refused(g, t):
+        v = g.vertices[0]
+        x, good = vertex_element(v), make_triple(g)
+        for call in [
+            lambda: equiv(g, t, x, x),
+            lambda: normal_form(g, t, x),
+            lambda: triple_to_json(g, t),
+            lambda: triple_leq(g, t, good),
+            lambda: triple_leq(g, good, t),
+            lambda: triple_generators(g, t),
+            lambda: vertex_class_members(g, t, v, 2),
+            lambda: TransitionOracle(g, t, 2),
+        ]:
+            with pytest.raises(TripleFormatError, match="^triple was not compiled over this "
+                               "graph; build it over this graph with make_triple$"):
+                call()
+
     def test_equal_graph_instance_gives_same_answers(self):
         g1, g2 = corpus.pendant_cycle(), corpus.pendant_cycle()
         assert g1 == g2 and g1 is not g2
@@ -692,40 +717,59 @@ class TestCompiledTriple:
         xs = bounded_elements(g1, 2)
         assert self.answers(g2, t, xs) == self.answers(g1, t, xs)
 
-    def test_raw_triple_gives_same_answers(self, pendant):
+    def test_raw_triple_refused(self, pendant):
         t = self.pendant_triple(pendant)
         raw = CongruenceTriple(t.h, t.w, t.f)
         assert raw == t and hash(raw) == hash(t) and raw.graph is None
-        xs = bounded_elements(pendant, 2)
-        assert self.answers(pendant, raw, xs) == self.answers(pendant, t, xs)
-        assert triple_to_json(pendant, raw) == triple_to_json(pendant, t)
+        self.assert_refused(pendant, raw)
 
     def test_invalid_raw_triple_raises(self, loop):
-        raw = CongruenceTriple(frozenset(), frozenset({"v"}), ())
-        x = elem(loop, "@v|@v")
-        with pytest.raises(TripleFormatError):
-            equiv(loop, raw, x, x)
-        with pytest.raises(TripleFormatError):
-            normal_form(loop, raw, x)
-        with pytest.raises(TripleFormatError):
-            triple_to_json(loop, raw)
+        self.assert_refused(loop, CongruenceTriple(frozenset(), frozenset({"v"}), ()))
 
-    def test_replaced_copy_is_revalidated(self, loop):
+    def test_replaced_copy_refused(self, loop):
         t = loop_triple(loop, 3)
-        bad = dataclasses.replace(t, f=t.f[1:])
-        assert bad.graph is None and bad.cycle_at is None
-        x = elem(loop, "@v|@v")
-        with pytest.raises(TripleFormatError):
-            equiv(loop, bad, x, x)
+        for copy in (dataclasses.replace(t), dataclasses.replace(t, f=t.f[1:])):
+            assert copy.graph is None and copy.cycle_at is None
+            self.assert_refused(loop, copy)
 
     def test_triple_invalid_over_another_graph_raises(self, pendant):
         t = self.pendant_triple(pendant)
-        exit_graph = corpus.cycle_with_exit()  # same ids, but w gains an exit
-        x = elem(exit_graph, "@v|@v")
-        with pytest.raises(TripleFormatError, match="index one"):
-            equiv(exit_graph, t, x, x)
-        with pytest.raises(TripleFormatError):
-            normal_form(exit_graph, t, x)
+        self.assert_refused(corpus.cycle_with_exit(), t)  # same ids, but w gains an exit
+
+    def test_triple_valid_over_an_unequal_graph_refused(self, loop):
+        t = loop_triple(loop, 3)
+        wider = Graph.of(["v", "u"], [("e", "v", "v")])
+        assert make_triple(wider, w={"v"}, f=dict(t.f)) == t
+        self.assert_refused(wider, t)
+
+
+class TestForeignCycle:
+    """A cycle of another graph with the same edge ids is no cycle of g:
+    make_triple compares cycles, vertices and edges, not edge ids alone."""
+
+    def test_cycle_of_another_graph_rejected(self):
+        g = Graph.of(["v", "w"], [("e1", "v", "w"), ("e2", "w", "v")])
+        g2 = Graph.of(["a", "b"], [("e1", "a", "b"), ("e2", "b", "a")])
+        foreign = Cycle.from_path(make_path(g2, ["e1", "e2"]))
+        with pytest.raises(TripleFormatError, match=re.escape(
+                "cycle ['e1', 'e2'] through ['a', 'b'] is not a cycle of this graph")) as info:
+            make_triple(g, w={"v", "w"}, f={foreign: 2})
+        assert "differs" not in str(info.value)
+        t = make_triple(g, w={"v", "w"}, f={Cycle.from_path(make_path(g, ["e1", "e2"])): 2})
+        assert equiv(g, t, elem(g, "e1.e2.e1.e2|@v"), elem(g, "@v|@v"))
+        assert normal_form(g, t, elem(g, "e1.e2.e1.e2|@v")) == elem(g, "@v|@v")
+
+    def test_foreign_cycle_beside_a_missing_one(self):
+        g = Graph.of(["v", "w", "u"], [("e1", "v", "w"), ("e2", "w", "v"), ("e3", "u", "u")])
+        g2 = Graph.of(["a", "b"], [("e1", "a", "b"), ("e2", "b", "a")])
+        foreign = Cycle.from_path(make_path(g2, ["e1", "e2"]))
+        with pytest.raises(TripleFormatError) as info:
+            make_triple(g, w={"v", "w", "u"}, f={foreign: 2})
+        assert str(info.value) == (
+            "cycle ['e1', 'e2'] through ['a', 'b'] is not a cycle of this graph; "
+            "cycle-function domain [['e1', 'e2']] differs from the cycles inside W "
+            "[['e1', 'e2'], ['e3']]"
+        )
 
 
 class TestCycleLayerAgainstReference:

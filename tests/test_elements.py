@@ -35,7 +35,6 @@ from reference import (
     conjugate_cycle,
     inverse,
     is_prefix,
-    remainder,
     strip_cycle_prefix,
 )
 from test_graphs import seeded_multigraphs
@@ -383,7 +382,7 @@ class TestValueSemantics:
 
     def test_path_is_not_its_tuple_an_edge_or_an_element(self, edge):
         p = make_path(edge, ["e"])
-        for other in [(p.vertices, p.edges), edge.edge("e"), path_element(p), Element(p, p)]:
+        for other in [(p.vertices, p.edges), edge.edges[0], path_element(p), Element(p, p)]:
             assert p != other and other != p
             assert not (p == other or other == p)
         assert p == make_path(edge, ["e"]) and not p != make_path(edge, ["e"])
@@ -437,7 +436,7 @@ def assert_valid(g, x):
 
 class TestBuiltValuesAreValid:
     """Results the package builds without checks are valid values: every
-    product, concatenation, remainder, cycle power, parsed literal, normal
+    product, concatenation, cycle power, parsed literal, normal
     form and rewrite neighbour, over the corpus and seeded multigraphs."""
 
     @staticmethod
@@ -448,9 +447,6 @@ class TestBuiltValuesAreValid:
             for q in paths:
                 if p.target == q.source:
                     assert_valid(g, concat(p, q))
-                rest = remainder(p, q)
-                if rest is not None:
-                    assert_valid(g, rest)
             if p.is_closed:
                 for m in range(4):
                     assert_valid(g, cycle_power(p, m))

@@ -30,6 +30,7 @@ from graphinverse.congruences import (
 from graphinverse.corpus import ACYCLIC_CORPUS, CORPUS, all_acyclic_graphs, two_edge_path
 from graphinverse.graphs import Cycle, Path, concat, make_path
 from graphinverse.oracle import (
+    ExplicitCongruence,
     TransitionOracle,
     TransitionResult,
     bounded_elements,
@@ -184,6 +185,14 @@ class TestMaterialize:
 
 
 class TestClosure:
+    def test_one_class_map_gives_every_view(self):
+        rho = ExplicitCongruence.from_class_map([7, 3, 7, 3, 9])
+        assert rho == ExplicitCongruence((0, 1, 0, 1, 4))
+        assert rho == ExplicitCongruence.from_class_map([0, 1, 0, 1, 2])
+        assert rho.classes == ((0, 2), (1, 3), (4,))
+        assert rho.together(1, 3) and not rho.together(0, 1)
+        assert sorted(rho.generating_pairs()) == [(0, 2), (1, 3)]
+
     def test_no_pairs_gives_identity(self, edge):
         s = materialize(edge)
         rho = congruence_closure(s, [])

@@ -174,24 +174,29 @@ def test_readme_lists_the_package_root_exports():
 def _used_names(tree: ast.AST, strings: bool = False) -> set[str]:
     """Names and attribute names used in tree; with strings, also the
     parts of dotted-name string constants, since perfbench names its
-    trace targets in strings."""
+    trace targets in strings. A method or property is used only where it
+    is read as an attribute or named after a dot in such a string, so
+    those uses are recorded a second time, as ".name"."""
     out = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             out.add(node.id)
         elif isinstance(node, ast.Attribute):
             out.add(node.attr)
+            if isinstance(node.ctx, ast.Load):
+                out.add("." + node.attr)
         elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
             if re.fullmatch(r"[\w.]+", node.value):
-                out.update(node.value.split("."))
+                first, *rest = node.value.split(".")
+                out.update([first, *rest, *("." + part for part in rest)])
     return out
 
 
 def _definitions(module: ast.Module, module_name: str) -> list[tuple[str, set[str]]]:
     """(name, names its body uses) for each module-level function and
-    class and each method. A class's body includes its dunder methods and
-    its overrides of base-class methods, which run without being named
-    in the package."""
+    class and each method, a method named as ".name". A class's body
+    includes its dunder methods and its overrides of base-class methods,
+    which run without being named in the package."""
     defs = []
     for node in module.body:
         if isinstance(node, ast.ClassDef):
@@ -201,7 +206,7 @@ def _definitions(module: ast.Module, module_name: str) -> list[tuple[str, set[st
                 if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (
                     item.name.startswith("__") or any(hasattr(b, item.name) for b in bases)
                 ):
-                    defs.append((item.name, _used_names(item)))
+                    defs.append(("." + item.name, _used_names(item)))
                 else:
                     uses |= _used_names(item)
             for extra in node.bases + node.decorator_list:
@@ -233,10 +238,11 @@ def _loaded_attributes(tree: ast.AST) -> set[str]:
 def test_src_holds_no_test_only_code():
     """A public function, class or method of the package is used from
     module-level code in src/, from a function or method so used, or from
-    scripts/ or perfbench/. A public attribute that src/ stores on self
-    is read somewhere in src/, scripts/ or perfbench/; storing it is no
-    use. A README code span is no use either: documentation alone keeps
-    no name alive."""
+    scripts/ or perfbench/; a method or property only through an
+    attribute read or a dotted trace-target string. A public attribute
+    that src/ stores on self is read somewhere in src/, scripts/ or
+    perfbench/; storing it is no use. A README code span is no use
+    either: documentation alone keeps no name alive."""
     used: set[str] = set()
     defs: list[tuple[str, set[str]]] = []
     stored: set[str] = set()
@@ -262,7 +268,7 @@ def test_src_holds_no_test_only_code():
             if name in used:
                 used |= uses
         grew = len(used) > before
-    unused = sorted({name for name, _ in defs if not name.startswith("_")} - used)
+    unused = sorted({name for name, _ in defs if not name.lstrip(".").startswith("_")} - used)
     assert not unused, f"public names with no caller outside tests: {unused}"
     unread = sorted(stored - loaded)
     assert not unread, f"public attributes stored on self and never read: {unread}"
