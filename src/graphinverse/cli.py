@@ -41,14 +41,12 @@ from .congruences import (
 )
 from .elements import format_element, parse_element
 from .graphs import (
-    cycles_in,
-    enumerate_hereditary,
     graph_to_dot,
     graph_to_json,
-    index_one_edges,
     is_congruence_free_graph,
     is_strongly_connected,
     load_graph,
+    quotients,
 )
 
 def _emit(args: argparse.Namespace, payload: dict, text_lines: Iterable[str]) -> None:
@@ -68,15 +66,13 @@ def cmd_report(args: argparse.Namespace) -> int:
     if args.dot:
         print(graph_to_dot(g))
         return 0
-    per_h = []
-    for h in enumerate_hereditary(g):
-        bar_h = index_one_edges(g, h)
-        per_h.append({"H": list(g.sort_vertices(h)), "index_one": list(bar_h),
-                      "cycles": [list(c.path.edges) for c in cycles_in(g, bar_h)]})
+    per_h = [{"H": list(g.sort_vertices(h)), "index_one": list(bar_edges),
+              "cycles": [list(c.path.edges) for c in cycles]}
+             for h, bar_edges, cycles in quotients(g)]
     payload = {
         **graph_to_json(g),
         "hereditary_subsets": [d["H"] for d in per_h],
-        "index_one_vertices": list(index_one_edges(g)),
+        "index_one_vertices": per_h[0]["index_one"],  # H = ∅ comes first
         "per_hereditary": per_h,
         "zero_simple": bool(g.vertices) and is_strongly_connected(g),  # I(∅) = {0}: not 0-simple
         "rees_only": not any(d["index_one"] for d in per_h),

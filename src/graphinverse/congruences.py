@@ -8,12 +8,12 @@ pair (x, y) is decided directly, since the semigroup is usually infinite.
 
 :func:`make_triple` is the one validating constructor: it names every
 problem it finds in one :class:`TripleFormatError`, and it compiles the
-triple once, so the result remembers the graph it was validated over and
-indexes each cycle vertex's (cycle, f-value, offset on the cycle).
-:func:`enumerate_triples` yields triples compiled the same way, one at a
-time and without validating what it built valid; :func:`count_triples`
-counts them in closed form and says whether the uncapped family is
-infinite.
+triple once, so the result keeps the graph it was validated over and the
+index-one edges of G∖H, and indexes each cycle vertex's (cycle, f-value,
+offset on the cycle). :func:`enumerate_triples` yields triples compiled
+the same way, one at a time, walking ``graphs.quotients`` and validating
+nothing it built valid; :func:`count_triples` counts them in closed form
+over the same walk and says whether the uncapped family is infinite.
 Every operation taking ``(g, t)`` reads the index through
 :meth:`CongruenceTriple.over`, which refuses a triple not compiled over g
 or an equal graph; nothing is validated twice.
@@ -42,6 +42,7 @@ from .elements import (
 )
 from .graphs import (
     Cycle,
+    Edge,
     Graph,
     Path,
     _is_prefix,
@@ -51,16 +52,18 @@ from .graphs import (
     concat,
     cycle_power,
     cycles_in,
-    enumerate_hereditary,
     index_one_edges,
     is_hereditary,
     make_path,
+    quotients,
     vertex_path,
 )
 
 INF = math.inf
 
 FValue = int | float  # positive int, or math.inf
+
+_COMPILED = dict(default=None, init=False, compare=False, repr=False)  # fields _compile sets
 
 
 class TripleFormatError(ValueError):
@@ -91,22 +94,22 @@ class CongruenceTriple:
     empty H, and such triples double as congruence pairs (W, f).
 
     A triple from :func:`make_triple` or :func:`enumerate_triples` also
-    carries ``graph``, the graph it was built over, and ``cycle_at``,
-    mapping each vertex v of a cycle c in f's domain to (c, f(c), i) with
-    ``c.path.vertices[i] == v``, so every rotation of c is read off it;
-    the decision procedure reads a vertex off those cycles as (None, inf, 0).
-    Neither takes part in equality or hashing. Only such a compiled triple
-    is usable: a raw ``CongruenceTriple(...)`` or a ``dataclasses.replace``
-    copy carries neither, and :meth:`over` refuses it.
+    carries ``graph``, the graph it was built over, ``bar_edges``, the
+    index-one edges of G∖H as ``graphs.index_one_edges`` gives them, and
+    ``cycle_at``, mapping each vertex v of a cycle c in f's domain to
+    (c, f(c), i) with ``c.path.vertices[i] == v``, so every rotation of c
+    is read off it; the decision procedure reads a vertex off those
+    cycles as (None, inf, 0). None takes part in equality or hashing.
+    Only such a compiled triple is usable: a raw ``CongruenceTriple(...)``
+    or a ``dataclasses.replace`` copy carries none; :meth:`over` refuses it.
     """
 
     h: frozenset[str]
     w: frozenset[str]
     f: tuple[tuple[Cycle, FValue], ...]
-    graph: Graph | None = field(default=None, init=False, compare=False, repr=False)
-    cycle_at: Mapping[str, tuple[Cycle, FValue, int]] | None = field(
-        default=None, init=False, compare=False, repr=False
-    )
+    graph: Graph | None = field(**_COMPILED)
+    cycle_at: Mapping[str, tuple[Cycle, FValue, int]] | None = field(**_COMPILED)
+    bar_edges: Mapping[str, Edge] | None = field(**_COMPILED)
 
     def over(self, g: Graph) -> CongruenceTriple:
         """This triple, when it was compiled over g or an equal graph."""
@@ -124,9 +127,12 @@ def make_triple(
     f: Mapping[Cycle, FValue] | Iterable[tuple[Cycle, FValue]] = (),
 ) -> CongruenceTriple:
     """Build and validate a triple over g, compiled for use with g. A bad
-    H is named alone; else every problem with W, then with f, is named in
-    one TripleFormatError."""
-    pairs = f.items() if isinstance(f, Mapping) else f
+    H, like a key of f that is not a Cycle, is named alone; else every
+    problem with W, then with f, is named in one TripleFormatError."""
+    pairs = list(f.items() if isinstance(f, Mapping) else f)
+    for c, _ in pairs:
+        if not isinstance(c, Cycle):
+            raise TripleFormatError(f"cycle-function key {c!r} is not a Cycle")
     t = CongruenceTriple(
         frozenset(h), frozenset(w), tuple(sorted(pairs, key=lambda kv: kv[0].path.edges))
     )
@@ -165,12 +171,13 @@ def make_triple(
                 problems.append(f"cycle value {val!r} is not a positive integer or inf")
     if problems:
         raise TripleFormatError("; ".join(problems))
-    return _compile(g, t)
+    return _compile(g, t, w_edges)
 
 
-def _compile(g: Graph, t: CongruenceTriple) -> CongruenceTriple:
-    """Stamp a triple known to be valid over g with g and its cycle index."""
+def _compile(g: Graph, t: CongruenceTriple, bar_edges: Mapping[str, Edge]) -> CongruenceTriple:
+    """Stamp a triple valid over g with g, G∖H's index-one edges and its cycle index."""
     object.__setattr__(t, "graph", g)
+    object.__setattr__(t, "bar_edges", bar_edges)
     object.__setattr__(t, "cycle_at", {})
     for c, val in t.f:  # each vertex of c to (c, f(c), its offset on c)
         t.cycle_at.update(zip(c.path.vertices[:-1], zip(repeat(c), repeat(val), count())))
@@ -207,7 +214,7 @@ def triple_generators(g: Graph, t: CongruenceTriple) -> list[tuple[Element, Elem
     """The generating pairs of the triple's congruence, in a fixed order."""
     t = t.over(g)
     pairs = [(vertex_element(v), ZERO) for v in g.sort_vertices(t.h)]
-    for w, e in index_one_edges(g, t.h).items():
+    for w, e in t.bar_edges.items():
         if w in t.w:
             ew = Path((e.src, e.dst), (e.id,))
             pairs.append((idempotent_element(ew), vertex_element(w)))
@@ -353,7 +360,6 @@ def vertex_class_members(
         raise ValueError(f"vertex {v!r} lies in H, its class is the zero class")
     g._require_vertex(v)
     members: list[Element] = []
-    w_edges = index_one_edges(g, t.h)
     gamma = vertex_path(v)
     while True:
         members.append(_element(gamma, gamma))
@@ -368,7 +374,7 @@ def vertex_class_members(
                 k += 1
         if len(gamma) >= len_bound or gamma.target not in t.w:
             break
-        e = w_edges[gamma.target]
+        e = t.bar_edges[gamma.target]
         gamma = _path(gamma.vertices + (e.dst,), gamma.edges + (e.id,))
     members.sort(key=_element_sort_key)
     return members
@@ -415,26 +421,29 @@ def enumerate_triples(g: Graph, f_cap: int = 4) -> Iterator[CongruenceTriple]:
     with the empty f. Memory stays flat however many triples there are;
     :func:`count_triples` gives their number without listing them.
     """
-    if f_cap < 1:
-        raise ValueError("f_cap must be a positive integer")
+    _check_f_cap(f_cap)
     return _triples(g, f_cap)
 
 
+def _check_f_cap(f_cap: object) -> None:
+    if not isinstance(f_cap, int) or isinstance(f_cap, bool) or f_cap < 1:
+        raise ValueError("f_cap must be a positive integer")
+
+
 def _triples(g: Graph, f_cap: int) -> Iterator[CongruenceTriple]:
-    for h in enumerate_hereditary(g):
-        bar_edges = index_one_edges(g, h)
+    for h, bar_edges, bar_cycles in quotients(g):
         bit = {v: 1 << i for i, v in enumerate(bar_edges)}
         # the cycles inside W are the cycles inside bar whose vertex bits W holds
-        bar_cycles = [(c, sum(bit[v] for v in c.vertex_set)) for c in cycles_in(g, bar_edges)]
+        cycle_bits = [(c, sum(bit[v] for v in c.vertex_set)) for c in bar_cycles]
         for mask, w in enumerate(_subsets(list(bar_edges))):
-            cycles = [c for c, bits in bar_cycles if mask & bits == bits]
+            cycles = [c for c, bits in cycle_bits if mask & bits == bits]
             if not cycles:
-                yield _compile(g, CongruenceTriple(h, w, ()))
+                yield _compile(g, CongruenceTriple(h, w, ()), bar_edges)
                 continue
             ranked = sorted(enumerate(cycles), key=lambda ic: ic[1].path.edges)
             for combo in _odometer(len(cycles), f_cap):
                 f = tuple((c, combo[i]) for i, c in ranked)
-                yield _compile(g, CongruenceTriple(h, w, f))
+                yield _compile(g, CongruenceTriple(h, w, f), bar_edges)
 
 
 def _subsets(vs: list[str]) -> Iterator[frozenset[str]]:
@@ -479,12 +488,9 @@ def count_triples(g: Graph, f_cap: int = 4) -> tuple[int, bool]:
     it out, so c gives 2^|c| + f_cap choices and each vertex of B on no
     cycle gives 2. The family is infinite exactly when some c exists.
     """
-    if f_cap < 1:
-        raise ValueError("f_cap must be a positive integer")
+    _check_f_cap(f_cap)
     count, infinite = 0, False
-    for h in enumerate_hereditary(g):
-        bar_edges = index_one_edges(g, h)
-        cycles = cycles_in(g, bar_edges)
+    for _, bar_edges, cycles in quotients(g):
         n = 1 << (len(bar_edges) - sum(len(c) for c in cycles))
         for c in cycles:
             n *= (1 << len(c)) + f_cap

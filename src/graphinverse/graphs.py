@@ -3,7 +3,8 @@ congruence classification: hereditary vertex sets H, the index-one
 vertices of G∖H with their one edge, and the cycles those edges close.
 
 G∖H (delete H and every edge ranging into it) is never built as a
-graph: :func:`index_one_edges` and :func:`cycles_in` read it off G.
+graph: :func:`index_one_edges` and :func:`cycles_in` read it off G, and
+:func:`quotients` yields each H with both.
 
 Graphs are immutable after construction and iterate in insertion order,
 so every enumeration in this package is reproducible.
@@ -278,8 +279,9 @@ def is_hereditary(g: Graph, h: Iterable[str]) -> bool:
     return all(e.dst in hs for v in hs for e in g.out_edges(v))
 
 
-def enumerate_hereditary(g: Graph) -> list[frozenset[str]]:
-    """All hereditary subsets, in subset-bitmask order over the vertex tuple.
+def quotients(g: Graph) -> Iterator[tuple[frozenset[str], dict[str, Edge], list[Cycle]]]:
+    """Each hereditary set H with :func:`index_one_edges` and :func:`cycles_in`
+    of G∖H, one H at a time, in subset-bitmask order over the vertex tuple.
 
     The sets are the forward-closed sets of the condensation, listed
     without a scan over all vertex subsets. Vertices are decided from the
@@ -290,7 +292,6 @@ def enumerate_hereditary(g: Graph) -> list[frozenset[str]]:
     """
     reach, coreach = _reach_masks(g)
     everything = (1 << len(g.vertices)) - 1
-    out = []
     todo = [(0, 0)]  # (ruled in, ruled out)
     while todo:
         ruled_in, ruled_out = todo.pop()
@@ -298,12 +299,13 @@ def enumerate_hereditary(g: Graph) -> list[frozenset[str]]:
         if not free:
             # byte i is 1 exactly when vertex i is ruled in
             bits = bin(ruled_in)[:1:-1].encode().translate(_BIT_BYTES)
-            out.append(frozenset(compress(g.vertices, bits)))
+            h = frozenset(compress(g.vertices, bits))
+            bar_edges = index_one_edges(g, h)
+            yield h, bar_edges, cycles_in(g, bar_edges)
             continue
         v = free.bit_length() - 1
         todo.append((ruled_in | reach[v], ruled_out))
         todo.append((ruled_in, ruled_out | coreach[v]))  # pushed last, explored first
-    return out
 
 
 def index_one_edges(g: Graph, h: Iterable[str] = ()) -> dict[str, Edge]:

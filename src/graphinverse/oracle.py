@@ -31,7 +31,6 @@ from .graphs import (
     _path,
     _rotate,
     concat,
-    index_one_edges,
     topological_order,
     vertex_path,
 )
@@ -312,11 +311,13 @@ class TransitionOracle:
 
     def __init__(self, g: Graph, t: CongruenceTriple, len_bound: int):
         t = t.over(g)
+        if len_bound < 0:
+            raise ValueError(f"length bound {len_bound} is negative")
         self.graph = g
         self.len_bound = len_bound
         self._h = t.h
         self._turns = [  # the W-edges e of the pairs (e e*, s(e))
-            _path((v, e.dst), (e.id,)) for v, e in index_one_edges(g, t.h).items() if v in t.w
+            _path((v, e.dst), (e.id,)) for v, e in t.bar_edges.items() if v in t.w
         ]
         # for each cycle vertex x that a site can use, on the cycle P of a pair
         # (P, s): the length of P's cycle, x's distance from s along it, and P

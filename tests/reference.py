@@ -27,8 +27,8 @@ from graphinverse.graphs import (
     concat,
     cycle_power,
     cycles_in,
-    enumerate_hereditary,
     is_hereditary,
+    quotients,
 )
 from graphinverse.oracle import (
     ExplicitCongruence,
@@ -164,13 +164,18 @@ def index_one_vertices(g: Graph) -> frozenset[str]:
     return frozenset(v for v in g.vertices if len(g.out_edges(v)) == 1)
 
 
+def hereditary_sets(g: Graph) -> list[frozenset[str]]:
+    """The hereditary sets of g, read off graphs.quotients in its order."""
+    return [h for h, _, _ in quotients(g)]
+
+
 def rees_only_condition(g: Graph) -> bool:
     """True iff every quotient by a hereditary set has no index-one vertex.
 
     Equivalently, every congruence of the associated semigroup is a Rees
     congruence (induced by an ideal).
     """
-    return all(not index_one_vertices(quotient(g, h)) for h in enumerate_hereditary(g))
+    return all(not index_one_vertices(quotient(g, h)) for h in hereditary_sets(g))
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,6 @@ from graphinverse.graphs import (
     Cycle,
     concat,
     cycles_in,
-    enumerate_hereditary,
     index_one_edges,
     is_congruence_free_graph,
     is_strongly_connected,
@@ -52,6 +51,7 @@ from graphinverse.oracle import (
 from reference import (
     based_at,
     exits_of,
+    hereditary_sets,
     index_one_vertices,
     quotient,
     reduce_mod_h,
@@ -89,7 +89,7 @@ def test_criterion_1_bijection_on_small_acyclic_graphs():
             triples = tuple(enumerate_triples(g))
             expected = sum(
                 2 ** len(index_one_vertices(quotient(g, h)))
-                for h in enumerate_hereditary(g)
+                for h in hereditary_sets(g)
             )
             assert len(congruences) == len(triples) == expected
             for rho in congruences:
@@ -277,7 +277,7 @@ def test_criterion_7_graph_predicates_match_brute_force():
         for g in graphs:
             if not g.vertices:
                 continue
-            hereditary = enumerate_hereditary(g)
+            hereditary = hereditary_sets(g)
             zero_simple = hereditary == [frozenset(), frozenset(g.vertices)]
             assert is_strongly_connected(g) == zero_simple
             from graphinverse.graphs import is_acyclic

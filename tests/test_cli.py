@@ -34,7 +34,7 @@ from graphinverse.corpus import (
 )
 from graphinverse.elements import format_element
 from graphinverse.oracle import bounded_elements
-from reference import rees_only_condition
+from reference import hereditary_sets, rees_only_condition
 from test_congruences import loop_triple
 from test_graphs import path_graph, ring
 from test_scripts import run_into_closed_pipe
@@ -220,14 +220,14 @@ congruence-free: yes
     @pytest.fixture
     def scans(self, monkeypatch):
         calls = []
-        original = graphs.enumerate_hereditary
+        original = graphs.quotients
 
         def counted(g):
             calls.append(g)
             return original(g)
 
-        monkeypatch.setattr(graphs, "enumerate_hereditary", counted)
-        monkeypatch.setattr(cli, "enumerate_hereditary", counted)
+        monkeypatch.setattr(graphs, "quotients", counted)
+        monkeypatch.setattr(cli, "quotients", counted)
         return calls
 
     @pytest.mark.parametrize("make", [pendant_cycle, double_loop])
@@ -585,7 +585,7 @@ class TestJsonOutput:
     def test_report(self, capsys, tmp_path, corpus_graph):
         g = corpus_graph
         _, graph, _ = self.files(tmp_path, g)
-        hereditary = graphs.enumerate_hereditary(g)
+        hereditary = hereditary_sets(g)
         per_h = [(h, graphs.index_one_edges(g, h)) for h in hereditary]
         assert self.one_line(capsys, ["report", graph]) == {
             **graph_to_json(g),

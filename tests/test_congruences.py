@@ -129,6 +129,11 @@ class TestValidation:
         with rejected("cycle-function domain [] differs from the cycles inside W [['e']]"):
             make_triple(loop, w={"v"})
 
+    def test_key_that_is_not_a_cycle_named(self, loop):
+        for f, key in (({"x": 2}, "'x'"), ([("x", 2)], "'x'"), ({None: 2}, "None")):
+            with rejected(f"cycle-function key {key} is not a Cycle"):
+                make_triple(loop, w={"v"}, f=f)
+
     def test_make_triple_rejects_bad(self, edge):
         with pytest.raises(TripleFormatError):
             make_triple(edge, w={"w"})
@@ -409,10 +414,14 @@ class TestVertexClassMembers:
             vertex_class_members(edge, t, "w", 2)
 
     def test_rejects_negative_length_bound(self, loop):
-        # a negative bound once read as 0: all_paths(loop, -1) == [@v]
+        # a negative bound once read as 0: all_paths(loop, -1) == [@v]; an
+        # oracle took it, and with no finite f-value built one no search reaches
         t = loop_triple(loop, 2)
         for bounded in (lambda: all_paths(loop, -1), lambda: bounded_elements(loop, -1),
-                        lambda: vertex_class_members(loop, t, "v", -1)):
+                        lambda: vertex_class_members(loop, t, "v", -1),
+                        lambda: TransitionOracle(loop, t, -1),
+                        lambda: TransitionOracle(loop, loop_triple(loop, INF), -1),
+                        lambda: TransitionOracle(loop, make_triple(loop), -1)):
             with pytest.raises(ValueError, match="^length bound -1 is negative$"):
                 bounded()
         assert vertex_class_members(loop, t, "v", 0) == [vertex_element("v")]
@@ -497,13 +506,12 @@ class TestEnumeration:
         assert a == b
 
     def test_acyclic_count_formula(self, acyclic_graph):
-        from graphinverse.graphs import enumerate_hereditary
-        from reference import index_one_vertices, quotient
+        from reference import hereditary_sets, index_one_vertices, quotient
 
         g = acyclic_graph
         expected = sum(
             2 ** len(index_one_vertices(quotient(g, h)))
-            for h in enumerate_hereditary(g)
+            for h in hereditary_sets(g)
         )
         assert len(tuple(enumerate_triples(g))) == expected
 
@@ -552,6 +560,27 @@ class TestEnumerationAgainstReference:
         for call in (enumerate_triples, count_triples):
             with pytest.raises(ValueError, match="^f_cap must be a positive integer$"):
                 call(loop, 0)
+
+    def test_non_integer_cap_raises_at_the_call(self, loop):
+        # a cap the odometer never meets would list the loop's values forever
+        for cap in (2.5, 3.0, True, "3", None):
+            for call in (enumerate_triples, count_triples):
+                with pytest.raises(ValueError, match="^f_cap must be a positive integer$"):
+                    call(loop, cap)
+
+    def test_hereditary_sets_held_one_at_a_time(self):
+        """An edgeless 14-vertex graph has 2^14 hereditary sets and one
+        triple over each; counting and listing them hold one set at a time."""
+        g = Graph.of([f"v{i}" for i in range(14)], [])
+        for run in (lambda: count_triples(g, 4), lambda: sum(1 for _ in enumerate_triples(g))):
+            tracemalloc.start()
+            try:
+                result = run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert result in ((1 << 14, False), 1 << 14)
+            assert peak < 1 << 20, peak  # a list of the sets alone takes over 10 MB
 
     def test_listing_memory_stays_flat(self):
         """Draining the listing holds one triple at a time: the peak of

@@ -20,7 +20,6 @@ from graphinverse.graphs import (
     concat,
     cycle_power,
     cycles_in,
-    enumerate_hereditary,
     graph_from_json,
     graph_to_dot,
     graph_to_json,
@@ -30,6 +29,7 @@ from graphinverse.graphs import (
     is_hereditary,
     is_strongly_connected,
     make_path,
+    quotients,
     topological_order,
     vertex_path,
 )
@@ -47,6 +47,7 @@ from graphinverse.oracle import all_paths
 from reference import (
     exits_of,
     hereditary_closure,
+    hereditary_sets,
     index_one_vertices,
     is_no_exit,
     quotient,
@@ -162,12 +163,12 @@ class TestHereditary:
         assert closed <= hereditary_closure(g, seed | bigger)
 
     def test_enumeration_examples(self, edge, two_cycle):
-        assert enumerate_hereditary(single_vertex()) == [frozenset(), {"v"}]
-        assert enumerate_hereditary(edge) == [frozenset(), {"w"}, {"v", "w"}]
-        assert enumerate_hereditary(two_cycle) == [frozenset(), {"v", "w"}]
+        assert hereditary_sets(single_vertex()) == [frozenset(), {"v"}]
+        assert hereditary_sets(edge) == [frozenset(), {"w"}, {"v", "w"}]
+        assert hereditary_sets(two_cycle) == [frozenset(), {"v", "w"}]
 
     def test_enumeration_is_a_lattice(self, corpus_graph):
-        family = set(enumerate_hereditary(corpus_graph))
+        family = set(hereditary_sets(corpus_graph))
         for a in family:
             for b in family:
                 assert a | b in family
@@ -180,7 +181,7 @@ class TestHereditary:
             for mask in range(1 << len(g.vertices))
         ]
         closures = {hereditary_closure(g, seed) for seed in seeds}
-        assert set(enumerate_hereditary(g)) == closures
+        assert set(hereditary_sets(g)) == closures
 
 
 class TestQuotient:
@@ -200,7 +201,7 @@ class TestQuotient:
             quotient(edge, {"v"})
 
     def test_quotients_compose(self, corpus_graph):
-        hs = enumerate_hereditary(corpus_graph)
+        hs = hereditary_sets(corpus_graph)
         for h1 in hs:
             for h2 in hs:
                 if h1 <= h2:
@@ -321,12 +322,13 @@ def shuffled_functional_graph(rng: random.Random, n: int, second: float = 0.2) -
 
 
 class TestEnumerationAgainstReference:
-    """enumerate_hereditary and is_strongly_connected against the subset
-    scan and the reachability searches they replaced, order included."""
+    """The hereditary sets of quotients, and is_strongly_connected, against
+    the subset scan and the reachability searches they replaced, order
+    included."""
 
     @staticmethod
     def check(g: Graph) -> None:
-        assert enumerate_hereditary(g) == subset_scan_hereditary(g)
+        assert hereditary_sets(g) == subset_scan_hereditary(g)
         assert is_strongly_connected(g) == strongly_connected_by_search(g)
         reach, coreach = _reach_masks(g)
         for i, v in enumerate(g.vertices):
@@ -348,7 +350,7 @@ class TestEnumerationAgainstReference:
 
     def test_empty_graph(self):
         self.check(Graph.of([], []))
-        assert enumerate_hereditary(Graph.of([], [])) == [frozenset()]
+        assert hereditary_sets(Graph.of([], [])) == [frozenset()]
 
 
 class TestEnumerationScale:
@@ -357,7 +359,7 @@ class TestEnumerationScale:
 
     def test_long_path(self):
         g = path_graph(3000)
-        family = enumerate_hereditary(g)
+        family = hereditary_sets(g)
         # one hereditary set of each size, the suffix of the path, smallest first
         assert [len(h) for h in family] == list(range(3001))
         for k in (1, 2, 1500, 3000):
@@ -366,11 +368,11 @@ class TestEnumerationScale:
 
     def test_long_ring(self):
         g = ring(random.Random(3000), 3000)
-        assert enumerate_hereditary(g) == [frozenset(), frozenset(g.vertices)]
+        assert hereditary_sets(g) == [frozenset(), frozenset(g.vertices)]
         assert is_strongly_connected(g)
 
     def test_sixty_vertex_path(self):
-        assert len(enumerate_hereditary(path_graph(60))) == 61
+        assert len(hereditary_sets(path_graph(60))) == 61
 
 
 def ring(rng: random.Random, n: int) -> Graph:
@@ -382,7 +384,7 @@ def ring(rng: random.Random, n: int) -> Graph:
 class TestCycleLayerAgainstReference:
     def test_cycles_in_every_h_and_w(self, corpus_graph):
         g = corpus_graph
-        for h in enumerate_hereditary(g):
+        for h in hereditary_sets(g):
             q = quotient(g, h)
             bar = index_one_edges(g, h)
             for w in subsets(bar):
@@ -445,7 +447,7 @@ class TestPredicates:
 
     def test_strongly_connected_iff_trivial_hereditary(self, corpus_graph):
         g = corpus_graph
-        trivial = enumerate_hereditary(g) == [frozenset(), frozenset(g.vertices)]
+        trivial = hereditary_sets(g) == [frozenset(), frozenset(g.vertices)]
         assert is_strongly_connected(g) == trivial
 
     def test_rees_only(self, edge, loop):
@@ -610,6 +612,25 @@ class TestSerialization:
         assert unquoted == [[v] for v in ids] + [[e.src, e.dst, e.id] for e in g.edges]
 
 
+class TestQuotients:
+    """Each entry of quotients(g) is its H with what index_one_edges and
+    cycles_in give on that H, in the same order."""
+
+    @staticmethod
+    def check(g: Graph) -> None:
+        for h, bar_edges, cycles in quotients(g):
+            expected = index_one_edges(g, h)
+            assert list(bar_edges.items()) == list(expected.items())
+            assert cycles == cycles_in(g, expected)
+
+    def test_corpus(self, corpus_graph):
+        self.check(corpus_graph)
+
+    def test_seeded_multigraphs_with_loops_and_parallel_edges(self):
+        for g in seeded_multigraphs(4242, 300, max_vertices=6):
+            self.check(g)
+
+
 class TestIndexOneEdgesAgainstReference:
     """index_one_edges(g, h) against the quotient graph G∖H it replaced:
     the same index-one vertices in graph order, each mapped to its only
@@ -617,7 +638,7 @@ class TestIndexOneEdgesAgainstReference:
 
     @staticmethod
     def check(g: Graph) -> None:
-        for h in enumerate_hereditary(g):
+        for h in hereditary_sets(g):
             q = quotient(g, h)
             w_edges = index_one_edges(g, h)
             assert tuple(w_edges) == g.sort_vertices(index_one_vertices(q))
