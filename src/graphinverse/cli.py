@@ -112,13 +112,14 @@ def cmd_equiv(args: argparse.Namespace) -> int:
     lines = ["true" if verdict else "false"]
     code = 0
     if args.certify:
-        from .oracle import TransitionOracle
+        chain = None
+        if verdict:  # a rewrite chain keeps to one class, so none joins an unrelated pair
+            from .oracle import TransitionOracle
 
-        result = TransitionOracle(g, t, args.len_bound).search(x, y, args.steps)
-        if result.reached and result.chain is not None:
-            chain = [format_element(z) for z in result.chain]
-            payload["certificate"] = chain
-            lines.append("certificate: " + " -> ".join(chain))
+            chain = TransitionOracle(g, t, args.len_bound).search(x, y, args.steps).chain
+        if chain is not None:
+            payload["certificate"] = [format_element(z) for z in chain]
+            lines.append("certificate: " + " -> ".join(payload["certificate"]))
         else:
             payload["certificate"] = None
             lines.append(

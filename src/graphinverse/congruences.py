@@ -30,6 +30,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import count, repeat
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
 from .elements import (
@@ -124,12 +125,18 @@ def make_triple(
     g: Graph,
     h: Iterable[str] = (),
     w: Iterable[str] = (),
-    f: Mapping[Cycle, FValue] | Iterable[tuple[Cycle, FValue]] = (),
+    f: Mapping[Cycle, FValue] = MappingProxyType({}),
 ) -> CongruenceTriple:
-    """Build and validate a triple over g, compiled for use with g. A bad
-    H, like a key of f that is not a Cycle, is named alone; else every
-    problem with W, then with f, is named in one TripleFormatError."""
-    pairs = list(f.items() if isinstance(f, Mapping) else f)
+    """Build and validate a triple over g, compiled for use with g; f maps
+    each cycle inside W to its value. A str for H or W, an f that is not a
+    mapping, a bad H or a key of f that is not a Cycle is named alone; else
+    every problem with W, then with f, is named in one TripleFormatError."""
+    for name, vs in (("H", h), ("W", w)):
+        if isinstance(vs, str):
+            raise TripleFormatError(f"{name} must be a set of vertex ids, not the str {vs!r}")
+    if not isinstance(f, Mapping):
+        raise TripleFormatError(f"cycle function must be a mapping, not {type(f).__name__}")
+    pairs = list(f.items())
     for c, _ in pairs:
         if not isinstance(c, Cycle):
             raise TripleFormatError(f"cycle-function key {c!r} is not a Cycle")

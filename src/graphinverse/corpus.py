@@ -1,4 +1,4 @@
-"""Small example graphs used across the test suite and the scripts.
+"""``CORPUS``, the one table of small named graphs the tests and scripts use.
 
 The cyclic ones exercise the lap-power machinery; the acyclic ones can be
 materialized and brute-forced. ``all_acyclic_graphs`` exhaustively
@@ -12,88 +12,28 @@ from itertools import combinations_with_replacement
 
 from .graphs import Graph, is_acyclic
 
-
-def single_vertex() -> Graph:
-    return Graph.of(["v"], [])
-
-
-def edge_graph() -> Graph:
-    return Graph.of(["v", "w"], [("e", "v", "w")])
-
-
-def two_edge_path() -> Graph:
-    return Graph.of(["u", "v", "w"], [("e1", "u", "v"), ("e2", "v", "w")])
-
-
-def fork() -> Graph:
-    return Graph.of(["u", "v", "w"], [("e1", "u", "v"), ("e2", "u", "w")])
-
-
-def parallel_pair() -> Graph:
-    return Graph.of(["v", "w"], [("e1", "v", "w"), ("e2", "v", "w")])
-
-
-def loop_graph() -> Graph:
-    return Graph.of(["v"], [("e", "v", "v")])
-
-
-def double_loop() -> Graph:
-    return Graph.of(["v"], [("a", "v", "v"), ("b", "v", "v")])
-
-
-def two_cycle() -> Graph:
-    return Graph.of(["v", "w"], [("e1", "v", "w"), ("e2", "w", "v")])
-
-
-def cycle_with_exit() -> Graph:
-    """A 2-cycle with an extra edge escaping it, so the cycle has an exit."""
-    return Graph.of(
-        ["v", "w", "u"],
-        [("e1", "v", "w"), ("e2", "w", "v"), ("e3", "w", "u")],
-    )
-
-
-def pendant_cycle() -> Graph:
-    """A tail edge feeding a 2-cycle; every vertex has index one."""
-    return Graph.of(
-        ["u", "v", "w"],
-        [("e0", "u", "v"), ("e1", "v", "w"), ("e2", "w", "v")],
-    )
-
-
-def parallel_two_cycle() -> Graph:
-    """Two parallel edges each way; no quotient has an index-one vertex."""
-    return Graph.of(
-        ["v", "w"],
-        [("a1", "v", "w"), ("a2", "v", "w"), ("b1", "w", "v"), ("b2", "w", "v")],
-    )
-
-
-def two_loops() -> Graph:
-    """Two disjoint self-loops fed by a fork, so C(W) can hold two cycles."""
-    return Graph.of(
-        ["u", "v", "w"],
-        [("a", "u", "v"), ("b", "u", "w"), ("lv", "v", "v"), ("lw", "w", "w")],
-    )
-
-
 CORPUS: dict[str, Graph] = {
-    "single_vertex": single_vertex(),
-    "edge": edge_graph(),
-    "two_edge_path": two_edge_path(),
-    "fork": fork(),
-    "parallel_pair": parallel_pair(),
-    "loop": loop_graph(),
-    "double_loop": double_loop(),
-    "two_cycle": two_cycle(),
-    "cycle_with_exit": cycle_with_exit(),
-    "pendant_cycle": pendant_cycle(),
-    "parallel_two_cycle": parallel_two_cycle(),
-    "two_loops": two_loops(),
+    "single_vertex": Graph.of(["v"], []),
+    "edge": Graph.of(["v", "w"], [("e", "v", "w")]),
+    "two_edge_path": Graph.of(["u", "v", "w"], [("e1", "u", "v"), ("e2", "v", "w")]),
+    "fork": Graph.of(["u", "v", "w"], [("e1", "u", "v"), ("e2", "u", "w")]),
+    "parallel_pair": Graph.of(["v", "w"], [("e1", "v", "w"), ("e2", "v", "w")]),
+    "loop": Graph.of(["v"], [("e", "v", "v")]),
+    "double_loop": Graph.of(["v"], [("a", "v", "v"), ("b", "v", "v")]),
+    "two_cycle": Graph.of(["v", "w"], [("e1", "v", "w"), ("e2", "w", "v")]),
+    # a 2-cycle with an extra edge escaping it, so the cycle has an exit
+    "cycle_with_exit": Graph.of(
+        ["v", "w", "u"], [("e1", "v", "w"), ("e2", "w", "v"), ("e3", "w", "u")]),
+    # a tail edge feeding a 2-cycle; every vertex has index one
+    "pendant_cycle": Graph.of(
+        ["u", "v", "w"], [("e0", "u", "v"), ("e1", "v", "w"), ("e2", "w", "v")]),
+    # two parallel edges each way; no quotient has an index-one vertex
+    "parallel_two_cycle": Graph.of(
+        ["v", "w"], [("a1", "v", "w"), ("a2", "v", "w"), ("b1", "w", "v"), ("b2", "w", "v")]),
+    # two disjoint self-loops fed by a fork, so C(W) can hold two cycles
+    "two_loops": Graph.of(
+        ["u", "v", "w"], [("a", "u", "v"), ("b", "u", "w"), ("lv", "v", "v"), ("lw", "w", "w")]),
 }
-
-CYCLIC_CORPUS = {name: g for name, g in CORPUS.items() if not is_acyclic(g)}
-ACYCLIC_CORPUS = {name: g for name, g in CORPUS.items() if is_acyclic(g)}
 
 
 def all_acyclic_graphs(max_vertices: int = 3, max_edges: int = 3) -> list[Graph]:

@@ -57,29 +57,36 @@ class Graph:
     edges: tuple[Edge, ...]
 
     def __post_init__(self) -> None:
-        seen_v: set[str] = set()
-        for v in self.vertices:
+        vpos: dict[str, int] = {}
+        for i, v in enumerate(self.vertices):
             _check_id("vertex", v)
-            if v in seen_v:
+            if vpos.setdefault(v, i) != i:
                 raise GraphFormatError(f"duplicate vertex id {v!r}")
-            seen_v.add(v)
         edge_map: dict[str, Edge] = {}
         out: dict[str, list[Edge]] = {v: [] for v in self.vertices}
         for e in self.edges:
             _check_id("edge", e.id)
             if e.id in edge_map:
                 raise GraphFormatError(f"duplicate edge id {e.id!r}")
-            if e.src not in seen_v or e.dst not in seen_v:
+            if e.src not in vpos or e.dst not in vpos:
                 raise GraphFormatError(f"edge {e.id!r} has undeclared endpoint")
             edge_map[e.id] = e
             out[e.src].append(e)
         object.__setattr__(self, "_edge_map", edge_map)
         object.__setattr__(self, "_out", {v: tuple(es) for v, es in out.items()})
-        object.__setattr__(self, "_vpos", {v: i for i, v in enumerate(self.vertices)})
+        object.__setattr__(self, "_vpos", vpos)
 
     @classmethod
     def of(cls, vertices: Iterable[str], edges: Iterable[tuple[str, str, str]]) -> Graph:
-        return cls(tuple(vertices), tuple(Edge(*e) for e in edges))
+        if isinstance(vertices, str):
+            raise GraphFormatError(f"vertices must be a sequence of ids, not the str {vertices!r}")
+        out = []
+        for e in edges:
+            try:
+                out.append(Edge(*e))
+            except TypeError:
+                raise GraphFormatError(f"edge {e!r} is not an (id, src, dst) triple") from None
+        return cls(tuple(vertices), tuple(out))
 
     def has_vertex(self, v: str) -> bool:
         return v in self._vpos  # type: ignore[attr-defined]
@@ -171,6 +178,8 @@ def make_path(g: Graph, edge_ids: Iterable[str], source: str | None = None) -> P
     With no edges a source vertex is required and the result is the
     length-0 path there.
     """
+    if isinstance(edge_ids, str):
+        raise GraphFormatError(f"edge ids must be a sequence of ids, not the str {edge_ids!r}")
     ids = tuple(edge_ids)
     if not ids:
         if source is None:

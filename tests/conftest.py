@@ -2,39 +2,40 @@ from __future__ import annotations
 
 import pytest
 
-from graphinverse import corpus
+from graphinverse.corpus import CORPUS
+from reference import ACYCLIC_CORPUS
 
 
 @pytest.fixture
 def loop():
-    return corpus.loop_graph()
+    return CORPUS["loop"]
 
 
 @pytest.fixture
 def edge():
-    return corpus.edge_graph()
+    return CORPUS["edge"]
 
 
 @pytest.fixture
 def two_cycle():
-    return corpus.two_cycle()
+    return CORPUS["two_cycle"]
 
 
 @pytest.fixture
 def pendant():
-    return corpus.pendant_cycle()
+    return CORPUS["pendant_cycle"]
 
 
 @pytest.fixture
 def double_loop():
-    return corpus.double_loop()
+    return CORPUS["double_loop"]
 
 
-@pytest.fixture(params=sorted(corpus.CORPUS))
+@pytest.fixture(params=sorted(CORPUS))
 def corpus_graph(request):
-    return corpus.CORPUS[request.param]
+    return CORPUS[request.param]
 
 
-@pytest.fixture(params=sorted(corpus.ACYCLIC_CORPUS))
+@pytest.fixture(params=sorted(ACYCLIC_CORPUS))
 def acyclic_graph(request):
-    return corpus.ACYCLIC_CORPUS[request.param]
+    return ACYCLIC_CORPUS[request.param]

@@ -16,6 +16,7 @@ from graphinverse.congruences import (
     make_triple,
     triple_generators,
 )
+from graphinverse.corpus import CORPUS
 from graphinverse.elements import ZERO, Element, _element, multiply, path_element
 from graphinverse.graphs import (
     Cycle,
@@ -27,6 +28,7 @@ from graphinverse.graphs import (
     concat,
     cycle_power,
     cycles_in,
+    is_acyclic,
     is_hereditary,
     quotients,
 )
@@ -42,6 +44,9 @@ from graphinverse.oracle import (
 # ---------------------------------------------------------------------------
 # Graphs
 # ---------------------------------------------------------------------------
+
+CYCLIC_CORPUS = {name: g for name, g in CORPUS.items() if not is_acyclic(g)}
+ACYCLIC_CORPUS = {name: g for name, g in CORPUS.items() if is_acyclic(g)}
 
 
 def is_prefix(p: Path, q: Path) -> bool:
@@ -241,7 +246,7 @@ def per_triple_enumeration(
             cycles = cycles_in(q, {v: q.out_edges(v)[0] for v in w})
             unbounded = unbounded or bool(cycles)
             for combo in itertools.product(values, repeat=len(cycles)):
-                triples.append(make_triple(g, h, w, zip(cycles, combo)))
+                triples.append(make_triple(g, h, w, dict(zip(cycles, combo))))
     return tuple(triples), unbounded
 
 

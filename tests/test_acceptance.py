@@ -20,14 +20,7 @@ from graphinverse.congruences import (
     triple_generators,
     triple_leq,
 )
-from graphinverse.corpus import (
-    CORPUS,
-    CYCLIC_CORPUS,
-    all_acyclic_graphs,
-    edge_graph,
-    loop_graph,
-    single_vertex,
-)
+from graphinverse.corpus import CORPUS, all_acyclic_graphs
 from graphinverse.elements import Element, ZERO, multiply, path_element, vertex_element
 from graphinverse.graphs import (
     Cycle,
@@ -49,6 +42,7 @@ from graphinverse.oracle import (
     triple_of_congruence,
 )
 from reference import (
+    CYCLIC_CORPUS,
     based_at,
     exits_of,
     hereditary_sets,
@@ -109,15 +103,15 @@ def test_criterion_2_smallest_instances():
     with criterion(2, "edge graph has exactly 4 congruences, "
                       "single vertex exactly 2"):
         started = time.monotonic()
-        assert len(enumerate_congruences(materialize(edge_graph()))) == 4
-        assert len(enumerate_congruences(materialize(single_vertex()))) == 2
+        assert len(enumerate_congruences(materialize(CORPUS["edge"]))) == 4
+        assert len(enumerate_congruences(materialize(CORPUS["single_vertex"]))) == 2
         assert time.monotonic() - started < 1.0
 
 
 def test_criterion_3_loop_graph_oracle_agreement():
     with criterion(3, "loop graph: equiv agrees with the bounded transition "
                       "oracle for f in {1, 2, 3, inf}"):
-        g = loop_graph()
+        g = CORPUS["loop"]
         c = Cycle.from_path(make_path(g, ["e"]))
         pool = bounded_elements(g, 6)
         universe = bounded_elements(g, 12)

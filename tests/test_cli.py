@@ -24,14 +24,7 @@ from graphinverse.congruences import (
     normal_form,
     triple_to_json,
 )
-from graphinverse.corpus import (
-    CORPUS,
-    double_loop,
-    edge_graph,
-    loop_graph,
-    pendant_cycle,
-    two_cycle,
-)
+from graphinverse.corpus import CORPUS
 from graphinverse.elements import format_element
 from graphinverse.oracle import bounded_elements
 from reference import hereditary_sets, rees_only_condition
@@ -42,7 +35,7 @@ from test_scripts import run_into_closed_pipe
 
 @pytest.fixture
 def loop_files(tmp_path):
-    g = loop_graph()
+    g = CORPUS["loop"]
     graph = tmp_path / "loop.json"
     graph.write_text(json.dumps(graph_to_json(g)))
     triple = tmp_path / "triple.json"
@@ -52,7 +45,7 @@ def loop_files(tmp_path):
 
 @pytest.fixture
 def edge_files(tmp_path):
-    g = edge_graph()
+    g = CORPUS["edge"]
     graph = tmp_path / "edge.json"
     graph.write_text(json.dumps(graph_to_json(g)))
     triple = tmp_path / "triple.json"
@@ -82,7 +75,7 @@ class TestReport:
 
     def test_double_loop_is_congruence_free(self, capsys, tmp_path):
         path = tmp_path / "g.json"
-        path.write_text(json.dumps(graph_to_json(double_loop())))
+        path.write_text(json.dumps(graph_to_json(CORPUS["double_loop"])))
         code, out, _ = run(capsys, ["report", str(path)])
         assert code == 0
         assert "congruence-free: yes" in out
@@ -230,13 +223,13 @@ congruence-free: yes
         monkeypatch.setattr(cli, "quotients", counted)
         return calls
 
-    @pytest.mark.parametrize("make", [pendant_cycle, double_loop])
-    def test_text_unchanged_with_one_scan(self, capsys, tmp_path, scans, make):
+    @pytest.mark.parametrize("name", ["pendant_cycle", "double_loop"])
+    def test_text_unchanged_with_one_scan(self, capsys, tmp_path, scans, name):
         path = tmp_path / "g.json"
-        path.write_text(json.dumps(graph_to_json(make())))
+        path.write_text(json.dumps(graph_to_json(CORPUS[name])))
         code, out, _ = run(capsys, ["report", str(path)])
         assert code == 0 and len(scans) == 1
-        assert out == self.EXPECTED[make.__name__]
+        assert out == self.EXPECTED[name]
 
     @pytest.mark.parametrize("name", sorted(CORPUS))
     def test_rees_only_matches_predicate(self, capsys, tmp_path, scans, name):
@@ -334,7 +327,7 @@ class TestEquiv:
             raise AssertionError("the universe was listed")
 
         monkeypatch.setattr(oracle, "bounded_elements", refuse)
-        g = double_loop()
+        g = CORPUS["double_loop"]
         graph, triple = tmp_path / "double_loop.json", tmp_path / "t.json"
         graph.write_text(json.dumps(graph_to_json(g)))
         triple.write_text(json.dumps(triple_to_json(g, make_triple(g))))
@@ -343,7 +336,7 @@ class TestEquiv:
         assert out.splitlines() == ["true", "certificate: a|a"]
 
     def test_certificate_through_zero(self, capsys, tmp_path):
-        g = edge_graph()
+        g = CORPUS["edge"]
         graph, triple = tmp_path / "edge.json", tmp_path / "t.json"
         graph.write_text(json.dumps(graph_to_json(g)))
         triple.write_text(json.dumps(triple_to_json(g, make_triple(g, h={"w"}))))
@@ -361,6 +354,20 @@ class TestEquiv:
         assert code == 2
         assert out.splitlines()[0] == "true"
         assert "no certificate within bounds" in out
+
+    def test_unrelated_pair_searches_nothing(self, capsys, loop_files, monkeypatch):
+        """Rewrites keep to one class, so no search can certify a pair
+        that equiv calls unrelated; none is built, at any bound."""
+
+        def refuse(*args):
+            raise AssertionError("a rewrite search was built")
+
+        monkeypatch.setattr(oracle, "TransitionOracle", refuse)
+        graph, triple = loop_files
+        code, out, err = run(capsys, ["equiv", graph, triple, "e|@v", "@v|@v", "--certify",
+                                      "--len-bound", "200"])
+        assert (code, err) == (0, "")
+        assert out.splitlines() == ["false", "no certificate within bounds (len 200, steps 100000)"]
 
     @pytest.mark.parametrize("files, x", [("loop_files", "e|@v"), ("edge_files", "e|@w")])
     def test_huge_len_bound_builds_at_once(self, request, files, x):
@@ -404,7 +411,7 @@ class TestNormalForm:
         assert code == 0 and out.strip() == "e|@v"
 
     def test_identity_triple_echoes(self, capsys, tmp_path):
-        g = loop_graph()
+        g = CORPUS["loop"]
         graph = tmp_path / "g.json"
         graph.write_text(json.dumps(graph_to_json(g)))
         triple = tmp_path / "t.json"
@@ -418,7 +425,7 @@ class TestNormalForm:
     ], ids=["literal", "cycle"])
     def test_unknown_edge_id_unquoted(self, capsys, tmp_path, cycle, literal, message):
         graph, triple = tmp_path / "g.json", tmp_path / "t.json"
-        graph.write_text(json.dumps(graph_to_json(loop_graph())))
+        graph.write_text(json.dumps(graph_to_json(CORPUS["loop"])))
         triple.write_text(json.dumps({"H": [], "W": ["v"], "f": [{"cycle": cycle, "value": 2}]}))
         code, out, err = run(capsys, ["nf", str(graph), str(triple), literal])
         assert (code, out, err.splitlines()) == (1, "", [message])
@@ -457,17 +464,15 @@ class TestEnumerate:
         assert err == "error: semigroup has 6 elements, above the bound 5\n"
 
     def test_single_vertex(self, capsys, tmp_path):
-        from graphinverse.corpus import single_vertex
-
         path = tmp_path / "g.json"
-        path.write_text(json.dumps(graph_to_json(single_vertex())))
+        path.write_text(json.dumps(graph_to_json(CORPUS["single_vertex"])))
         code, out, _ = run(capsys, ["enumerate", str(path)])
         assert code == 0 and "2 triples" in out
 
 
 class TestTriples:
     def test_machine_listing_parses_back(self, capsys, tmp_path):
-        g = two_cycle()
+        g = CORPUS["two_cycle"]
         path = tmp_path / "g.json"
         path.write_text(json.dumps(graph_to_json(g)))
         code, out, _ = run(capsys, ["triples", str(path), "--f-cap", "2", "--format", "json"])
@@ -785,15 +790,15 @@ class TestHugeCycleValue:
     """A finite f-value far past any length bound, on the loop with
     W = {v}. The normal form of @v|e is e^(f-1)|@v, which cannot be
     built: at f = 10^30 its length overflows an index, and at f = 10^9
-    it runs out of memory; either ends in one error line. --certify
-    builds only a power of e cut to about 2 * len_bound edges, so it
-    answers. The f = 10^9 cases run in a child under a 1 GB address-space
+    it runs out of memory; either ends in one error line. --certify on
+    the related pair e|e, @v|@v builds only a power of e cut to about
+    2 * len_bound edges, so it answers. The f = 10^9 cases run in a child under a 1 GB address-space
     limit: without one, e^(f-1) takes the machine's memory."""
 
     @staticmethod
     def files(tmp_path, f):
         gpath, tpath = tmp_path / "g.json", tmp_path / "t.json"
-        gpath.write_text(json.dumps(graph_to_json(loop_graph())))
+        gpath.write_text(json.dumps(graph_to_json(CORPUS["loop"])))
         tpath.write_text(json.dumps({"H": [], "W": ["v"], "f": [{"cycle": ["e"], "value": f}]}))
         return [str(gpath), str(tpath)]
 
@@ -810,12 +815,18 @@ class TestHugeCycleValue:
                                       "--format", "json"])
         assert (code, err) == (0, "")
         assert json.loads(out) == {"equivalent": False, "certificate": None}
+        code, out, err = run(capsys, ["equiv", *files, "e|e", "@v|@v", "--certify",
+                                      "--format", "json"])
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {"equivalent": True, "certificate": ["e|e", "@v|@v"]}
 
     @pytest.mark.parametrize("command, expected", [
         (["nf", "@v|e"], (1, "", "error: out of memory\n")),
         (["equiv", "e|@v", "@v|@v", "--certify", "--format", "json"],
          (0, '{"equivalent": false, "certificate": null}\n', "")),
-    ], ids=["nf", "certify"])
+        (["equiv", "e|e", "@v|@v", "--certify", "--format", "json"],
+         (0, '{"equivalent": true, "certificate": ["e|e", "@v|@v"]}\n', "")),
+    ], ids=["nf", "certify", "certify_related"])
     def test_billion_laps_under_a_memory_limit(self, tmp_path, command, expected):
         def limit():
             resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
@@ -917,7 +928,7 @@ class TestNoGraphPerHereditarySet:
         g = CORPUS[name]
         triples = tuple(enumerate_triples(g, 2))
         for t in triples:
-            make_triple(g, t.h, t.w, t.f)
+            make_triple(g, t.h, t.w, dict(t.f))
         assert triples and built == []
 
     @pytest.mark.parametrize("name", sorted(CORPUS))
@@ -936,7 +947,7 @@ class TestFuzz:
     prints exactly one error line."""
 
     CASES = 240
-    GRAPHS = [loop_graph, edge_graph, two_cycle, pendant_cycle, double_loop]
+    GRAPHS = ["loop", "edge", "two_cycle", "pendant_cycle", "double_loop"]
     JUNK = [None, 0, -1, 2.5, True, "", "zz", "a.b", "@", "*", [], ["v"], {}, {"id": "e"},
             10**30, "inf", "INF", "2"]
     LITERAL_CHARS = ".|@*0evwu1 "
@@ -1010,7 +1021,7 @@ class TestFuzz:
         codes = Counter()
         graph_file, triple_file = tmp_path / "g.json", tmp_path / "t.json"
         for case in range(self.CASES):
-            g = rng.choice(self.GRAPHS)()
+            g = CORPUS[rng.choice(self.GRAPHS)]
             graph = graph_to_json(g)
             triple = triple_to_json(g, rng.choice(tuple(enumerate_triples(g, 2))))
             x, y = rng.sample([format_element(z) for z in bounded_elements(g, 2)], 2)

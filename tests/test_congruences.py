@@ -17,6 +17,8 @@ from graphinverse.graphs import (
     concat,
     cycle_power,
     cycles_in,
+    graph_from_json,
+    graph_to_json,
     make_path,
     vertex_path,
 )
@@ -47,8 +49,7 @@ from graphinverse.congruences import (
     triple_to_json,
     vertex_class_members,
 )
-from graphinverse import corpus
-from graphinverse.corpus import CORPUS, CYCLIC_CORPUS
+from graphinverse.corpus import CORPUS, all_acyclic_graphs
 from graphinverse.oracle import (
     TransitionOracle,
     all_paths,
@@ -57,6 +58,7 @@ from graphinverse.oracle import (
     materialize,
 )
 from reference import (
+    CYCLIC_CORPUS,
     based_at,
     equiv_by_remainders,
     inverse,
@@ -130,9 +132,22 @@ class TestValidation:
             make_triple(loop, w={"v"})
 
     def test_key_that_is_not_a_cycle_named(self, loop):
-        for f, key in (({"x": 2}, "'x'"), ([("x", 2)], "'x'"), ({None: 2}, "None")):
+        lap = make_path(loop, ["e"])
+        for f, key in (({"x": 2}, "'x'"), ({lap: 2}, "e"), ({None: 2}, "None")):
             with rejected(f"cycle-function key {key} is not a Cycle"):
                 make_triple(loop, w={"v"}, f=f)
+
+    def test_f_that_is_not_a_mapping_named(self, loop):
+        c = Cycle.from_path(make_path(loop, ["e"]))
+        for f in ([1], [("x",)], 5, [(c, 2)], None):
+            with rejected(f"cycle function must be a mapping, not {type(f).__name__}"):
+                make_triple(loop, w={"v"}, f=f)
+
+    def test_h_or_w_given_as_one_str_named(self, loop):
+        with rejected("W must be a set of vertex ids, not the str 'v'"):
+            make_triple(loop, w="v")
+        with rejected("H must be a set of vertex ids, not the str 'v1'"):
+            make_triple(loop, h="v1")
 
     def test_make_triple_rejects_bad(self, edge):
         with pytest.raises(TripleFormatError):
@@ -144,11 +159,12 @@ class TestValidation:
         with rejected("W contains vertices outside the quotient: ['w', 'x']; "
                       "W vertices without index one in the quotient: ['v']"):
             make_triple(edge, h={"w"}, w={"v", "w", "x"})
-        c = Cycle.from_path(make_path(loop, ["e"]))
-        with rejected("cycle-function domain [['e'], ['e']] differs from the cycles "
-                      "inside W [['e']]; cycle value 0 is not a positive integer or inf; "
+        g = CORPUS["two_loops"]
+        lv, lw = (Cycle.from_path(make_path(g, [e])) for e in ("lv", "lw"))
+        with rejected("cycle-function domain [['lv'], ['lw']] differs from the cycles "
+                      "inside W [['lv']]; cycle value 0 is not a positive integer or inf; "
                       "cycle value 2.5 is not a positive integer or inf"):
-            make_triple(loop, w={"v"}, f=[(c, 0), (c, 2.5)])
+            make_triple(g, w={"v"}, f={lw: 2.5, lv: 0})
 
 
 class TestReduceModH:
@@ -364,7 +380,7 @@ class TestDrawnMultigraphs:
         related = [y for y in survivors if equiv(g, t, x, y)]
         y = data.draw(st.sampled_from(related) | st.sampled_from(survivors))
         q = quotient(g, t.h)
-        assert equiv(g, t, x, y) == equiv(q, make_triple(q, (), t.w, t.f), x, y), (t, x, y)
+        assert equiv(g, t, x, y) == equiv(q, make_triple(q, (), t.w, dict(t.f)), x, y), (t, x, y)
 
     @settings(max_examples=150, deadline=None)
     @given(small_graphs(max_vertices=5), small_graphs(max_vertices=5))
@@ -498,7 +514,7 @@ class TestEnumeration:
 
     def test_everything_validates(self, corpus_graph):
         for t in enumerate_triples(corpus_graph, f_cap=2):
-            assert make_triple(corpus_graph, t.h, t.w, t.f) == t
+            assert make_triple(corpus_graph, t.h, t.w, dict(t.f)) == t
 
     def test_deterministic(self, corpus_graph):
         a = tuple(enumerate_triples(corpus_graph, f_cap=2))
@@ -532,14 +548,14 @@ class TestEnumerationAgainstReference:
         assert count_triples(g, f_cap) == (len(triples), infinite)
         for t, r in zip(triples, reference):
             assert t.graph is g and t.cycle_at == r.cycle_at
-            assert make_triple(g, t.h, t.w, t.f) == t
+            assert make_triple(g, t.h, t.w, dict(t.f)) == t
 
     def test_corpus(self, corpus_graph):
         for f_cap in (1, 2, 4):
             self.check(corpus_graph, f_cap)
 
     def test_all_small_acyclic_graphs(self):
-        for g in corpus.all_acyclic_graphs(3, 3):
+        for g in all_acyclic_graphs(3, 3):
             for f_cap in (1, 2, 4):
                 self.check(g, f_cap)
 
@@ -739,7 +755,8 @@ class TestCompiledTriple:
                 call()
 
     def test_equal_graph_instance_gives_same_answers(self):
-        g1, g2 = corpus.pendant_cycle(), corpus.pendant_cycle()
+        g1 = CORPUS["pendant_cycle"]
+        g2 = graph_from_json(graph_to_json(g1))
         assert g1 == g2 and g1 is not g2
         t = self.pendant_triple(g1)
         assert t.over(g2) is t
@@ -763,7 +780,7 @@ class TestCompiledTriple:
 
     def test_triple_invalid_over_another_graph_raises(self, pendant):
         t = self.pendant_triple(pendant)
-        self.assert_refused(corpus.cycle_with_exit(), t)  # same ids, but w gains an exit
+        self.assert_refused(CORPUS["cycle_with_exit"], t)  # same ids, but w gains an exit
 
     def test_triple_valid_over_an_unequal_graph_refused(self, loop):
         t = loop_triple(loop, 3)
@@ -982,7 +999,8 @@ class TestCycleIndex:
 
     @staticmethod
     def check(g, t):
-        for u in (t, make_triple(g, t.h, t.w, t.f), triple_from_json(g, triple_to_json(g, t))):
+        again = make_triple(g, t.h, t.w, dict(t.f))
+        for u in (t, again, triple_from_json(g, triple_to_json(g, t))):
             assert u.cycle_at.keys() == {v for c, _ in t.f for v in c.vertex_set}, t
             for c, val in t.f:
                 for v in c.vertex_set:
@@ -1118,7 +1136,7 @@ class TestStructuralIdentities:
         relates over G∖H."""
         for g, t, pool in self.cases(1207):
             q = quotient(g, t.h)
-            tq = make_triple(q, (), t.w, t.f)
+            tq = make_triple(q, (), t.w, dict(t.f))
             survivors = [x for x in pool if not x.is_zero and x.alpha.target not in t.h]
             for x in survivors:
                 for y in survivors:

@@ -28,7 +28,7 @@ from graphinverse.elements import (
     path_element,
     vertex_element,
 )
-from graphinverse.corpus import CORPUS, double_loop, two_cycle
+from graphinverse.corpus import CORPUS
 from graphinverse.oracle import TransitionOracle, all_paths, bounded_elements
 from reference import (
     based_at,
@@ -264,7 +264,7 @@ class TestConjugateCycle:
         assert rotated.edges == ("e2", "e1")
 
     def test_rejects_cycle_with_exit(self):
-        g = double_loop()
+        g = CORPUS["double_loop"]
         c = Cycle.from_path(make_path(g, ["a"]))
         with pytest.raises(ValueError):
             conjugate_cycle(g, c, vertex_path("v"))

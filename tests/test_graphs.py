@@ -34,15 +34,7 @@ from graphinverse.graphs import (
     vertex_path,
 )
 from graphinverse.congruences import make_triple
-from graphinverse.corpus import (
-    CORPUS,
-    all_acyclic_graphs,
-    double_loop,
-    parallel_pair,
-    parallel_two_cycle,
-    single_vertex,
-    two_cycle,
-)
+from graphinverse.corpus import CORPUS, all_acyclic_graphs
 from graphinverse.oracle import all_paths
 from reference import (
     exits_of,
@@ -124,6 +116,18 @@ class TestConstruction:
             Graph.of(vertices, edges)
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("vertices, edges, message", [
+        (["v"], [("e", "v")], "edge ('e', 'v') is not an (id, src, dst) triple"),
+        (["v"], [("e", "v", "v", "x")],
+         "edge ('e', 'v', 'v', 'x') is not an (id, src, dst) triple"),
+        (["v"], [5], "edge 5 is not an (id, src, dst) triple"),
+        ("vw", [], "vertices must be a sequence of ids, not the str 'vw'"),
+    ])
+    def test_malformed_arguments_named(self, vertices, edges, message):
+        with pytest.raises(GraphFormatError) as info:
+            Graph.of(vertices, edges)
+        assert str(info.value) == message
+
     def test_vertex_and_edge_may_share_an_id(self):
         g = Graph.of(["x"], [("x", "x", "x")])
         assert index_one_edges(g) == {"x": Edge("x", "x", "x")}
@@ -163,7 +167,7 @@ class TestHereditary:
         assert closed <= hereditary_closure(g, seed | bigger)
 
     def test_enumeration_examples(self, edge, two_cycle):
-        assert hereditary_sets(single_vertex()) == [frozenset(), {"v"}]
+        assert hereditary_sets(CORPUS["single_vertex"]) == [frozenset(), {"v"}]
         assert hereditary_sets(edge) == [frozenset(), {"w"}, {"v", "w"}]
         assert hereditary_sets(two_cycle) == [frozenset(), {"v", "w"}]
 
@@ -228,7 +232,7 @@ class TestIndex:
     def test_index_one_sets(self, edge, loop):
         assert index_one_edges(edge).keys() == {"v"}
         assert index_one_edges(loop).keys() == {"v"}
-        assert index_one_edges(parallel_pair()) == {}
+        assert index_one_edges(CORPUS["parallel_pair"]) == {}
 
 
 class TestCycles:
@@ -452,7 +456,7 @@ class TestPredicates:
 
     def test_rees_only(self, edge, loop):
         assert not rees_only_condition(edge)
-        assert rees_only_condition(parallel_two_cycle())
+        assert rees_only_condition(CORPUS["parallel_two_cycle"])
         assert not rees_only_condition(loop)
 
     def test_congruence_free(self, loop, edge, double_loop):
@@ -534,6 +538,7 @@ class TestPaths:
         (([],), ValueError, "a length-0 path needs an explicit source vertex"),
         (([], "q"), KeyError, "unknown vertex id 'q'"),
         ((["e1"], "w"), ValueError, "path source 'w' does not match first edge 'e1'"),
+        (("e1",), GraphFormatError, "edge ids must be a sequence of ids, not the str 'e1'"),
     ])
     def test_make_path_errors(self, two_cycle, args, kind, message):
         with pytest.raises(kind) as info:

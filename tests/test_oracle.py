@@ -27,7 +27,7 @@ from graphinverse.congruences import (
     triple_generators,
     triple_leq,
 )
-from graphinverse.corpus import ACYCLIC_CORPUS, CORPUS, all_acyclic_graphs, two_edge_path
+from graphinverse.corpus import CORPUS, all_acyclic_graphs
 from graphinverse.graphs import Cycle, Path, concat, make_path
 from graphinverse.oracle import (
     ExplicitCongruence,
@@ -41,6 +41,7 @@ from graphinverse.oracle import (
     triple_of_congruence,
 )
 from reference import (
+    ACYCLIC_CORPUS,
     PrefixIndexOracle,
     closure_by_all_translations,
     congruences_by_closed_joins,
@@ -141,7 +142,7 @@ class TestMaterialize:
 
     def test_two_edge_path_count_pinned(self):
         # oracle-derived regression value: 14 nonzero path pairs plus zero
-        assert len(materialize(two_edge_path())) == 15
+        assert len(materialize(CORPUS["two_edge_path"])) == 15
 
     def test_rejects_cyclic(self, loop):
         with pytest.raises(ValueError):
@@ -247,7 +248,7 @@ class TestEnumerateCongruences:
         assert len(enumerate_congruences(s)) == 4
 
     def test_two_edge_path_matches_triples(self):
-        g = two_edge_path()
+        g = CORPUS["two_edge_path"]
         s = materialize(g)
         assert len(enumerate_congruences(s)) == len(tuple(enumerate_triples(g)))
 
@@ -308,12 +309,13 @@ class TestBruteForce:
         products = []
         monkeypatch.setattr(oracle, "multiply", lambda x, y: products.append(1))
         # the two-edge path has 1 + 1 + 4 + 9 = 15 elements
+        g = CORPUS["two_edge_path"]
         with pytest.raises(ValueError, match="semigroup has 15 elements, above the bound 14"):
-            brute_force(two_edge_path(), 14)
+            brute_force(g, 14)
         assert not products
         monkeypatch.undo()
-        s, congruences = brute_force(two_edge_path(), 15)
-        assert len(s) == 15 and len(congruences) == len(tuple(enumerate_triples(two_edge_path())))
+        s, congruences = brute_force(g, 15)
+        assert len(s) == 15 and len(congruences) == len(tuple(enumerate_triples(g)))
 
     def test_refuses_a_cycle_before_any_product(self, loop, monkeypatch):
         products = []
@@ -639,10 +641,10 @@ class TestOrderAcrossProcesses:
 
     SCRIPT = """
 from graphinverse.congruences import make_triple
-from graphinverse.corpus import two_edge_path
+from graphinverse.corpus import CORPUS
 from graphinverse.elements import ZERO, format_element, parse_element
 from graphinverse.oracle import TransitionOracle
-g = two_edge_path()
+g = CORPUS["two_edge_path"]
 oracle = TransitionOracle(g, make_triple(g, h={"w"}), 2)
 print(hash(ZERO))
 print([format_element(x) for x in oracle.neighbors(parse_element(g, "@w|@w"))])

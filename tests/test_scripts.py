@@ -1,11 +1,13 @@
 """Each script in scripts/ runs to completion on a small input, every
-public name in the package has a caller outside the tests, and no module
-imports a name it does not use."""
+public name in the package has a caller outside the tests, no module
+imports a name it does not use, and perfbench's copy of the corpus is
+the corpus."""
 
 from __future__ import annotations
 
 import ast
 import importlib
+import importlib.util
 import os
 import re
 import subprocess
@@ -14,6 +16,9 @@ from pathlib import Path
 from types import ModuleType
 
 import pytest
+
+from graphinverse.corpus import CORPUS
+from graphinverse.graphs import Graph
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -169,6 +174,18 @@ def test_readme_lists_the_package_root_exports():
     listed = re.findall(r"`(\w+)`", match.group(2))
     assert sorted(listed) == exported
     assert int(match.group(1)) == len(exported)
+
+
+def test_perfbench_corpus_copy_is_the_corpus(monkeypatch):
+    """perfbench/inputs.py restates the corpus, so that it calls nothing of
+    the package; its certify and cli workloads assume the two are equal.
+    The file is only read: no bytecode is written beside it."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    path = ROOT / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    assert {name: Graph.of(*entry) for name, entry in inputs.corpus_specs().items()} == CORPUS
 
 
 def _used_names(tree: ast.AST, strings: bool = False) -> set[str]:
