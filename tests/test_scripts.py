@@ -1,7 +1,7 @@
-"""Each script in scripts/ runs to completion on a small input, every
-public name in the package has a caller outside the tests, no module
-imports a name it does not use, and perfbench's copy of the corpus is
-the corpus."""
+"""Each script in scripts/ runs to completion on a small input, the CLI
+transcript is the checked-in one, every public name in the package has a
+caller outside the tests, no module imports a name it does not use, and
+perfbench's copy of the corpus is the corpus."""
 
 from __future__ import annotations
 
@@ -37,8 +37,9 @@ ROOT = Path(__file__).resolve().parent.parent
             ["--chains", "5", "--length", "10", "--f-cap", "2"],
             "worst index",
         ),
+        ("transcript.py", [], "$ graphinverse report loop.json --dot"),
     ],
-    ids=["class_atlas", "verify_bijection", "noetherian_chains"],
+    ids=["class_atlas", "verify_bijection", "noetherian_chains", "transcript"],
 )
 def test_script_runs(script, args, expected):
     proc = subprocess.run(
@@ -113,7 +114,7 @@ def test_verify_bijection_failure_survives_optimize():
 
 
 @pytest.mark.parametrize("script", ["class_atlas.py", "verify_bijection.py",
-                                    "noetherian_chains.py"])
+                                    "noetherian_chains.py", "transcript.py"])
 def test_script_help_exits_zero(script):
     proc = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / script), "--help"],
@@ -129,14 +130,42 @@ def test_script_help_exits_zero(script):
         ("class_atlas.py", ["--graph", "loop", "--len-bound", "1"]),
         ("verify_bijection.py", ["--max-vertices", "1", "--max-edges", "1"]),
         ("noetherian_chains.py", ["--chains", "3", "--length", "1"]),
+        ("transcript.py", []),
     ],
-    ids=["class_atlas", "verify_bijection", "noetherian_chains"],
+    ids=["class_atlas", "verify_bijection", "noetherian_chains", "transcript"],
 )
 @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
 def test_script_broken_pipe_is_one_line(script, args, buffered):
     assert run_into_closed_pipe([str(ROOT / "scripts" / script), *args], buffered) == (
         1, "error: [Errno 32] Broken pipe\n"
     )
+
+
+def test_cli_transcript_matches_golden(monkeypatch):
+    """scripts/transcript.py, run in this process, prints tests/golden/cli.txt
+    byte for byte. A change to what the CLI prints shows up as a diff of
+    that file; regenerate it as the script's docstring says."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("transcript", ROOT / "scripts" / "transcript.py")
+    transcript = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(transcript)
+    golden = (ROOT / "tests" / "golden" / "cli.txt").read_text(encoding="utf-8")
+    assert transcript.transcript() == golden
+
+
+def test_cli_transcript_ignores_hash_seed():
+    """Two children under different string-hash seeds print the same
+    transcript: no output depends on set or dict order of str keys."""
+    children = [
+        subprocess.Popen([sys.executable, str(ROOT / "scripts" / "transcript.py")],
+                         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                         env={**os.environ, "PYTHONPATH": str(ROOT / "src"),
+                              "PYTHONHASHSEED": seed})
+        for seed in ("0", "1")
+    ]
+    (out0, err0), (out1, err1) = (child.communicate(timeout=120) for child in children)
+    assert [child.returncode for child in children] == [0, 0] and err0 == err1 == ""
+    assert out0 == out1
 
 
 def run_into_closed_pipe(argv: list[str], buffered: bool, preexec_fn=None) -> tuple[int, str]:
