@@ -7,16 +7,18 @@ graph inverse semigroup; the triple is kept as data and membership of a
 pair (x, y) is decided directly, since the semigroup is usually infinite.
 
 :func:`make_triple` is the one validating constructor: it names every
-problem it finds in one :class:`TripleFormatError`, and it compiles the
-triple once, so the result keeps the graph it was validated over and the
-index-one edges of G∖H, and indexes each cycle vertex's (cycle, f-value,
-offset on the cycle). :func:`enumerate_triples` yields triples compiled
-the same way, one at a time, walking ``graphs.quotients`` and validating
-nothing it built valid; :func:`count_triples` counts them in closed form
-over the same walk and says whether the uncapped family is infinite.
-Every operation taking ``(g, t)`` reads the index through
+problem it finds, an H, W or f of the wrong shape included, in one
+:class:`TripleFormatError`, and it compiles the triple once, so the
+result keeps the graph it was validated over and the index-one edges of
+G∖H, and indexes each cycle vertex's (cycle, f-value, offset on the
+cycle). :func:`enumerate_triples` yields triples compiled the same way,
+one at a time, walking ``graphs.quotients`` and validating nothing it
+built valid; :func:`count_triples` counts them in closed form over the
+same walk and says whether the uncapped family is infinite. Every
+operation taking ``(g, t)`` reads the index through
 :meth:`CongruenceTriple.over`, which refuses a triple not compiled over g
-or an equal graph; nothing is validated twice.
+or an equal graph; nothing is validated twice. :func:`triple_from_json`
+only maps JSON shape onto :func:`make_triple` and ``graphs.make_path``.
 
 The generated congruence is the one spanned by the pairs
 ``(v, 0)`` for v in H, ``(e_w e_w*, w)`` for w in W with e_w the unique
@@ -47,6 +49,7 @@ from .graphs import (
     Graph,
     Path,
     _is_prefix,
+    _items,
     _path,
     _read_json,
     _rotate,
@@ -128,32 +131,34 @@ def make_triple(
     f: Mapping[Cycle, FValue] = MappingProxyType({}),
 ) -> CongruenceTriple:
     """Build and validate a triple over g, compiled for use with g; f maps
-    each cycle inside W to its value. A str for H or W, an f that is not a
-    mapping, a bad H or a key of f that is not a Cycle is named alone; else
-    every problem with W, then with f, is named in one TripleFormatError."""
+    each cycle inside W to its value. A malformed H, W or f, a bad H or a
+    key of f that is not a Cycle is named alone; else every problem with W,
+    then with f, is named in one TripleFormatError."""
+    sets = []
     for name, vs in (("H", h), ("W", w)):
-        if isinstance(vs, str):
-            raise TripleFormatError(f"{name} must be a set of vertex ids, not the str {vs!r}")
+        shape = name + " must be a set of vertex ids, not the {kind} {value!r}"
+        try:
+            sets.append(frozenset(_items(vs, shape, TripleFormatError)))
+        except TypeError:  # an unhashable id
+            raise TripleFormatError(f"{name} must hold vertex-id strings, got {vs!r}") from None
     if not isinstance(f, Mapping):
         raise TripleFormatError(f"cycle function must be a mapping, not {type(f).__name__}")
     pairs = list(f.items())
     for c, _ in pairs:
         if not isinstance(c, Cycle):
             raise TripleFormatError(f"cycle-function key {c!r} is not a Cycle")
-    t = CongruenceTriple(
-        frozenset(h), frozenset(w), tuple(sorted(pairs, key=lambda kv: kv[0].path.edges))
-    )
+    t = CongruenceTriple(*sets, tuple(sorted(pairs, key=lambda kv: kv[0].path.edges)))
     vertices = g._vpos.keys()  # type: ignore[attr-defined]
     unknown = t.h - vertices
     if unknown:
-        raise TripleFormatError(f"H contains unknown vertices {sorted(unknown)}")
+        raise TripleFormatError(f"H contains unknown vertices {sorted(unknown, key=str)}")
     if not is_hereditary(g, t.h):
         raise TripleFormatError(f"H = {sorted(t.h)} is not hereditary")
     w_edges = index_one_edges(g, t.h)
     problems: list[str] = []
     stray = t.w & t.h | t.w - vertices
     if stray:
-        problems.append(f"W contains vertices outside the quotient: {sorted(stray)}")
+        problems.append(f"W contains vertices outside the quotient: {sorted(stray, key=str)}")
     bad_index = t.w - stray - w_edges.keys()
     if bad_index:
         problems.append(
@@ -365,7 +370,7 @@ def vertex_class_members(
         raise ValueError(f"length bound {len_bound} is negative")
     if v in t.h:
         raise ValueError(f"vertex {v!r} lies in H, its class is the zero class")
-    g._require_vertex(v)
+    g.out_edges(v)  # raises for an unknown vertex
     members: list[Element] = []
     gamma = vertex_path(v)
     while True:
@@ -548,38 +553,25 @@ def triple_from_json(g: Graph, data: object) -> CongruenceTriple:
     for key in ("H", "W", "f"):
         if key not in data:
             raise TripleFormatError(f"triple JSON missing key {key!r}")
-    if not all(isinstance(data[k], list) for k in ("H", "W", "f")):
-        raise TripleFormatError("'H', 'W' and 'f' must be arrays")
-    if not all(isinstance(v, str) for k in ("H", "W") for v in data[k]):
-        raise TripleFormatError("'H' and 'W' entries must be vertex-id strings")
-    h = frozenset(data["H"])
-    w = frozenset(data["W"])
     fmap: dict[Cycle, FValue] = {}
-    for item in data["f"]:
+    for item in _items(data["f"], "'f' must be an array, not {value!r}", TripleFormatError):
         if not isinstance(item, dict) or not {"cycle", "value"} <= item.keys():
             raise TripleFormatError(f"malformed cycle entry {item!r}")
         cycle = item["cycle"]
-        if not isinstance(cycle, list) or not all(isinstance(e, str) for e in cycle):
-            raise TripleFormatError(f"cycle {cycle!r} must be an array of edge-id strings")
         try:
             cyc = Cycle.from_path(make_path(g, cycle))
         except (ValueError, KeyError) as exc:
             raise TripleFormatError(f"bad cycle {cycle!r}: {exc.args[0]}") from None
         if tuple(cycle) != cyc.path.edges:  # the file format asks for the least rotation
-            raise TripleFormatError(
-                f"cycle {cycle!r} is not in canonical rotation; "
-                f"expected {list(cyc.path.edges)}"
-            )
+            raise TripleFormatError(f"cycle {cycle!r} is not in canonical rotation; "
+                                    f"expected {list(cyc.path.edges)}")
         raw = item["value"]
-        if raw != "inf" and not (is_fvalue(raw) and isinstance(raw, int)):
-            raise TripleFormatError(
-                f"bad cycle value {raw!r}: expected an integer >= 1 or \"inf\""
-            )
-        value: FValue = INF if raw == "inf" else raw
+        if isinstance(raw, float):  # json reads 1e400 as inf; only the string "inf" is infinity
+            raise TripleFormatError(f'bad cycle value {raw!r}: expected an integer >= 1 or "inf"')
         if cyc in fmap:
             raise TripleFormatError(f"duplicate cycle {cycle!r}")
-        fmap[cyc] = value
-    return make_triple(g, h, w, fmap)
+        fmap[cyc] = INF if raw == "inf" else raw
+    return make_triple(g, data["H"], data["W"], fmap)
 
 
 def load_triple(g: Graph, path: str) -> CongruenceTriple:

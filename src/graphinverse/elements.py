@@ -113,7 +113,7 @@ def _parse_path(g: Graph, text: str) -> Path:
         v = text[1:]
         if not v:
             raise ElementLiteralError("empty vertex name after '@'")
-        if not g.has_vertex(v):
+        if v not in g._vpos:  # type: ignore[attr-defined]
             raise ElementLiteralError(f"unknown vertex {v!r}")
         return vertex_path(v)
     if not text:
@@ -129,14 +129,14 @@ def _parse_path(g: Graph, text: str) -> Path:
 
 def parse_element(g: Graph, text: str) -> Element:
     """Parse an element literal; round-trips exactly with format_element."""
-    text = text.strip()
-    if text == "0":
+    try:
+        parts = text.strip().split("|")
+    except (AttributeError, TypeError):  # not a str: no strip, or bytes that split on bytes
+        raise ElementLiteralError(f"element literal must be a str, not {text!r}") from None
+    if parts == ["0"]:
         return ZERO
-    parts = text.split("|")
     if len(parts) != 2:
-        raise ElementLiteralError(
-            f"element literal must be '0' or 'P|Q', got {text!r}"
-        )
+        raise ElementLiteralError(f"element literal must be '0' or 'P|Q', got {'|'.join(parts)!r}")
     alpha = _parse_path(g, parts[0])
     beta = _parse_path(g, parts[1])
     if alpha.target != beta.target:

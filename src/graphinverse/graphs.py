@@ -7,7 +7,10 @@ graph: :func:`index_one_edges` and :func:`cycles_in` read it off G, and
 :func:`quotients` yields each H with both.
 
 Graphs are immutable after construction and iterate in insertion order,
-so every enumeration in this package is reproducible.
+so every enumeration in this package is reproducible. :meth:`Graph.of`
+and :func:`make_path` turn caller data into a graph or a path, or raise
+one :class:`GraphFormatError` naming what is malformed;
+:func:`graph_from_json` only maps JSON shape onto :meth:`Graph.of`.
 """
 
 from __future__ import annotations
@@ -26,7 +29,21 @@ class GraphFormatError(ValueError):
     """Raised for malformed graph data (construction or JSON)."""
 
 
-def _check_id(kind: str, ident: object) -> str:
+def _items(value: object, message: str, error: type[ValueError] = GraphFormatError,
+           size: int | None = None) -> Iterable:
+    """value, if an id collection, any iterable but a str, bytes or a mapping,
+    or, given its size, an edge entry, a tuple or list of size items; else
+    error with message, formatted with the value and its type's name, kind."""
+    if isinstance(value, (tuple, list)):
+        if size is None or len(value) == size:
+            return value
+    elif size is None and hasattr(value, "__iter__"):
+        if not isinstance(value, (str, bytes, Mapping)):
+            return value
+    raise error(message.format(value=value, kind=type(value).__name__))
+
+
+def _check_id(kind: str, ident: object) -> None:
     if not isinstance(ident, str) or not ident:
         raise GraphFormatError(f"{kind} id must be a nonempty string, got {ident!r}")
     bad = RESERVED_ID_CHARS.intersection(ident)
@@ -36,7 +53,6 @@ def _check_id(kind: str, ident: object) -> str:
         )
     if ident != ident.strip():  # element literals are read stripped
         raise GraphFormatError(f"{kind} id {ident!r} has leading or trailing whitespace")
-    return ident
 
 
 class Edge(NamedTuple):
@@ -68,8 +84,12 @@ class Graph:
             _check_id("edge", e.id)
             if e.id in edge_map:
                 raise GraphFormatError(f"duplicate edge id {e.id!r}")
-            if e.src not in vpos or e.dst not in vpos:
-                raise GraphFormatError(f"edge {e.id!r} has undeclared endpoint")
+            try:
+                declared = e.src in vpos and e.dst in vpos
+            except TypeError:  # an unhashable endpoint
+                declared = False
+            if not declared:
+                raise GraphFormatError(f"edge {tuple(e)!r} has undeclared endpoint")
             edge_map[e.id] = e
             out[e.src].append(e)
         object.__setattr__(self, "_edge_map", edge_map)
@@ -78,32 +98,23 @@ class Graph:
 
     @classmethod
     def of(cls, vertices: Iterable[str], edges: Iterable[tuple[str, str, str]]) -> Graph:
-        if isinstance(vertices, str):
-            raise GraphFormatError(f"vertices must be a sequence of ids, not the str {vertices!r}")
-        out = []
-        for e in edges:
-            try:
-                out.append(Edge(*e))
-            except TypeError:
-                raise GraphFormatError(f"edge {e!r} is not an (id, src, dst) triple") from None
-        return cls(tuple(vertices), tuple(out))
-
-    def has_vertex(self, v: str) -> bool:
-        return v in self._vpos  # type: ignore[attr-defined]
+        vs = _items(vertices, "vertices must be a sequence of ids, not the {kind} {value!r}")
+        es = _items(edges, "edges must be a sequence of triples, not the {kind} {value!r}")
+        entry = "edge {value!r} is not an (id, src, dst) triple"
+        return cls(tuple(vs), tuple([Edge(*_items(e, entry, size=3)) for e in es]))
 
     def out_edges(self, v: str) -> tuple[Edge, ...]:
         try:
             return self._out[v]  # type: ignore[attr-defined]
-        except KeyError:
-            raise KeyError(f"unknown vertex id {v!r}") from None
+        except (KeyError, TypeError):  # TypeError: unhashable
+            if isinstance(v, str):
+                raise KeyError(f"unknown vertex id {v!r}") from None
+            raise GraphFormatError(f"vertex id must be a string, got {v!r}") from None
 
     def sort_vertices(self, vs: Iterable[str]) -> tuple[str, ...]:
         """Order a vertex collection by this graph's insertion order."""
         pos = self._vpos  # type: ignore[attr-defined]
         return tuple(sorted(vs, key=pos.__getitem__))
-
-    def _require_vertex(self, v: str) -> None:
-        self.out_edges(v)  # raises KeyError for an unknown vertex
 
 
 # ---------------------------------------------------------------------------
@@ -178,19 +189,20 @@ def make_path(g: Graph, edge_ids: Iterable[str], source: str | None = None) -> P
     With no edges a source vertex is required and the result is the
     length-0 path there.
     """
-    if isinstance(edge_ids, str):
-        raise GraphFormatError(f"edge ids must be a sequence of ids, not the str {edge_ids!r}")
-    ids = tuple(edge_ids)
+    shape = "edge ids must be a sequence of ids, not the {kind} {value!r}"
+    ids = tuple(_items(edge_ids, shape))
     if not ids:
         if source is None:
             raise ValueError("a length-0 path needs an explicit source vertex")
-        g._require_vertex(source)
+        g.out_edges(source)  # raises for an unknown vertex
         return vertex_path(source)
     edge_map = g._edge_map  # type: ignore[attr-defined]
     try:
         edges = [edge_map[i] for i in ids]
-    except KeyError as exc:
-        raise KeyError(f"unknown edge id {exc.args[0]!r}") from None
+    except (KeyError, TypeError) as exc:  # TypeError: an unhashable id
+        if all(isinstance(i, str) for i in ids):
+            raise KeyError(f"unknown edge id {exc.args[0]!r}") from None
+        raise GraphFormatError(f"edge ids must be strings, got {edge_ids!r}") from None
     if source is not None and edges[0].src != source:
         raise ValueError(f"path source {source!r} does not match first edge {ids[0]!r}")
     verts = [edges[0].src]
@@ -229,7 +241,7 @@ class Cycle:
 
     def __post_init__(self) -> None:
         p = self.path
-        if len(p) < 1 or not p.is_closed:
+        if type(p) is not Path or len(p) < 1 or not p.is_closed:
             raise ValueError(f"not a closed nonempty path: {p!r}")
         body = p.vertices[:-1]
         if len(set(body)) != len(body):
@@ -284,7 +296,7 @@ def is_hereditary(g: Graph, h: Iterable[str]) -> bool:
     """True iff no edge leaves h: s(e) in h implies r(e) in h."""
     hs = set(h)
     for v in hs:
-        g._require_vertex(v)
+        g.out_edges(v)  # raises for an unknown vertex
     return all(e.dst in hs for v in hs for e in g.out_edges(v))
 
 
@@ -496,14 +508,10 @@ def graph_from_json(data: object) -> Graph:
         edges = data["edges"]
     except KeyError as k:
         raise GraphFormatError(f"graph JSON missing key {k}") from None
-    if not isinstance(vertices, list) or not isinstance(edges, list):
-        raise GraphFormatError("'vertices' and 'edges' must be arrays")
     triples = []
-    for item in edges:
+    for item in _items(edges, "'edges' must be an array, not {value!r}"):
         if not isinstance(item, dict) or not {"id", "src", "dst"} <= item.keys():
             raise GraphFormatError(f"malformed edge entry {item!r}")
-        if not all(isinstance(item[k], str) for k in ("id", "src", "dst")):
-            raise GraphFormatError(f"edge entry {item!r}: 'id', 'src' and 'dst' must be strings")
         triples.append((item["id"], item["src"], item["dst"]))
     return Graph.of(vertices, triples)
 

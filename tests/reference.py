@@ -102,7 +102,7 @@ def hereditary_closure(g: Graph, seed: Iterable[str]) -> frozenset[str]:
     """Smallest hereditary superset of seed (forward reachability)."""
     todo = list(seed)
     for v in todo:
-        g._require_vertex(v)
+        g.out_edges(v)  # raises for an unknown vertex
     closed: set[str] = set()
     while todo:
         v = todo.pop()
