@@ -66,25 +66,20 @@ LOOP = CORPUS["loop"]
      "element literal must be a str, not None"),
     (lambda: parse_element(LOOP, b"@v|@v"), ElementLiteralError,
      "element literal must be a str, not b'@v|@v'"),
+    # make_triple's f is keyed by Cycles that callers build
     (lambda: Cycle("abc"), ValueError, "not a closed nonempty path: 'abc'"),
+    (lambda: Cycle(None), ValueError, "not a closed nonempty path: None"),
+    (lambda: Cycle((("v", "v"), ("e",))), ValueError,
+     "not a closed nonempty path: (('v', 'v'), ('e',))"),
 ], ids=["graph-str-edge", "graph-dict-edge", "graph-dict-vertices", "graph-bytes-vertices",
         "graph-int-vertices", "graph-none-edges", "graph-list-endpoint", "path-int-ids",
         "path-list-id", "path-list-source", "triple-dict-h", "triple-int-h", "triple-list-w-id",
-        "triple-mixed-h", "element-none", "element-bytes", "cycle-str"])
+        "triple-mixed-h", "element-none", "element-bytes", "cycle-str", "cycle-none",
+        "cycle-bare-path-tuple"])
 def test_malformed_value_named(call, kind, message):
     with pytest.raises(kind) as info:
         call()
     assert type(info.value) is kind and str(info.value) == message
-
-
-@pytest.mark.parametrize("p", [None, 5, ("v", "v"), (("v", "v"), ("e",))],
-                         ids=["none", "int", "tuple", "bare-path-tuple"])
-def test_cycle_of_a_non_path_is_a_value_error(p):
-    # make_triple's f is keyed by Cycles that callers build
-    with pytest.raises(ValueError) as info:
-        Cycle(p)
-    assert type(info.value) is ValueError
-    assert str(info.value) == f"not a closed nonempty path: {p!r}"
 
 
 # ---------------------------------------------------------------------------
