@@ -178,9 +178,9 @@ def make_triple(
                     f"cycle-function domain {[list(c.path.edges) for c in domain]} "
                     f"differs from the cycles inside W {[list(e) for e in ours]}"
                 )
-        for _, val in t.f:
-            if not is_fvalue(val):
-                problems.append(f"cycle value {val!r} is not a positive integer or inf")
+    for _, val in t.f:
+        if not is_fvalue(val):
+            problems.append(f"cycle value {val!r} is not a positive integer or inf")
     if problems:
         raise TripleFormatError("; ".join(problems))
     return _compile(g, t, w_edges)
@@ -366,11 +366,13 @@ def vertex_class_members(
     paths of a cycle element differ in length: each member is listed once.
     """
     t = t.over(g)
+    if not isinstance(len_bound, int) or isinstance(len_bound, bool):
+        raise ValueError(f"length bound must be an integer, not {len_bound!r}")
     if len_bound < 0:
         raise ValueError(f"length bound {len_bound} is negative")
+    g.out_edges(v)  # raises for an unknown vertex or an id that is no string
     if v in t.h:
         raise ValueError(f"vertex {v!r} lies in H, its class is the zero class")
-    g.out_edges(v)  # raises for an unknown vertex
     members: list[Element] = []
     gamma = vertex_path(v)
     while True:

@@ -294,7 +294,7 @@ def cycle_power(loop: Path, m: int) -> Path:
 
 def is_hereditary(g: Graph, h: Iterable[str]) -> bool:
     """True iff no edge leaves h: s(e) in h implies r(e) in h."""
-    hs = set(h)
+    hs = set(_items(h, "H must be a set of vertex ids, not the {kind} {value!r}"))
     for v in hs:
         g.out_edges(v)  # raises for an unknown vertex
     return all(e.dst in hs for v in hs for e in g.out_edges(v))

@@ -56,14 +56,15 @@ def all_paths(g: Graph, max_len: int) -> list[Path]:
 
 
 def bounded_elements(g: Graph, len_bound: int) -> list[Element]:
-    """Zero plus every element whose two paths have length <= len_bound."""
+    """Zero plus every element whose two paths have length <= len_bound,
+    ordered by alpha and then by beta, each in ``all_paths`` order. The
+    paths are bucketed by target once, so the cost is linear in the paths
+    plus the elements listed."""
     paths = all_paths(g, len_bound)
-    out = [ZERO]
-    for a in paths:
-        for b in paths:
-            if a.target == b.target:
-                out.append(_element(a, b))
-    return out
+    ending: dict[str, list[Path]] = {}
+    for p in paths:
+        ending.setdefault(p.vertices[-1], []).append(p)
+    return [ZERO] + [_element(a, b) for a in paths for b in ending[a.vertices[-1]]]
 
 
 @dataclass(frozen=True)
@@ -342,18 +343,20 @@ class TransitionOracle:
     def _within(self, x: Element) -> bool:
         if x.is_zero:
             return True
-        return len(x.alpha) <= self.len_bound and len(x.beta) <= self.len_bound
+        return len(x.alpha.edges) <= self.len_bound and len(x.beta.edges) <= self.len_bound
 
     def neighbors(self, z: Element) -> frozenset[Element]:
         """Every u b w != z within the bounds with (a, b) a generating
         pair in either orientation, u a w = z, and u or w in the universe,
-        for nonzero z within the bounds."""
-        if z.is_zero:
-            raise ValueError("0 is never expanded")
-        if not self._within(z):
-            raise ValueError(f"{z!r} exceeds the length bound {self.len_bound}")
+        for nonzero z within the bounds. A cached z costs one dict lookup:
+        z is checked to be nonzero and within the bounds only on a miss,
+        since every cached node passed both checks."""
         cached = self._adjacency.get(z)
         if cached is None:
+            if z.is_zero:
+                raise ValueError("0 is never expanded")
+            if not self._within(z):
+                raise ValueError(f"{z!r} exceeds the length bound {self.len_bound}")
             cached = frozenset(self._neighbors(z))
             self._adjacency[z] = cached
         return cached
@@ -361,13 +364,14 @@ class TransitionOracle:
     def _neighbors(self, z: Element) -> set[Element]:
         """The rewrites of a nonzero z, site by site along its walk."""
         alpha, beta = z
-        n, m, bound = len(alpha), len(beta), self.len_bound
+        n, m, bound = len(alpha.edges), len(beta.edges), self.len_bound
         walk = alpha.vertices + beta.vertices[-2::-1]  # the vertex at each site
+        turn = walk[n]
         out: set[Element] = set()
-        if alpha.target in self._h:
+        if turn in self._h:
             out.add(ZERO)
         for e in self._turns:
-            if alpha.target == e.source and n < bound and m < bound:
+            if turn == e.vertices[0] and n < bound and m < bound:
                 out.add(_element(concat(alpha, e), concat(beta, e)))
             if alpha.edges[-1:] == beta.edges[-1:] == e.edges:
                 out.add(_element(
@@ -390,7 +394,7 @@ class TransitionOracle:
                 fits = (
                     d == 0
                     or alpha.edges[p : p + k - d] == r.edges[: k - d]
-                    or d <= bound - min(len(r), n - p)
+                    or d <= bound - min(len(r.edges), n - p)
                 )
             if fits and (y := _splice(beta, alpha, n + m - p, r, bound, True)) is not None:
                 out.add(y)
@@ -409,7 +413,7 @@ class TransitionOracle:
         if flip:
             x, y = y, x
         chain, expansions = self._bfs(x, y, step_bound)
-        if chain is not None and chain[-1] != y:  # met 0 first
+        if chain is not None and chain[-1].is_zero and not y.is_zero:  # met 0 first
             back, more = self._bfs(y, ZERO, step_bound - expansions)
             expansions += more
             chain = None if back is None else chain + back[-2::-1]
@@ -434,7 +438,7 @@ class TransitionOracle:
                 parent[nxt] = z
                 if nxt == y or nxt.is_zero:
                     chain = [nxt]
-                    while chain[-1] != x:
+                    while chain[-1] is not x:  # x, its own parent, is the one root
                         chain.append(parent[chain[-1]])
                     return tuple(reversed(chain)), expansions
                 queue.append(nxt)
@@ -448,7 +452,7 @@ def _splice(
     as an element (with its paths swapped when flip), or None when a path
     of it exceeds len_bound. Past the turn, r cancels against the part of
     b walked back just before."""
-    n, m, size = len(a), len(b), len(r)
+    n, m, size = len(a.edges), len(b.edges), len(r.edges)
     if p <= n:
         if n + size > len_bound:
             return None

@@ -37,6 +37,7 @@ from graphinverse.oracle import (
     FiniteSemigroup,
     TransitionOracle,
     TransitionResult,
+    all_paths,
     bounded_elements,
 )
 
@@ -47,6 +48,13 @@ from graphinverse.oracle import (
 
 CYCLIC_CORPUS = {name: g for name, g in CORPUS.items() if not is_acyclic(g)}
 ACYCLIC_CORPUS = {name: g for name, g in CORPUS.items() if is_acyclic(g)}
+
+
+def bounded_elements_by_pairs(g: Graph, len_bound: int) -> list[Element]:
+    """Zero, then every pair of paths of length <= len_bound with a common
+    range, in the order of a scan over all pairs of ``all_paths``."""
+    paths = all_paths(g, len_bound)
+    return [ZERO] + [_element(a, b) for a in paths for b in paths if a.target == b.target]
 
 
 def is_prefix(p: Path, q: Path) -> bool:

@@ -16,6 +16,7 @@ from graphinverse.congruences import (
     make_triple,
     triple_from_json,
     triple_to_json,
+    vertex_class_members,
 )
 from graphinverse.corpus import CORPUS
 from graphinverse.elements import Element, ElementLiteralError, format_element, parse_element
@@ -27,6 +28,7 @@ from graphinverse.graphs import (
     graph_from_json,
     graph_to_json,
     index_one_edges,
+    is_hereditary,
     make_path,
 )
 from graphinverse.oracle import all_paths, bounded_elements
@@ -71,11 +73,21 @@ LOOP = CORPUS["loop"]
     (lambda: Cycle(None), ValueError, "not a closed nonempty path: None"),
     (lambda: Cycle((("v", "v"), ("e",))), ValueError,
      "not a closed nonempty path: (('v', 'v'), ('e',))"),
+    # public functions past the constructors that take raw ids or bounds
+    (lambda: is_hereditary(LOOP, 5), GraphFormatError,
+     "H must be a set of vertex ids, not the int 5"),
+    (lambda: vertex_class_members(LOOP, make_triple(LOOP), ["v"], 2), GraphFormatError,
+     "vertex id must be a string, got ['v']"),
+    (lambda: vertex_class_members(LOOP, make_triple(LOOP), "v", "2"), ValueError,
+     "length bound must be an integer, not '2'"),
+    (lambda: vertex_class_members(LOOP, make_triple(LOOP), "v", 2.5), ValueError,
+     "length bound must be an integer, not 2.5"),
 ], ids=["graph-str-edge", "graph-dict-edge", "graph-dict-vertices", "graph-bytes-vertices",
         "graph-int-vertices", "graph-none-edges", "graph-list-endpoint", "path-int-ids",
         "path-list-id", "path-list-source", "triple-dict-h", "triple-int-h", "triple-list-w-id",
         "triple-mixed-h", "element-none", "element-bytes", "cycle-str", "cycle-none",
-        "cycle-bare-path-tuple"])
+        "cycle-bare-path-tuple", "hereditary-int-h", "members-list-vertex",
+        "members-str-bound", "members-float-bound"])
 def test_malformed_value_named(call, kind, message):
     with pytest.raises(kind) as info:
         call()

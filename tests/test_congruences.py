@@ -166,6 +166,12 @@ class TestValidation:
                       "cycle value 2.5 is not a positive integer or inf"):
             make_triple(g, w={"v"}, f={lw: 2.5, lv: 0})
 
+    def test_bad_value_named_beside_a_bad_w(self, loop):
+        c = Cycle.from_path(make_path(loop, ["e"]))
+        with rejected("W contains vertices outside the quotient: ['x']; "
+                      "cycle value 0 is not a positive integer or inf"):
+            make_triple(loop, w={"v", "x"}, f={c: 0})
+
 
 class TestReduceModH:
     def test_edge_collapses_into_ideal(self, edge):

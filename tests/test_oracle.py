@@ -43,6 +43,7 @@ from graphinverse.oracle import (
 from reference import (
     ACYCLIC_CORPUS,
     PrefixIndexOracle,
+    bounded_elements_by_pairs,
     closure_by_all_translations,
     congruences_by_closed_joins,
     directed_pairs,
@@ -129,6 +130,21 @@ def _solve_left(p, z):
             if u_alpha.target == u_beta.target:
                 out.append(Element(u_alpha, u_beta))
     return list(dict.fromkeys(out))
+
+
+@pytest.mark.parametrize("family", ["corpus", "acyclic", "seeded"])
+def test_bounded_elements_match_pair_scan(family):
+    """Pairing each path with the paths of its range lists what the scan
+    over all pairs lists, in the same order: that order fixes the indices
+    of materialize and the element list that ``oracle`` prints."""
+    graphs = {
+        "corpus": lambda: CORPUS.values(),
+        "acyclic": lambda: all_acyclic_graphs(3, 3),
+        "seeded": lambda: seeded_multigraphs(4242, 120, max_vertices=4),
+    }[family]()
+    for g in graphs:
+        for len_bound in range(4):
+            assert bounded_elements(g, len_bound) == bounded_elements_by_pairs(g, len_bound)
 
 
 class TestMaterialize:
@@ -469,6 +485,17 @@ class TestTransitionOracle:
         o = TransitionOracle(loop, loop_triple(loop, 2), 2)
         with pytest.raises(ValueError, match="0 is never expanded"):
             o.neighbors(ZERO)
+
+    def test_cached_search_still_refuses_zero_and_long_nodes(self, loop):
+        """neighbors looks in its cache first and checks only on a miss;
+        a search that fills the cache lets neither 0 nor a node over the
+        bound through."""
+        o = TransitionOracle(loop, loop_triple(loop, 2), 2)
+        assert o.search(elem(loop, "e.e|@v"), elem(loop, "e|e")).expansions > 0
+        with pytest.raises(ValueError, match="0 is never expanded"):
+            o.neighbors(ZERO)
+        with pytest.raises(ValueError, match="exceeds the length bound 2"):
+            o.neighbors(elem(loop, "e.e.e|@v"))
 
     def test_universe_is_listed_on_read(self, two_cycle):
         o = TransitionOracle(two_cycle, make_triple(two_cycle), 2)

@@ -8,6 +8,7 @@ from __future__ import annotations
 import ast
 import importlib
 import importlib.util
+import json
 import os
 import re
 import subprocess
@@ -21,6 +22,13 @@ from graphinverse.corpus import CORPUS
 from graphinverse.graphs import Graph
 
 ROOT = Path(__file__).resolve().parent.parent
+# a cap so small that most points of each series are recorded as skipped
+TINY_SERIES = ["--cap", "0.001", "--repeats", "1", "--out", "{tmp}/BENCH.json"]
+
+
+def in_dir(args: list[str], tmp_path: Path) -> list[str]:
+    """args with {tmp} standing for the test's temporary directory."""
+    return [arg.replace("{tmp}", str(tmp_path)) for arg in args]
 
 
 @pytest.mark.parametrize(
@@ -38,12 +46,13 @@ ROOT = Path(__file__).resolve().parent.parent
             "worst index",
         ),
         ("transcript.py", [], "$ graphinverse report loop.json --dot"),
+        ("series.py", TINY_SERIES, "bounded_elements loop"),
     ],
-    ids=["class_atlas", "verify_bijection", "noetherian_chains", "transcript"],
+    ids=["class_atlas", "verify_bijection", "noetherian_chains", "transcript", "series"],
 )
-def test_script_runs(script, args, expected):
+def test_script_runs(script, args, expected, tmp_path):
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / script), *args],
+        [sys.executable, str(ROOT / "scripts" / script), *in_dir(args, tmp_path)],
         capture_output=True, text=True, timeout=120,
         env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
     )
@@ -65,6 +74,7 @@ def test_script_runs(script, args, expected):
         ("verify_bijection.py", ["--max-vertices", "0"], "--max-vertices"),
         ("verify_bijection.py", ["--max-edges", "-1"], "--max-edges"),
         ("noetherian_chains.py", ["--length", "0"], "--length"),
+        ("series.py", ["--cap", "0", "--out", "unwritten.json"], "--cap"),
         ("verify_bijection.py", ["--max-elements", "-1"], "--max-elements must be nonnegative"),
         # usage errors, which the scripts share with the CLI
         ("noetherian_chains.py", ["--chains", "abc"], "--chains"),
@@ -76,7 +86,7 @@ def test_script_runs(script, args, expected):
     ids=["verify_bijection-max-elements", "class_atlas-triple-index", "class_atlas-f-cap",
          "noetherian_chains-f-cap", "noetherian_chains-chains", "class_atlas-len-bound",
          "verify_bijection-max-vertices", "verify_bijection-no-vertices",
-         "verify_bijection-max-edges", "noetherian_chains-length",
+         "verify_bijection-max-edges", "noetherian_chains-length", "series-cap",
          "verify_bijection-negative-max-elements", "noetherian_chains-not-an-integer",
          "class_atlas-bad-choice", "class_atlas-unknown-flag", "verify_bijection-unknown-flag",
          "noetherian_chains-unknown-flag"],
@@ -114,7 +124,7 @@ def test_verify_bijection_failure_survives_optimize():
 
 
 @pytest.mark.parametrize("script", ["class_atlas.py", "verify_bijection.py",
-                                    "noetherian_chains.py", "transcript.py"])
+                                    "noetherian_chains.py", "transcript.py", "series.py"])
 def test_script_help_exits_zero(script):
     proc = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / script), "--help"],
@@ -131,14 +141,41 @@ def test_script_help_exits_zero(script):
         ("verify_bijection.py", ["--max-vertices", "1", "--max-edges", "1"]),
         ("noetherian_chains.py", ["--chains", "3", "--length", "1"]),
         ("transcript.py", []),
+        ("series.py", TINY_SERIES),
     ],
-    ids=["class_atlas", "verify_bijection", "noetherian_chains", "transcript"],
+    ids=["class_atlas", "verify_bijection", "noetherian_chains", "transcript", "series"],
 )
 @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
-def test_script_broken_pipe_is_one_line(script, args, buffered):
-    assert run_into_closed_pipe([str(ROOT / "scripts" / script), *args], buffered) == (
-        1, "error: [Errno 32] Broken pipe\n"
+def test_script_broken_pipe_is_one_line(script, args, buffered, tmp_path):
+    argv = [str(ROOT / "scripts" / script), *in_dir(args, tmp_path)]
+    assert run_into_closed_pipe(argv, buffered) == (1, "error: [Errno 32] Broken pipe\n")
+
+
+def test_series_records_points_and_slopes(tmp_path):
+    """Every series of scripts/series.py lists its points from small to
+    large, each timed or, from the first over the cap on, skipped; it has
+    a slope when at least two points were timed, and one per step."""
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "series.py"), *in_dir(TINY_SERIES, tmp_path)],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
     )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    rows = json.loads((tmp_path / "BENCH.json").read_text(encoding="utf-8"))["series"]
+    assert [row["name"] for row in rows] == [
+        "bounded_elements loop", "TransitionOracle build and search loop",
+        "bounded_elements double_loop", "TransitionOracle build and search double_loop",
+        "make_triple ring, collector on", "make_triple ring, collector off",
+    ]
+    for row in rows:
+        sizes = [p["n"] for p in row["points"] if "n" in p]
+        assert sizes == sorted(sizes)
+        best = [p["best_s"] for p in row["points"]]
+        timed = [b for b in best if b != "skipped: cap"]
+        assert best == timed + ["skipped: cap"] * (len(best) - len(timed))
+        assert all(isinstance(b, float) and b > 0 for b in timed)
+        assert (row["slope"] is None) == (len(timed) < 2)
+        assert len(row["slopes"]) == max(len(timed) - 1, 0)
 
 
 def test_cli_transcript_matches_golden(monkeypatch):
