@@ -12,8 +12,8 @@ grows, with fitted log-log slopes, written as one JSON file.
   f = 3, with the cyclic garbage collector on and off; the ring and its
   cycle are built outside the timing.
 
-A point is the least of ``--repeats`` timings in this process, each after
-a full collection. The points of a series run from small to large; the
+A point is the least of five timings (``REPEATS``) in this process, each
+after a full collection. The points of a series run from small to large; the
 first whose first timing exceeds ``--cap`` seconds, and every larger one,
 is recorded as ``"skipped: cap"``; the larger ones are not set up, so
 they carry no n. n is the ring length, or |U|, the number of elements
@@ -46,14 +46,15 @@ from graphinverse.oracle import TransitionOracle, bounded_elements
 
 LEN_BOUNDS = {"loop": (4, 8, 16, 32, 64, 128), "double_loop": (1, 2, 3, 4, 5, 6, 7, 8)}
 RING_SIZES = (10**3, 10**4, 3 * 10**4, 10**5)
+REPEATS = 5
 SKIPPED = "skipped: cap"
 
 
-def best_of(call, repeats: int, cap: float) -> float | None:
-    """The least of repeats timings of call(), or None when the first
+def best_of(call, cap: float) -> float | None:
+    """The least of REPEATS timings of call(), or None when the first
     exceeds cap seconds."""
     times = []
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         gc.collect()
         start = perf_counter()
         call()
@@ -63,7 +64,7 @@ def best_of(call, repeats: int, cap: float) -> float | None:
     return min(times)
 
 
-def series(name: str, points, repeats: int, cap: float) -> dict:
+def series(name: str, points, cap: float) -> dict:
     """Time each (fields, make) of points in order, where make() sets up n
     and the call to time; after the first point over the cap, nothing is
     set up and the points carry no n."""
@@ -72,7 +73,7 @@ def series(name: str, points, repeats: int, cap: float) -> dict:
         point = dict(fields, best_s=SKIPPED)
         if not capped:
             point["n"], call = make()
-            best = best_of(call, repeats, cap)
+            best = best_of(call, cap)
             capped = best is None
             point["best_s"] = SKIPPED if capped else best
         out.append(point)
@@ -113,7 +114,6 @@ def ring_triple(n: int, collector: bool):
 def main() -> None:
     ap = Parser(description=__doc__)
     ap.add_argument("--out", required=True, help="path of the JSON file to write")
-    ap.add_argument("--repeats", least=1, default=5)
     ap.add_argument("--cap", type=float, default=2.0,
                     help="seconds a point's first timing may take before the series stops")
     args = ap.parse_args()
@@ -128,22 +128,22 @@ def main() -> None:
             ({"len_bound": lb}, lambda lb=lb: (len(bounded_elements(g, lb)),
                                                lambda: bounded_elements(g, lb)))
             for lb in bounds
-        ], args.repeats, args.cap))
+        ], args.cap))
         rows.append(series(f"TransitionOracle build and search {name}", [
             ({"len_bound": lb}, lambda lb=lb: (len(bounded_elements(g, lb)),
                                                lambda: TransitionOracle(g, t, lb).search(x, y)))
             for lb in bounds
-        ], args.repeats, args.cap))
+        ], args.cap))
     for collector in (True, False):
         rows.append(series(f"make_triple ring, collector {'on' if collector else 'off'}", [
             ({"ring": n}, lambda n=n: ring_triple(n, collector)) for n in RING_SIZES
-        ], args.repeats, args.cap))
+        ], args.cap))
 
     Path(args.out).write_text(json.dumps({
         "python": platform.python_version(),
         "machine": platform.machine(),
         "cpus": os.cpu_count(),
-        "repeats": args.repeats,
+        "repeats": REPEATS,
         "cap_s": args.cap,
         "series": rows,
     }, indent=1) + "\n", encoding="utf-8")

@@ -23,7 +23,7 @@ from graphinverse.graphs import Graph
 
 ROOT = Path(__file__).resolve().parent.parent
 # a cap so small that most points of each series are recorded as skipped
-TINY_SERIES = ["--cap", "0.001", "--repeats", "1", "--out", "{tmp}/BENCH.json"]
+TINY_SERIES = ["--cap", "0.001", "--out", "{tmp}/BENCH.json"]
 
 
 def in_dir(args: list[str], tmp_path: Path) -> list[str]:
