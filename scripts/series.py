@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Scaling series: best-of-k wall times of two layers as their input
+"""Scaling series: best-of-k wall times of three layers as their input
 grows, with fitted log-log slopes, written as one JSON file.
 
 - The rewrite search, by len_bound on the corpus graphs ``loop`` and
@@ -11,16 +11,19 @@ grows, with fitted log-log slopes, written as one JSON file.
 - ``make_triple`` on a no-exit ring of n vertices, W all of them and
   f = 3, with the cyclic garbage collector on and off; the ring and its
   cycle are built outside the timing.
+- ``enumerate_congruences`` on the edgeless graph of v = 4, 6, 8 and 10
+  vertices, which has 2**v congruences; ``materialize`` runs outside the
+  timing.
 
 A point is the least of five timings (``REPEATS``) in this process, each
 after a full collection. The points of a series run from small to large; the
 first whose first timing exceeds ``--cap`` seconds, and every larger one,
 is recorded as ``"skipped: cap"``; the larger ones are not set up, so
-they carry no n. n is the ring length, or |U|, the number of elements
-``bounded_elements`` lists at the len_bound. A series' ``slope`` is the
-least-squares slope of log time against log n over its timed points,
-and ``slopes`` are those between consecutive timed points; ``null`` and
-empty below two points.
+they carry no n. n is the ring length, |U|, the number of elements
+``bounded_elements`` lists at the len_bound, or the congruence count. A
+series' ``slope`` is the least-squares slope of log time against log n
+over its timed points, and ``slopes`` are those between consecutive
+timed points; ``null`` and empty below two points.
 
     python scripts/series.py --out BENCH.json
 """
@@ -42,10 +45,16 @@ from graphinverse.cli import Parser, run
 from graphinverse.corpus import CORPUS
 from graphinverse.elements import parse_element
 from graphinverse.graphs import Cycle, Graph, make_path
-from graphinverse.oracle import TransitionOracle, bounded_elements
+from graphinverse.oracle import (
+    TransitionOracle,
+    bounded_elements,
+    enumerate_congruences,
+    materialize,
+)
 
 LEN_BOUNDS = {"loop": (4, 8, 16, 32, 64, 128), "double_loop": (1, 2, 3, 4, 5, 6, 7, 8)}
 RING_SIZES = (10**3, 10**4, 3 * 10**4, 10**5)
+EDGELESS_SIZES = (4, 6, 8, 10)
 REPEATS = 5
 SKIPPED = "skipped: cap"
 
@@ -111,6 +120,13 @@ def ring_triple(n: int, collector: bool):
     return n, call
 
 
+def edgeless_congruences(v: int):
+    """2**v and the enumerate_congruences call on the edgeless graph of v
+    vertices, materialized here."""
+    s = materialize(Graph.of([f"v{i}" for i in range(v)], []))
+    return 2**v, lambda: enumerate_congruences(s)
+
+
 def main() -> None:
     ap = Parser(description=__doc__)
     ap.add_argument("--out", required=True, help="path of the JSON file to write")
@@ -138,6 +154,9 @@ def main() -> None:
         rows.append(series(f"make_triple ring, collector {'on' if collector else 'off'}", [
             ({"ring": n}, lambda n=n: ring_triple(n, collector)) for n in RING_SIZES
         ], args.cap))
+    rows.append(series("enumerate_congruences edgeless", [
+        ({"vertices": v}, lambda v=v: edgeless_congruences(v)) for v in EDGELESS_SIZES
+    ], args.cap))
 
     Path(args.out).write_text(json.dumps({
         "python": platform.python_version(),

@@ -23,8 +23,8 @@ class Element(namedtuple("Element", "alpha beta")):
     ``Element(p, q)`` denotes p followed by the reversal of q; the second
     path is the "starred" one. The idempotents are exactly the elements
     with ``alpha == beta``, and a vertex v is ``Element(@v, @v)``. An
-    element is the tuple (alpha, beta) but equals no bare tuple, and
-    ``Element(None, None)`` is the one zero, ``ZERO``.
+    element is the tuple (alpha, beta) and hashes and compares as it, in
+    C; ``Element(None, None)`` is the one zero, ``ZERO``.
     """
 
     __slots__ = ()
@@ -38,14 +38,6 @@ class Element(namedtuple("Element", "alpha beta")):
         if alpha.target != beta.target:
             raise ValueError(f"paths {alpha!r} and {beta!r} have different ranges")
         return tuple.__new__(cls, (alpha, beta))
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Element) and tuple.__eq__(self, other)
-
-    def __ne__(self, other: object) -> bool:
-        return not isinstance(other, Element) or tuple.__ne__(self, other)
-
-    __hash__ = tuple.__hash__
 
     def __repr__(self) -> str:
         return format_element(self)

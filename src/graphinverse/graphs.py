@@ -128,8 +128,8 @@ class Path(namedtuple("Path", "vertices edges")):
     ``vertices`` lists the visited vertices, so ``len(vertices) ==
     len(edges) + 1``; a length-0 path is a single vertex. Paths are
     self-contained: once built against a graph they can be inspected and
-    combined without it. A path is the tuple (vertices, edges), hashed and
-    compared in C, yet equal to no bare tuple nor to a tuple of another type.
+    combined without it. A path is the tuple (vertices, edges), and it
+    hashes and compares as that tuple, in C.
     """
 
     __slots__ = ()
@@ -138,14 +138,6 @@ class Path(namedtuple("Path", "vertices edges")):
         if len(vertices) != len(edges) + 1:
             raise ValueError("path vertex/edge counts are inconsistent")
         return tuple.__new__(cls, (vertices, edges))
-
-    def __eq__(self, other: object) -> bool:
-        return type(other) is Path and tuple.__eq__(self, other)
-
-    def __ne__(self, other: object) -> bool:
-        return type(other) is not Path or tuple.__ne__(self, other)
-
-    __hash__ = tuple.__hash__
 
     @property
     def source(self) -> str:

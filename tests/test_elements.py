@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -377,39 +378,67 @@ class TestConstructors:
 
 
 class TestValueSemantics:
-    """Paths and elements are tuples underneath, hashed and compared in C,
-    but a value never equals a bare tuple or a tuple of another type."""
+    """Paths and elements are tuples underneath: each has its own type, but
+    it hashes and compares as its tuple, in C."""
 
     def test_path_is_not_its_tuple_an_edge_or_an_element(self, edge):
+        """A path is a Path, not a bare tuple, yet it equals and hashes as
+        (vertices, edges); it equals no edge and no element."""
         p = make_path(edge, ["e"])
-        for other in [(p.vertices, p.edges), edge.edges[0], path_element(p), Element(p, p)]:
-            assert p != other and other != p
-            assert not (p == other or other == p)
+        for q in [p, vertex_path(p.source)]:
+            for other in [edge.edges[0], path_element(q), Element(q, q)]:
+                assert q != other and other != q
+                assert not (q == other or other == q)
+            bare = (q.vertices, q.edges)
+            assert type(q) is Path and type(bare) is tuple
+            assert q == bare and bare == q and not (q != bare or bare != q)
+            assert hash(q) == hash(bare)
         assert p == make_path(edge, ["e"]) and not p != make_path(edge, ["e"])
 
     def test_element_is_not_its_tuple(self, corpus_graph):
+        """An element is an Element, not a bare tuple, yet a nonzero one
+        equals and hashes as (alpha, beta); in a pool each element equals
+        only itself."""
         pool = bounded_elements(corpus_graph, 2)
         for x in pool:
-            for other in [(x.alpha, x.beta), x.alpha, *pool[:5]]:
+            for other in [x.alpha, *pool[:5]]:
                 assert (x == other) == (x is other)
                 assert (x != other) != (x == other)
                 assert (other != x) != (other == x)
+            if not x.is_zero:
+                pair = (x.alpha, x.beta)
+                assert type(x) is Element and type(pair) is tuple
+                assert x == pair and pair == x and not (x != pair or pair != x)
+                assert hash(x) == hash(pair)
 
-    def test_mixed_sets_and_dicts_keep_values_apart(self, two_cycle):
-        for x in bounded_elements(two_cycle, 2):
-            pair = (x.alpha, x.beta)
-            assert len({x, pair}) == len({pair, x}) == 2
-            assert {x: 1, pair: 2}[x] == 1 and {pair: 2, x: 1}[pair] == 2
-            assert pair not in {x} and x not in {pair}
-        for p in all_paths(two_cycle, 2):
-            bare = (p.vertices, p.edges)
-            assert len({p, bare}) == 2 and bare not in {p} and p not in {bare}
+    def test_comparing_and_hashing_run_no_python_code(self, two_cycle):
+        """==, hash, set membership and a dict lookup, on equal values that
+        are distinct objects down to their paths, make no Python-level
+        call."""
+        pool = bounded_elements(two_cycle, 2)[1:]
+        copies = [parse_element(two_cycle, format_element(x)) for x in pool]
+        assert all(x is not y and x.alpha is not y.alpha for x, y in zip(pool, copies))
+        calls, answers = [], []
+
+        def watch(frame, event, arg):
+            if event == "call":
+                calls.append(frame.f_code.co_name)
+
+        sys.setprofile(watch)
+        try:
+            for x, y in zip(pool, copies):
+                answers.append((x == y, x.alpha == y.alpha, hash(x) == hash(y),
+                                x in {y}, {y: True}[x]))
+        finally:
+            sys.setprofile(None)
+        assert calls == []
+        assert answers == [(True,) * 5] * len(pool)
 
     def test_zero_is_one_value_with_hash_zero(self, loop):
         assert Element(None, None) is ZERO
         assert hash(ZERO) == 0 and ZERO.is_zero
         assert not any(x.is_zero for x in bounded_elements(loop, 2)[1:])
-        assert ZERO != (None, None) and ZERO == Element(None, None)
+        assert ZERO == Element(None, None)
 
     def test_fields_cannot_be_set(self, loop):
         p = make_path(loop, ["e"])

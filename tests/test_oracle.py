@@ -28,7 +28,7 @@ from graphinverse.congruences import (
     triple_leq,
 )
 from graphinverse.corpus import CORPUS, all_acyclic_graphs
-from graphinverse.graphs import Cycle, Path, concat, make_path
+from graphinverse.graphs import Cycle, Graph, Path, concat, make_path
 from graphinverse.oracle import (
     ExplicitCongruence,
     TransitionOracle,
@@ -307,7 +307,9 @@ class TestAgainstClosureReference:
                 assert congruence_closure(s, pairs) == closure_by_all_translations(s, pairs)
 
     def test_enumeration(self):
-        for g in acyclic_family():
+        # the edgeless graph has 2^6 congruences, most of them joins of joins
+        edgeless = Graph.of([f"v{i}" for i in range(6)], [])
+        for g in [*acyclic_family(), edgeless]:
             s = materialize(g)
             assert enumerate_congruences(s) == congruences_by_closed_joins(s)
 

@@ -166,6 +166,7 @@ def test_series_records_points_and_slopes(tmp_path):
         "bounded_elements loop", "TransitionOracle build and search loop",
         "bounded_elements double_loop", "TransitionOracle build and search double_loop",
         "make_triple ring, collector on", "make_triple ring, collector off",
+        "enumerate_congruences edgeless",
     ]
     for row in rows:
         sizes = [p["n"] for p in row["points"] if "n" in p]
