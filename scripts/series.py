@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Scaling series: best-of-k wall times of three layers as their input
+"""Scaling series: best-of-k wall times of four layers as their input
 grows, with fitted log-log slopes, written as one JSON file.
 
 - The rewrite search, by len_bound on the corpus graphs ``loop`` and
@@ -11,6 +11,10 @@ grows, with fitted log-log slopes, written as one JSON file.
 - ``make_triple`` on a no-exit ring of n vertices, W all of them and
   f = 3, with the cyclic garbage collector on and off; the ring and its
   cycle are built outside the timing.
+- ``Graph.of`` on the same ring, its vertex and edge lists built outside
+  the timing. Each timed point also records
+  ``retained_bytes_per_vertex``: the size ``tracemalloc`` traces after
+  one more build, with the graph still held, divided by n.
 - ``enumerate_congruences`` on the edgeless graph of v = 4, 6, 8 and 10
   vertices, which has 2**v congruences; ``materialize`` runs outside the
   timing.
@@ -36,6 +40,7 @@ import math
 import os
 import platform
 import sys
+import tracemalloc
 from pathlib import Path
 from statistics import linear_regression
 from time import perf_counter
@@ -54,6 +59,7 @@ from graphinverse.oracle import (
 
 LEN_BOUNDS = {"loop": (4, 8, 16, 32, 64, 128), "double_loop": (1, 2, 3, 4, 5, 6, 7, 8)}
 RING_SIZES = (10**3, 10**4, 3 * 10**4, 10**5)
+GRAPH_SIZES = (10**4, 10**5, 3 * 10**5, 10**6)
 EDGELESS_SIZES = (4, 6, 8, 10)
 REPEATS = 5
 SKIPPED = "skipped: cap"
@@ -73,10 +79,11 @@ def best_of(call, cap: float) -> float | None:
     return min(times)
 
 
-def series(name: str, points, cap: float) -> dict:
+def series(name: str, points, cap: float, measure=None) -> dict:
     """Time each (fields, make) of points in order, where make() sets up n
     and the call to time; after the first point over the cap, nothing is
-    set up and the points carry no n."""
+    set up and the points carry no n. measure(n, call), if given, returns
+    more fields for each timed point."""
     out, capped = [], False
     for fields, make in points:
         point = dict(fields, best_s=SKIPPED)
@@ -84,7 +91,10 @@ def series(name: str, points, cap: float) -> dict:
             point["n"], call = make()
             best = best_of(call, cap)
             capped = best is None
-            point["best_s"] = SKIPPED if capped else best
+            if not capped:
+                point["best_s"] = best
+                if measure is not None:
+                    point.update(measure(point["n"], call))
         out.append(point)
     timed = [(math.log(p["n"]), math.log(p["best_s"])) for p in out if p["best_s"] != SKIPPED]
     fit = linear_regression(*zip(*timed)).slope if len(timed) > 1 else None
@@ -105,8 +115,8 @@ def fixed_search(name: str):
 def ring_triple(n: int, collector: bool):
     """n and the make_triple call on the no-exit ring of n vertices, with
     the collector on or off while it runs."""
-    vs = [f"r{i}" for i in range(n)]
-    g = Graph.of(vs, [(f"x{i}", vs[i], vs[(i + 1) % n]) for i in range(n)])
+    vs, es = ring_lists(n)
+    g = Graph.of(vs, es)
     f = {Cycle.from_path(make_path(g, [f"x{i}" for i in range(n)])): 3}
 
     def call():
@@ -118,6 +128,30 @@ def ring_triple(n: int, collector: bool):
             gc.enable()
 
     return n, call
+
+
+def ring_lists(n: int) -> tuple[list[str], list[tuple[str, str, str]]]:
+    """The vertex and edge lists of the no-exit ring of n vertices."""
+    vs = [f"r{i}" for i in range(n)]
+    return vs, [(f"x{i}", vs[i], vs[(i + 1) % n]) for i in range(n)]
+
+
+def ring_graph(n: int):
+    """n and the Graph.of call on the ring's lists, built here."""
+    vs, es = ring_lists(n)
+    return n, lambda: Graph.of(vs, es)
+
+
+def retained_bytes(n: int, call) -> dict:
+    """The bytes tracemalloc traces while call()'s result is held, per n."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        kept = call()  # held while the traced size is read
+        size = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    return {"retained_bytes_per_vertex": size / n}
 
 
 def edgeless_congruences(v: int):
@@ -154,6 +188,9 @@ def main() -> None:
         rows.append(series(f"make_triple ring, collector {'on' if collector else 'off'}", [
             ({"ring": n}, lambda n=n: ring_triple(n, collector)) for n in RING_SIZES
         ], args.cap))
+    rows.append(series("Graph.of ring", [
+        ({"ring": n}, lambda n=n: ring_graph(n)) for n in GRAPH_SIZES
+    ], args.cap, retained_bytes))
     rows.append(series("enumerate_congruences edgeless", [
         ({"vertices": v}, lambda v=v: edgeless_congruences(v)) for v in EDGELESS_SIZES
     ], args.cap))

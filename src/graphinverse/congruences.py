@@ -148,7 +148,7 @@ def make_triple(
         if not isinstance(c, Cycle):
             raise TripleFormatError(f"cycle-function key {c!r} is not a Cycle")
     t = CongruenceTriple(*sets, tuple(sorted(pairs, key=lambda kv: kv[0].path.edges)))
-    vertices = g._vpos.keys()  # type: ignore[attr-defined]
+    vertices = g._vpos.keys()
     unknown = t.h - vertices
     if unknown:
         raise TripleFormatError(f"H contains unknown vertices {sorted(unknown, key=str)}")

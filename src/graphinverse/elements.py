@@ -105,7 +105,7 @@ def _parse_path(g: Graph, text: str) -> Path:
         v = text[1:]
         if not v:
             raise ElementLiteralError("empty vertex name after '@'")
-        if v not in g._vpos:  # type: ignore[attr-defined]
+        if v not in g._vpos:
             raise ElementLiteralError(f"unknown vertex {v!r}")
         return vertex_path(v)
     if not text:

@@ -17,9 +17,8 @@ from __future__ import annotations
 
 import json
 from collections import namedtuple
-from dataclasses import dataclass
 from itertools import compress, count
-from typing import Collection, Iterable, Iterator, Mapping, NamedTuple
+from typing import Collection, Iterable, Iterator, Mapping
 
 RESERVED_ID_CHARS = set(".|@*")
 _BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
@@ -55,32 +54,28 @@ def _check_id(kind: str, ident: object) -> None:
         raise GraphFormatError(f"{kind} id {ident!r} has leading or trailing whitespace")
 
 
-class Edge(NamedTuple):
-    id: str
-    src: str
-    dst: str
+Edge = namedtuple("Edge", "id src dst")
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(namedtuple("Graph", "vertices edges")):
     """A directed multigraph with stable string identifiers.
 
     Parallel edges and loops are allowed; edges are distinguished by id,
-    never by their endpoints.
+    never by their endpoints. A graph is the tuple (vertices, edges), and
+    it hashes and compares as that tuple, in C. It is the one value with
+    an instance dict: a tuple subclass cannot have nonempty ``__slots__``,
+    and the dict holds the three indexes built with the graph.
     """
 
-    vertices: tuple[str, ...]
-    edges: tuple[Edge, ...]
-
-    def __post_init__(self) -> None:
+    def __new__(cls, vertices: tuple[str, ...], edges: tuple[Edge, ...]) -> Graph:
         vpos: dict[str, int] = {}
-        for i, v in enumerate(self.vertices):
+        for i, v in enumerate(vertices):
             _check_id("vertex", v)
             if vpos.setdefault(v, i) != i:
                 raise GraphFormatError(f"duplicate vertex id {v!r}")
         edge_map: dict[str, Edge] = {}
-        out: dict[str, list[Edge]] = {v: [] for v in self.vertices}
-        for e in self.edges:
+        out: dict[str, list[Edge]] = {v: [] for v in vertices}
+        for e in edges:
             _check_id("edge", e.id)
             if e.id in edge_map:
                 raise GraphFormatError(f"duplicate edge id {e.id!r}")
@@ -92,9 +87,11 @@ class Graph:
                 raise GraphFormatError(f"edge {tuple(e)!r} has undeclared endpoint")
             edge_map[e.id] = e
             out[e.src].append(e)
-        object.__setattr__(self, "_edge_map", edge_map)
-        object.__setattr__(self, "_out", {v: tuple(es) for v, es in out.items()})
-        object.__setattr__(self, "_vpos", vpos)
+        self = tuple.__new__(cls, (vertices, edges))
+        self._edge_map = edge_map
+        self._out = {v: tuple(es) for v, es in out.items()}
+        self._vpos = vpos
+        return self
 
     @classmethod
     def of(cls, vertices: Iterable[str], edges: Iterable[tuple[str, str, str]]) -> Graph:
@@ -105,7 +102,7 @@ class Graph:
 
     def out_edges(self, v: str) -> tuple[Edge, ...]:
         try:
-            return self._out[v]  # type: ignore[attr-defined]
+            return self._out[v]
         except (KeyError, TypeError):  # TypeError: unhashable
             if isinstance(v, str):
                 raise KeyError(f"unknown vertex id {v!r}") from None
@@ -113,7 +110,7 @@ class Graph:
 
     def sort_vertices(self, vs: Iterable[str]) -> tuple[str, ...]:
         """Order a vertex collection by this graph's insertion order."""
-        pos = self._vpos  # type: ignore[attr-defined]
+        pos = self._vpos
         return tuple(sorted(vs, key=pos.__getitem__))
 
 
@@ -188,7 +185,7 @@ def make_path(g: Graph, edge_ids: Iterable[str], source: str | None = None) -> P
             raise ValueError("a length-0 path needs an explicit source vertex")
         g.out_edges(source)  # raises for an unknown vertex
         return vertex_path(source)
-    edge_map = g._edge_map  # type: ignore[attr-defined]
+    edge_map = g._edge_map
     try:
         edges = [edge_map[i] for i in ids]
     except (KeyError, TypeError) as exc:  # TypeError: an unhashable id
@@ -217,8 +214,7 @@ def _is_prefix(p: Path, q: Path) -> bool:
     return p.vertices[0] == q.vertices[0] and q.edges[: len(p.edges)] == p.edges
 
 
-@dataclass(frozen=True)
-class Cycle:
+class Cycle(namedtuple("Cycle", "path")):
     """A cycle, stored in its canonical rotation whichever rotation built it.
 
     The canonical rotation is the one whose edge-id sequence is
@@ -226,19 +222,19 @@ class Cycle:
     other exactly when they are equal. Data attached to a cycle (such as
     cycle-function values) is therefore rotation-invariant by construction.
     A cycle's body vertices are distinct, hence so are its edges, and the
-    least rotation is the one starting at the least edge id.
+    least rotation is the one starting at the least edge id. A cycle is
+    the tuple (path,), and it hashes and compares as that tuple, in C.
     """
 
-    path: Path
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        p = self.path
-        if type(p) is not Path or len(p) < 1 or not p.is_closed:
-            raise ValueError(f"not a closed nonempty path: {p!r}")
-        body = p.vertices[:-1]
+    def __new__(cls, path: Path) -> Cycle:
+        if type(path) is not Path or len(path) < 1 or not path.is_closed:
+            raise ValueError(f"not a closed nonempty path: {path!r}")
+        body = path.vertices[:-1]
         if len(set(body)) != len(body):
-            raise ValueError(f"repeated source vertex in cycle candidate {p!r}")
-        object.__setattr__(self, "path", _rotate(p, p.edges.index(min(p.edges))))
+            raise ValueError(f"repeated source vertex in cycle candidate {path!r}")
+        return tuple.__new__(cls, (_rotate(path, path.edges.index(min(path.edges))),))
 
     @classmethod
     def from_path(cls, p: Path) -> Cycle:
@@ -286,7 +282,10 @@ def cycle_power(loop: Path, m: int) -> Path:
 
 def is_hereditary(g: Graph, h: Iterable[str]) -> bool:
     """True iff no edge leaves h: s(e) in h implies r(e) in h."""
-    hs = set(_items(h, "H must be a set of vertex ids, not the {kind} {value!r}"))
+    try:
+        hs = set(_items(h, "H must be a set of vertex ids, not the {kind} {value!r}"))
+    except TypeError:  # an unhashable id
+        raise GraphFormatError(f"H must hold vertex-id strings, got {h!r}") from None
     for v in hs:
         g.out_edges(v)  # raises for an unknown vertex
     return all(e.dst in hs for v in hs for e in g.out_edges(v))
@@ -327,7 +326,7 @@ def index_one_edges(g: Graph, h: Iterable[str] = ()) -> dict[str, Edge]:
     h, mapped to that edge, in graph order."""
     hs = frozenset(h)
     w_edges: dict[str, Edge] = {}
-    for v, out in g._out.items():  # type: ignore[attr-defined]
+    for v, out in g._out.items():
         if v not in hs:
             kept = None
             for e in out:
@@ -352,7 +351,7 @@ def cycles_in(g: Graph, w_edges: Mapping[str, Edge], w: Collection[str] | None =
     each vertex no earlier walk reached visits every vertex of W once; a
     cycle's vertices and edges are read off only when a walk closes it.
     """
-    pos = g._vpos  # type: ignore[attr-defined]
+    pos = g._vpos
     within = w_edges if w is None else w
     walk_of: dict[str, str] = {}
     found: list[tuple[int, Cycle]] = []
@@ -386,7 +385,7 @@ def _strong_components(g: Graph) -> tuple[list[list[int]], list[list[int]]]:
     completes them, a reverse topological order of the condensation:
     each component comes after every component it has an edge into.
     """
-    pos = g._vpos  # type: ignore[attr-defined]
+    pos = g._vpos
     succ = [[pos[e.dst] for e in g.out_edges(v)] for v in g.vertices]
     order = [-1] * len(succ)
     low = [0] * len(succ)

@@ -11,8 +11,8 @@ inconclusive by design.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
+from collections import deque, namedtuple
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .congruences import INF, CongruenceTriple, make_triple
@@ -67,27 +67,23 @@ def bounded_elements(g: Graph, len_bound: int) -> list[Element]:
     return [ZERO] + [_element(a, b) for a in paths for b in ending[a.vertices[-1]]]
 
 
-@dataclass(frozen=True)
-class FiniteSemigroup:
+class FiniteSemigroup(namedtuple("FiniteSemigroup", "elements table generators positions")):
     """The full semigroup of a finite acyclic graph, with Cayley table.
 
     ``elements[0]`` is zero; ``table[i][j]`` indexes the product of
     elements i and j. ``generators`` indexes the vertices, the edges
     e|@r(e) and the ghosts @r(e)|e, of which every nonzero element is a
-    product. ``index`` maps each element to its position.
+    product. ``positions`` maps each element to its position.
     """
 
-    elements: tuple[Element, ...]
-    table: tuple[tuple[int, ...], ...]
-    generators: tuple[int, ...]
-    index: dict[Element, int] = field(compare=False, repr=False)
+    __slots__ = ()
 
     def __len__(self) -> int:
         return len(self.elements)
 
     def index_of(self, x: Element) -> int:
         try:
-            return self.index[x]
+            return self.positions[x]
         except KeyError:
             raise KeyError(f"element {x!r} is not in the materialized semigroup") from None
 
@@ -111,25 +107,24 @@ def materialize(g: Graph, max_elements: int | None = None) -> FiniteSemigroup:
         if size > max_elements:
             raise ValueError(f"semigroup has {size} elements, above the bound {max_elements}")
     elements = bounded_elements(g, len(g.edges))
-    index = {x: i for i, x in enumerate(elements)}
+    positions = {x: i for i, x in enumerate(elements)}
     table = tuple(
-        tuple(index[multiply(x, y)] for y in elements) for x in elements
+        tuple(positions[multiply(x, y)] for y in elements) for x in elements
     )
     generators = [vertex_element(v) for v in g.vertices]
     for e in g.edges:
         p = _path((e.src, e.dst), (e.id,))
         generators += [path_element(p), _element(vertex_path(e.dst), p)]
-    return FiniteSemigroup(tuple(elements), table, tuple(index[x] for x in generators), index)
+    return FiniteSemigroup(tuple(elements), table, tuple(positions[x] for x in generators), positions)
 
 
-@dataclass(frozen=True)
-class ExplicitCongruence:
+class ExplicitCongruence(namedtuple("ExplicitCongruence", "least")):
     """A compatible partition of a finite semigroup's element indices,
     stored as ``least``, the least member of each element's class, so
     equal partitions compare equal.
     """
 
-    least: tuple[int, ...]
+    __slots__ = ()
 
     @classmethod
     def from_class_map(cls, class_of: Sequence[int]) -> ExplicitCongruence:

@@ -76,6 +76,8 @@ LOOP = CORPUS["loop"]
     # public functions past the constructors that take raw ids or bounds
     (lambda: is_hereditary(LOOP, 5), GraphFormatError,
      "H must be a set of vertex ids, not the int 5"),
+    (lambda: is_hereditary(LOOP, [["u"]]), GraphFormatError,
+     "H must hold vertex-id strings, got [['u']]"),
     (lambda: vertex_class_members(LOOP, make_triple(LOOP), ["v"], 2), GraphFormatError,
      "vertex id must be a string, got ['v']"),
     (lambda: vertex_class_members(LOOP, make_triple(LOOP), "v", "2"), ValueError,
@@ -86,7 +88,7 @@ LOOP = CORPUS["loop"]
         "graph-int-vertices", "graph-none-edges", "graph-list-endpoint", "path-int-ids",
         "path-list-id", "path-list-source", "triple-dict-h", "triple-int-h", "triple-list-w-id",
         "triple-mixed-h", "element-none", "element-bytes", "cycle-str", "cycle-none",
-        "cycle-bare-path-tuple", "hereditary-int-h", "members-list-vertex",
+        "cycle-bare-path-tuple", "hereditary-int-h", "hereditary-list-id", "members-list-vertex",
         "members-str-bound", "members-float-bound"])
 def test_malformed_value_named(call, kind, message):
     with pytest.raises(kind) as info:

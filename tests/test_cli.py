@@ -914,13 +914,14 @@ class TestNoGraphPerHereditarySet:
     @pytest.fixture
     def built(self, monkeypatch):
         calls = []
-        original = Graph.__post_init__
+        original = Graph.__new__
 
-        def counted(self):
-            calls.append(self)
-            original(self)
+        def counted(cls, *args, **kwargs):
+            g = original(cls, *args, **kwargs)
+            calls.append(g)
+            return g
 
-        monkeypatch.setattr(Graph, "__post_init__", counted)
+        monkeypatch.setattr(Graph, "__new__", staticmethod(counted))
         return calls
 
     @pytest.mark.parametrize("name", sorted(CORPUS))

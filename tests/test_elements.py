@@ -14,6 +14,8 @@ from graphinverse.graphs import (
     Path,
     concat,
     cycle_power,
+    graph_from_json,
+    graph_to_json,
     make_path,
     vertex_path,
 )
@@ -414,10 +416,14 @@ class TestValueSemantics:
     def test_comparing_and_hashing_run_no_python_code(self, two_cycle):
         """==, hash, set membership and a dict lookup, on equal values that
         are distinct objects down to their paths, make no Python-level
-        call."""
+        call: elements, cycles built from different rotations and a graph
+        against its JSON round trip."""
         pool = bounded_elements(two_cycle, 2)[1:]
         copies = [parse_element(two_cycle, format_element(x)) for x in pool]
         assert all(x is not y and x.alpha is not y.alpha for x, y in zip(pool, copies))
+        c, d = Cycle(make_path(two_cycle, ["e1", "e2"])), Cycle(make_path(two_cycle, ["e2", "e1"]))
+        g = graph_from_json(graph_to_json(two_cycle))
+        assert c.path is not d.path and g is not two_cycle
         calls, answers = [], []
 
         def watch(frame, event, arg):
@@ -429,10 +435,12 @@ class TestValueSemantics:
             for x, y in zip(pool, copies):
                 answers.append((x == y, x.alpha == y.alpha, hash(x) == hash(y),
                                 x in {y}, {y: True}[x]))
+            answers.append((c == d, hash(c) == hash(d), c in {d}, {d: True}[c],
+                            two_cycle == g))
         finally:
             sys.setprofile(None)
         assert calls == []
-        assert answers == [(True,) * 5] * len(pool)
+        assert answers == [(True,) * 5] * (len(pool) + 1)
 
     def test_zero_is_one_value_with_hash_zero(self, loop):
         assert Element(None, None) is ZERO
@@ -443,8 +451,10 @@ class TestValueSemantics:
     def test_fields_cannot_be_set(self, loop):
         p = make_path(loop, ["e"])
         x = path_element(p)
+        c = Cycle(p)
         for value, field in [(p, "vertices"), (p, "edges"), (x, "alpha"), (x, "beta"),
-                             (ZERO, "alpha"), (x, "is_zero"), (p, "label")]:
+                             (ZERO, "alpha"), (x, "is_zero"), (p, "label"),
+                             (loop, "vertices"), (loop, "edges"), (c, "path")]:
             with pytest.raises(AttributeError):
                 setattr(value, field, None)
 

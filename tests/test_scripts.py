@@ -166,7 +166,7 @@ def test_series_records_points_and_slopes(tmp_path):
         "bounded_elements loop", "TransitionOracle build and search loop",
         "bounded_elements double_loop", "TransitionOracle build and search double_loop",
         "make_triple ring, collector on", "make_triple ring, collector off",
-        "enumerate_congruences edgeless",
+        "Graph.of ring", "enumerate_congruences edgeless",
     ]
     for row in rows:
         sizes = [p["n"] for p in row["points"] if "n" in p]
@@ -177,6 +177,11 @@ def test_series_records_points_and_slopes(tmp_path):
         assert all(isinstance(b, float) and b > 0 for b in timed)
         assert (row["slope"] is None) == (len(timed) < 2)
         assert len(row["slopes"]) == max(len(timed) - 1, 0)
+        if row["name"] == "Graph.of ring":  # bytes are recorded on timed points only
+            for p in row["points"]:
+                kept = p.get("retained_bytes_per_vertex")
+                assert (kept is None) == (p["best_s"] == "skipped: cap")
+                assert kept is None or kept > 0
 
 
 def test_cli_transcript_matches_golden(monkeypatch):
